@@ -232,30 +232,29 @@ def jordan_check(A, seed=1729):
         if not vec_is_zero(f, _defining_identity_gap(A, x, y)):
             return JordanCheck(False, "pair", (x, y))
     dim = A.dim
-    neg = f.neg
     for i in range(dim):
         for j in range(i, dim):
-            pij = A.sparse_row(i, j)
             for k in range(j, dim):
-                pjk = A.sparse_row(j, k)
-                pki = A.sparse_row(k, i)
                 for y in range(dim):
-                    acc = {}
-                    _sp_accumulate(f, acc, f.one,
-                                   _sp_mul_vec_basis(A, _sp_mul_vec_basis(A, pij, y), k))
-                    _sp_accumulate(f, acc, f.one,
-                                   _sp_mul_vec_basis(A, _sp_mul_vec_basis(A, pjk, y), i))
-                    _sp_accumulate(f, acc, f.one,
-                                   _sp_mul_vec_basis(A, _sp_mul_vec_basis(A, pki, y), j))
-                    _sp_accumulate(f, acc, neg(f.one),
-                                   _sp_mul_vec_vec(A, pij, A.sparse_row(y, k)))
-                    _sp_accumulate(f, acc, neg(f.one),
-                                   _sp_mul_vec_vec(A, pjk, A.sparse_row(y, i)))
-                    _sp_accumulate(f, acc, neg(f.one),
-                                   _sp_mul_vec_vec(A, pki, A.sparse_row(y, j)))
-                    if acc:
+                    if linearized_gap(A, i, j, y, k):
                         return JordanCheck(False, "quadruple", (i, j, y, k))
     return JordanCheck(True)
+
+
+def linearized_gap(A, i, j, y, k):
+    """The linearized Jordan identity on the basis quadruple (b_i, b_j, b_y,
+    b_k): the sum of ((ab)y)c - (ab)(yc) over the cyclic shifts (a, b, c) of
+    (b_i, b_j, b_k), as a sparse vector that is empty exactly when the
+    identity holds there."""
+    f = A.field
+    one, neg_one = f.one, f.neg(f.one)
+    row = A.sparse_row
+    gap = {}
+    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+        ab = row(a, b)
+        _sp_accumulate(f, gap, one, _sp_mul_vec_basis(A, _sp_mul_vec_basis(A, ab, y), c))
+        _sp_accumulate(f, gap, neg_one, _sp_mul_vec_vec(A, ab, row(y, c)))
+    return gap
 
 
 def linearized_identity_holds(A, i, j, y, k):
@@ -577,6 +576,14 @@ def _grid_tuples(grid, size):
 # JSON interchange
 
 
+def _is_product_triangle(rows, dim):
+    return isinstance(rows, list) and len(rows) == dim and all(
+        isinstance(row, list) and len(row) == dim - i
+        and all(isinstance(vec, list) and len(vec) == dim for vec in row)
+        for i, row in enumerate(rows)
+    )
+
+
 def algebra_to_json_dict(A):
     fmt = A.field.fmt
     products = []
@@ -591,11 +598,20 @@ def algebra_to_json_dict(A):
 
 
 def algebra_from_json_dict(data):
+    if not isinstance(data, dict):
+        raise AlgebraError("algebra JSON must be an object")
+    missing = [key for key in ("field", "dim", "labels", "products")
+               if key not in data]
+    if missing:
+        raise AlgebraError("algebra JSON lacks %s" % ", ".join(missing))
     field = field_from_name(data["field"])
     labels = data["labels"]
     dim = data["dim"]
     if len(labels) != dim:
         raise AlgebraError("label count does not match dim")
+    if not _is_product_triangle(data["products"], dim):
+        raise AlgebraError("products must have dim rows, row i holding dim - i "
+                           "vectors of length dim")
     products = {}
     for i, row in enumerate(data["products"]):
         for off, vec in enumerate(row):

@@ -4,6 +4,7 @@ constructed algebras to a deterministic pass/fail report."""
 import json
 import time
 from dataclasses import dataclass
+from itertools import product
 
 from .fields import Rationals, field_from_name
 from .linalg import Matrix, Subspace, rref, unit_vector
@@ -27,6 +28,7 @@ from .algebra import (
     iso_check,
     is_multiplicative,
     jordan_check,
+    linearized_gap,
     miyamoto,
     phi_alpha,
 )
@@ -93,13 +95,15 @@ def _half(f):
 # Claim runners
 
 
-def _claim_sym_zero_sum(n=None, field_name=None, context=None):
+def _claim_sym_zero_sum(claim_id, n, field_name, context):
     anchors = [
         "the half-parameter Matsuo algebra of the symmetric-group triple "
         "system is the Jordan algebra of zero-sum symmetric matrices",
     ]
+    if n is not None and n < 2:
+        raise ValueError("%s needs n >= 2, got %d" % (claim_id, n))
     checks = []
-    ns = [n] if n else [2, 3, 4, 5, 6]
+    ns = [n] if n is not None else [2, 3, 4, 5, 6]
     for f in _fields_for(field_name):
         for m in ns:
             rs, zs, iso = cons.an_isomorphism(f, m)
@@ -119,7 +123,7 @@ def _claim_sym_zero_sum(n=None, field_name=None, context=None):
     return anchors, checks
 
 
-def _claim_p3_unit(field_name=None, context=None):
+def _claim_p3_unit(claim_id, n, field_name, context):
     anchors = ["one third of the point sum is the unit of the plane algebra"]
     checks = []
     for f in _fields_for(field_name):
@@ -133,7 +137,7 @@ def _claim_p3_unit(field_name=None, context=None):
     return anchors, checks
 
 
-def _claim_p3_line_idempotents(field_name=None, context=None):
+def _claim_p3_line_idempotents(claim_id, n, field_name, context):
     anchors = [
         "each line yields an idempotent pair",
         "idempotents of parallel lines are orthogonal",
@@ -162,7 +166,7 @@ def _claim_p3_line_idempotents(field_name=None, context=None):
     return anchors, checks
 
 
-def _claim_p3_eigendims(field_name=None, context=None):
+def _claim_p3_eigendims(claim_id, n, field_name, context):
     anchors = [
         "line idempotents diagonalize with eigenspace dimensions 1, 4, 4",
         "points diagonalize with the same dimensions",
@@ -189,7 +193,7 @@ def _claim_p3_eigendims(field_name=None, context=None):
     return anchors, checks
 
 
-def _claim_p3_peirce(field_name=None, context=None):
+def _claim_p3_peirce(claim_id, n, field_name, context):
     anchors = [
         "six-piece decomposition from each parallel class: three idempotent "
         "lines and three two-dimensional intersections, summing directly to "
@@ -227,7 +231,7 @@ def _claim_p3_peirce(field_name=None, context=None):
     return anchors, checks
 
 
-def _claim_p3_h3_iso(field_name=None, context=None):
+def _claim_p3_h3_iso(claim_id, n, field_name, context):
     anchors = [
         "the plane algebra is isomorphic to the hermitian 3x3 matrices over "
         "the quadratic extension by the square root of -3",
@@ -267,7 +271,7 @@ def _claim_p3_h3_iso(field_name=None, context=None):
     return anchors, checks
 
 
-def _claim_h3_jordan(field_name=None, context=None):
+def _claim_h3_jordan(claim_id, n, field_name, context):
     anchors = ["the hermitian 3x3 algebra satisfies the Jordan identity"]
     checks = []
     for f in _fields_for(field_name):
@@ -276,7 +280,7 @@ def _claim_h3_jordan(field_name=None, context=None):
     return anchors, checks
 
 
-def _claim_p3_char3_chain(field_name=None, context=None):
+def _claim_p3_char3_chain(claim_id, n, field_name, context):
     anchors = [
         "over characteristic 3 the plane algebra is a non-unital Jordan "
         "algebra with ideal chain 0 < Z < T < R of dimensions 1, 6, 8",
@@ -307,32 +311,8 @@ def _claim_p3_char3_chain(field_name=None, context=None):
 def count_linearized_quadruples(A):
     """Evaluate the linearized Jordan identity on every basis quadruple
     (no symmetry reduction); returns (count, failures)."""
-    from .algebra import _sp_accumulate, _sp_mul_vec_basis, _sp_mul_vec_vec
-    f = A.field
-    neg_one = f.neg(f.one)
-    dim = A.dim
-    failed = 0
-    for i in range(dim):
-        for j in range(dim):
-            pij = A.sparse_row(i, j)
-            for y in range(dim):
-                for k in range(dim):
-                    acc = {}
-                    _sp_accumulate(f, acc, f.one, _sp_mul_vec_basis(
-                        A, _sp_mul_vec_basis(A, pij, y), k))
-                    _sp_accumulate(f, acc, f.one, _sp_mul_vec_basis(
-                        A, _sp_mul_vec_basis(A, A.sparse_row(j, k), y), i))
-                    _sp_accumulate(f, acc, f.one, _sp_mul_vec_basis(
-                        A, _sp_mul_vec_basis(A, A.sparse_row(k, i), y), j))
-                    _sp_accumulate(f, acc, neg_one, _sp_mul_vec_vec(
-                        A, pij, A.sparse_row(y, k)))
-                    _sp_accumulate(f, acc, neg_one, _sp_mul_vec_vec(
-                        A, A.sparse_row(j, k), A.sparse_row(y, i)))
-                    _sp_accumulate(f, acc, neg_one, _sp_mul_vec_vec(
-                        A, A.sparse_row(k, i), A.sparse_row(y, j)))
-                    if acc:
-                        failed += 1
-    return dim ** 4, failed
+    quads = product(range(A.dim), repeat=4)
+    return A.dim ** 4, sum(1 for q in quads if linearized_gap(A, *q))
 
 
 _RANK4_EXPECTED = {
@@ -341,7 +321,7 @@ _RANK4_EXPECTED = {
 }
 
 
-def _claim_rank4_wk(claim_id, field_name=None, context=None):
+def _claim_rank4_wk(claim_id, n, field_name, context):
     k = int(claim_id[7])
     anchors = [
         "for x = a+b+c and the fourth generator d, the two associations of "
@@ -378,7 +358,7 @@ def _presented_group(claim_id, context):
     return group, table
 
 
-def _claim_rank4_presented(claim_id, field_name=None, context=None):
+def _claim_rank4_presented(claim_id, n, field_name, context):
     anchors = [
         "the coset enumeration of the presented rank-4 group completes",
         "the conjugate point a^(cdb) receives coefficient -1/32 in ((xx)d)x "
@@ -415,7 +395,7 @@ def _axis_fixture_spaces():
     return out
 
 
-def _claim_fusion_axes(field_name=None, context=None):
+def _claim_fusion_axes(claim_id, n, field_name, context):
     anchors = [
         "every point of a Matsuo algebra is an axis for the three-eigenvalue "
         "fusion rules at its parameter",
@@ -436,7 +416,7 @@ def _claim_fusion_axes(field_name=None, context=None):
     return anchors, checks
 
 
-def _claim_miyamoto(field_name=None, context=None):
+def _claim_miyamoto(claim_id, n, field_name, context):
     anchors = [
         "each point induces an automorphism of order at most 2 fixing the 1- "
         "and 0-eigenspaces and negating the third",
@@ -454,7 +434,7 @@ def _claim_miyamoto(field_name=None, context=None):
                     for i in range(A.dim)]
             ident = Matrix.identity(f, A.dim)
             involutions = all(t * t == ident for t in taus)
-            distinct = len({hash(t) for t in taus}) == len(taus)
+            distinct = len(set(taus)) == len(taus)
             orders = True
             for i in range(len(taus)):
                 for j in range(i + 1, len(taus)):
@@ -470,7 +450,7 @@ def _claim_miyamoto(field_name=None, context=None):
     return anchors, checks
 
 
-def _claim_root_projections(field_name=None, context=None):
+def _claim_root_projections(claim_id, n, field_name, context):
     anchors = [
         "the projections of two roots multiply by the closed three-case "
         "formula, with weight the squared length ratio",
@@ -506,7 +486,7 @@ def _claim_root_projections(field_name=None, context=None):
     return anchors, checks
 
 
-def _claim_embed(claim_id, field_name=None, context=None):
+def _claim_embed(claim_id, n, field_name, context):
     k = int(claim_id[7])
     anchors = [
         "the four block matrices inside the larger affine group replay the "
@@ -538,8 +518,7 @@ def _claim_embed(claim_id, field_name=None, context=None):
 
 
 CLAIMS = {
-    "sym-zero-sum": lambda n=None, field_name=None, context=None:
-        _claim_sym_zero_sum(n, field_name, context),
+    "sym-zero-sum": _claim_sym_zero_sum,
     "p3-unit": _claim_p3_unit,
     "p3-line-idempotents": _claim_p3_line_idempotents,
     "p3-eigendims": _claim_p3_eigendims,
@@ -547,21 +526,15 @@ CLAIMS = {
     "p3-h3-iso": _claim_p3_h3_iso,
     "h3-jordan": _claim_h3_jordan,
     "p3-char3-chain": _claim_p3_char3_chain,
-    "rank4-W2A3": lambda field_name=None, context=None:
-        _claim_rank4_wk("rank4-W2A3", field_name, context),
-    "rank4-W3A3": lambda field_name=None, context=None:
-        _claim_rank4_wk("rank4-W3A3", field_name, context),
-    "rank4-su32": lambda field_name=None, context=None:
-        _claim_rank4_presented("rank4-su32", field_name, context),
-    "rank4-hall": lambda field_name=None, context=None:
-        _claim_rank4_presented("rank4-hall", field_name, context),
+    "rank4-W2A3": _claim_rank4_wk,
+    "rank4-W3A3": _claim_rank4_wk,
+    "rank4-su32": _claim_rank4_presented,
+    "rank4-hall": _claim_rank4_presented,
     "fusion-axes": _claim_fusion_axes,
     "miyamoto": _claim_miyamoto,
     "root-projections": _claim_root_projections,
-    "embed-W2A3-r5": lambda field_name=None, context=None:
-        _claim_embed("embed-W2A3-r5", field_name, context),
-    "embed-W3A3-r5": lambda field_name=None, context=None:
-        _claim_embed("embed-W3A3-r5", field_name, context),
+    "embed-W2A3-r5": _claim_embed,
+    "embed-W3A3-r5": _claim_embed,
 }
 
 
@@ -572,12 +545,8 @@ def claim_ids():
 def run_claim(claim_id, n=None, field_name=None, context=None):
     if claim_id not in CLAIMS:
         raise KeyError(claim_id)
-    runner = CLAIMS[claim_id]
     start = time.monotonic()
-    if claim_id == "sym-zero-sum":
-        anchors, checks = runner(n=n, field_name=field_name, context=context)
-    else:
-        anchors, checks = runner(field_name=field_name, context=context)
+    anchors, checks = CLAIMS[claim_id](claim_id, n, field_name, context)
     ms = int((time.monotonic() - start) * 1000)
     return VerificationReport(claim_id, anchors, checks, ms)
 

@@ -9,9 +9,7 @@ import json
 import sys
 
 from .fields import field_from_name, scalar_from_string
-from .algebra import AlgebraError, algebra_from_json, algebra_to_json
-from .fischer import GeometryError
-from .groups import GroupError
+from .algebra import algebra_from_json, algebra_to_json
 from . import claims
 from . import constructions as cons
 
@@ -105,10 +103,8 @@ def main(argv=None):
             return _cmd_verify(args)
         if args.command == "axes":
             return _cmd_axes(args)
-    except (AlgebraError, GeometryError, GroupError, ValueError) as err:
-        sys.stderr.write("error: %s\n" % err)
-        return 2
-    except OSError as err:
+    # AlgebraError, GeometryError and GroupError all subclass ValueError.
+    except (ValueError, ZeroDivisionError, OSError) as err:
         sys.stderr.write("error: %s\n" % err)
         return 2
     parser.error("unknown command")

@@ -504,10 +504,6 @@ def _mat3_scale2(model, m):
     two = f.from_int(2)
     return [[(f.mul(two, e[0]), f.mul(two, e[1])) for e in row] for row in m]
 
-def _mat3_eq(a, b):
-    return a == b
-
-
 _H3_OFF = [(0, 1), (0, 2), (1, 2)]
 
 
@@ -578,7 +574,7 @@ def h3_rule_check(field, model=None):
                     for y in els:
                         lhs = _mat3_scale2(model, _mat3_jordan(
                             model, _brace(model, x, i, j), _brace(model, y, j, k)))
-                        if not _mat3_eq(lhs, _brace(model, model.mul(x, y), i, k)):
+                        if lhs != _brace(model, model.mul(x, y), i, k):
                             return False
     # 2 x[ii] . y[ij] = ((x + sigma x) y)[ij] for i != j
     for i in idx:
@@ -590,7 +586,7 @@ def h3_rule_check(field, model=None):
                     lhs = _mat3_scale2(model, _mat3_jordan(
                         model, _brace(model, x, i, i), _brace(model, y, i, j)))
                     tr = model.add(x, model.sigma(x))
-                    if not _mat3_eq(lhs, _brace(model, model.mul(tr, y), i, j)):
+                    if lhs != _brace(model, model.mul(tr, y), i, j):
                         return False
     # 2 x[ij] . y[ij] = (x sigma(y))[ii] + (x sigma(y))[jj] for i != j
     for i, j in _H3_OFF:
@@ -603,7 +599,7 @@ def h3_rule_check(field, model=None):
                 wjj = _brace(model, w, j, j)
                 rhs = [[model.add(rhs[r][c], wjj[r][c]) for c in range(3)]
                        for r in range(3)]
-                if not _mat3_eq(lhs, rhs):
+                if lhs != rhs:
                     return False
     # 2 x[ii] . y[ii] = ((x + sigma x)(y + sigma y))[ii]
     for i in idx:
@@ -613,7 +609,7 @@ def h3_rule_check(field, model=None):
                     model, _brace(model, x, i, i), _brace(model, y, i, i)))
                 w = model.mul(model.add(x, model.sigma(x)),
                               model.add(y, model.sigma(y)))
-                if not _mat3_eq(lhs, _brace(model, w, i, i)):
+                if lhs != _brace(model, w, i, i):
                     return False
     # x[ii] . y[kl] = 0 when i is outside {k, l}
     for i in idx:
@@ -624,7 +620,7 @@ def h3_rule_check(field, model=None):
                 for y in els:
                     prod = _mat3_jordan(model, _brace(model, x, i, i),
                                         _brace(model, y, k, l))
-                    if not _mat3_eq(prod, _mat3_zero(model)):
+                    if prod != _mat3_zero(model):
                         return False
     return True
 

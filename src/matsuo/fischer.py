@@ -389,8 +389,8 @@ def gamma_of_group(group):
             if order == 3:
                 w = group.conjugate(c, d)
                 lines.add(tuple(sorted((i, j, index[w]))))
-    labels = group.point_labels() if hasattr(group, "point_labels") else None
-    return PartialTripleSystem(len(points), sorted(lines), labels=labels)
+    return PartialTripleSystem(len(points), sorted(lines),
+                               labels=group.point_labels())
 
 
 def pts_isomorphic(s1, s2):

@@ -10,6 +10,8 @@ values with structural equality.
 import os
 from dataclasses import dataclass, field
 
+from .fields import _is_prime
+
 DEFAULT_MAX_COSETS = 2_000_000
 ELEMENT_CAP = 1_000_000
 
@@ -297,10 +299,9 @@ def _embedded_swap(size, i, j):
     return tuple(rows)
 
 
-def _affine_generators(k, n_coords):
-    """Adjacent swaps plus the wrap-around swap-with-translation, as
-    (n_coords+1)-square matrices over F_k."""
-    size = n_coords + 1
+def _affine_generators(k, n_coords, size):
+    """Adjacent swaps of the first n_coords coordinates plus the wrap-around
+    swap-with-translation, as size-square matrices over F_k."""
     swaps = [_embedded_swap(size, i, i + 1) for i in range(n_coords - 1)]
     d = [list(r) for r in _embedded_swap(size, 0, n_coords - 1)]
     d[size - 1][0] = 1
@@ -308,15 +309,19 @@ def _affine_generators(k, n_coords):
     return swaps, tuple(tuple(r) for r in d)
 
 
-def _int_is_prime(k):
-    if k < 2:
-        return False
-    d = 2
-    while d * d <= k:
-        if k % d == 0:
-            return False
-        d += 1
-    return True
+def _affine_group(name, k, size, raw_gens, names):
+    """The group generated by size-square affine matrices over F_k, modulo
+    the diagonal translation; elements are canonicalized matrices."""
+
+    def mul(a, b):
+        return _canonicalize_mod_diagonal(_mat_mul_mod(a, b, k), k)
+
+    def inv(a):
+        return _canonicalize_mod_diagonal(_affine_inv_mod(a, k), k)
+
+    identity = tuple(tuple(int(i == j) for j in range(size)) for i in range(size))
+    gens = [_canonicalize_mod_diagonal(g, k) for g in raw_gens]
+    return GroupRealization(name, identity, mul, inv, gens, names, d_seeds=gens)
 
 
 def build_wk_affine_a(k, n):
@@ -325,39 +330,16 @@ def build_wk_affine_a(k, n):
     canonicalized (n+2)-square matrices over F_k."""
     if n < 2:
         raise GroupError("build_wk_affine_a needs n >= 2")
-    if not _int_is_prime(k):
+    if not _is_prime(k):
         raise GroupError("modulus %r must be prime" % (k,))
-    swaps, d_raw = _affine_generators(k, n + 1)
-
-    def mul(a, b):
-        return _canonicalize_mod_diagonal(_mat_mul_mod(a, b, k), k)
-
-    def inv(a):
-        return _canonicalize_mod_diagonal(_affine_inv_mod(a, k), k)
-
-    printed = {}
+    swaps, d = _affine_generators(k, n + 1, n + 2)
+    raw_gens = swaps + [d]
     if n == 3:
         names = ["a", "b", "c", "d"]
     else:
         names = ["s%d" % (i + 1) for i in range(n)] + ["d"]
-    raw_gens = list(swaps) + [d_raw]
-    gens = [_canonicalize_mod_diagonal(g, k) for g in raw_gens]
-    for nm, g in zip(names, raw_gens):
-        printed[nm] = g
-    group = GroupRealization(
-        "W%d(affA%d)" % (k, n),
-        _canonicalize_mod_diagonal(
-            tuple(tuple(1 if i == j else 0 for j in range(n + 2)) for i in range(n + 2)),
-            k,
-        ),
-        mul,
-        inv,
-        gens,
-        names,
-        d_seeds=gens,
-    )
-    group.printed_generators = printed
-    group.modulus = k
+    group = _affine_group("W%d(affA%d)" % (k, n), k, n + 2, raw_gens, names)
+    group.printed_generators = dict(zip(names, raw_gens))
     return group
 
 
@@ -367,34 +349,9 @@ def wk_embedding_subgroup(k, r):
     coordinates.  Used to embed W_k(affine A_3) for r >= 5."""
     if r < 5:
         raise GroupError("embedding requires r >= 5")
-    size = r + 1
-    a = _embedded_swap(size, 0, 1)
-    b = _embedded_swap(size, 1, 2)
-    c = _embedded_swap(size, 2, 3)
-    d = [list(row) for row in _embedded_swap(size, 0, 3)]
-    d[size - 1][0] = 1
-    d[size - 1][3] = (-1) % k
-    d = tuple(tuple(row) for row in d)
-
-    def mul(x, y):
-        return _canonicalize_mod_diagonal(_mat_mul_mod(x, y, k), k)
-
-    def inv(x):
-        return _canonicalize_mod_diagonal(_affine_inv_mod(x, k), k)
-
-    gens = [_canonicalize_mod_diagonal(g, k) for g in (a, b, c, d)]
-    identity = _canonicalize_mod_diagonal(
-        tuple(tuple(1 if i == j else 0 for j in range(size)) for i in range(size)), k
-    )
-    return GroupRealization(
-        "W%d(affA%d)<block>" % (k, r - 1),
-        identity,
-        mul,
-        inv,
-        gens,
-        ["a", "b", "c", "d"],
-        d_seeds=gens,
-    )
+    swaps, d = _affine_generators(k, 4, r + 1)
+    return _affine_group("W%d(affA%d)<block>" % (k, r - 1), k, r + 1,
+                         swaps + [d], ["a", "b", "c", "d"])
 
 
 def generator_homomorphism(g1, g2, cap=ELEMENT_CAP):
@@ -654,10 +611,6 @@ class CosetTable:
 
     def _icol(self, col):
         return col if self.involution_mode else col ^ 1
-
-    def gen_column(self, i):
-        col = i if self.involution_mode else 2 * i
-        return tuple(row[col] for row in self.table)
 
     def word_permutation(self, word):
         acc = list(range(self.n_cosets))

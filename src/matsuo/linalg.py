@@ -35,9 +35,6 @@ class Matrix:
         f = field.from_int
         return cls(field, [[f(x) for x in r] for r in rows])
 
-    def copy(self):
-        return Matrix(self.field, self.rows)
-
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
@@ -240,37 +237,33 @@ class Subspace:
     def dim(self):
         return len(self.rows)
 
-    def reduce(self, v):
-        """Reduce a vector modulo the subspace (eliminate its pivot coordinates)."""
+    def _eliminate(self, v):
+        """Subtract multiples of the echelon rows from a copy of v to clear
+        its pivot coordinates; returns (remainder, multiples)."""
         f = self.field
         zero, sub, mul = f.zero, f.sub, f.mul
         v = list(v)
-        for row in self.rows:
-            pc = next(i for i, a in enumerate(row) if a != zero)
-            factor = v[pc]
-            if factor != zero:
-                for i in range(pc, self.ambient):
-                    v[i] = sub(v[i], mul(factor, row[i]))
-        return v
-
-    def contains(self, v):
-        zero = self.field.zero
-        return all(a == zero for a in self.reduce(v))
-
-    def coordinates(self, v):
-        """Coefficients of v against the echelon basis, or None if v is outside."""
-        f = self.field
-        zero = f.zero
         coeffs = []
-        v = list(v)
         for row in self.rows:
             pc = next(i for i, a in enumerate(row) if a != zero)
             factor = v[pc]
             coeffs.append(factor)
             if factor != zero:
                 for i in range(pc, self.ambient):
-                    v[i] = f.sub(v[i], f.mul(factor, row[i]))
-        if any(a != zero for a in v):
+                    v[i] = sub(v[i], mul(factor, row[i]))
+        return v, coeffs
+
+    def reduce(self, v):
+        """Reduce a vector modulo the subspace (eliminate its pivot coordinates)."""
+        return self._eliminate(v)[0]
+
+    def contains(self, v):
+        return vec_is_zero(self.field, self.reduce(v))
+
+    def coordinates(self, v):
+        """Coefficients of v against the echelon basis, or None if v is outside."""
+        rest, coeffs = self._eliminate(v)
+        if not vec_is_zero(self.field, rest):
             return None
         return coeffs
 
@@ -326,18 +319,6 @@ class Subspace:
     def __repr__(self):
         return "Subspace(dim=%d, ambient=%d)" % (self.dim, self.ambient)
 
-
-def vec_add(field, u, v):
-    add = field.add
-    return [add(a, b) for a, b in zip(u, v)]
-
-def vec_sub(field, u, v):
-    sub = field.sub
-    return [sub(a, b) for a, b in zip(u, v)]
-
-def vec_scale(field, c, v):
-    mul = field.mul
-    return [mul(c, a) for a in v]
 
 def vec_is_zero(field, v):
     z = field.zero

@@ -22,6 +22,7 @@ from matsuo.algebra import (
     is_trivial_element,
     iso_check,
     jordan_check,
+    linearized_gap,
     linearized_identity_holds,
     miyamoto,
     phi_alpha,
@@ -29,6 +30,7 @@ from matsuo.algebra import (
     subspace_product,
     u_operator,
 )
+from matsuo.claims import count_linearized_quadruples
 from matsuo.constructions import matsuo_algebra, p3_unit
 
 Q = Rationals()
@@ -147,6 +149,17 @@ def test_linearized_identity_direct_evaluation_matches():
     assert jordan_check(A)
     for quad in ((0, 1, 2, 3), (1, 1, 4, 5), (0, 2, 2, 2)):
         assert linearized_identity_holds(A, *quad)
+
+
+def test_linearized_gap_matches_dense_oracle_on_failing_algebras():
+    A = matsuo_algebra(gamma_of_rootsystem(root_system_from_name("A2")),
+                       Q.parse("1/3"), Q)
+    one_dim = AlgebraTable.from_pairs(Q, ["e"], {(0, 0): [Q.one]})
+    for B in (A, direct_sum(A, one_dim)):
+        for quad in product(range(B.dim), repeat=4):
+            assert bool(linearized_gap(B, *quad)) == (
+                not linearized_identity_holds(B, *quad)), quad
+    assert count_linearized_quadruples(A) == (81, 54)
 
 
 def test_eigen_decomposition_point_dims():

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from matsuo.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -54,6 +56,25 @@ def test_build_rejects_characteristic_two(capsys):
                          "--alpha", "1/2", "--field", "F2")
     assert rc == 2
     assert "characteristic 2" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--space", "P3", "--alpha", "1/0"),
+    ("--space", "P3", "--alpha", "1/5", "--field", "F5"),
+])
+def test_build_rejects_division_by_zero_in_alpha(capsys, argv):
+    rc, out, err = run_cli(capsys, "build", *argv)
+    assert rc == 2
+    assert not out
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n", ["0", "1"])
+def test_verify_rejects_too_small_n(capsys, n):
+    rc, out, err = run_cli(capsys, "verify", "sym-zero-sum", "--n", n)
+    assert rc == 2
+    assert not out
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_verify_list(capsys):
@@ -147,6 +168,21 @@ def test_axes_on_one_dimensional_algebra(capsys, tmp_path):
     assert rc == 0
     report = json.loads(out)
     assert report["all_axes"] and report["basis"][0]["dims"] == [1]
+
+
+@pytest.mark.parametrize("payload", [
+    {"field": "Q", "dim": 1, "products": [[["1"]]]},
+    {"field": "Q", "dim": 2, "labels": ["a", "b"], "products": [[["1", "0"]]]},
+    {"field": "Q", "dim": 2, "labels": ["a", "b"],
+     "products": [[["1", "0"], ["0", "0"]], [["1"]]]},
+])
+def test_axes_rejects_malformed_algebra_json(capsys, tmp_path, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    rc, out, err = run_cli(capsys, "axes", str(path))
+    assert rc == 2
+    assert not out
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_axes_missing_file(capsys):
