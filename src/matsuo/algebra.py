@@ -4,10 +4,14 @@ verification, Miyamoto maps, U-operators, ideals and quotients.
 
 Vectors are coordinate lists over the algebra's field; the multiplication
 table is stored densely but all heavy scans run on sparse dict views, since
-the tables in scope have very few nonzeros per product.
+the tables in scope have very few nonzeros per product.  The Jordan scan runs
+on an integer view of the table (``AlgebraTable.int_view``): over Q every
+structure constant is scaled by the lcm of the table's denominators, over F_p
+the constants are their residues and reduction waits until the end.
 """
 
 import json
+import math
 import random
 from dataclasses import dataclass
 
@@ -31,6 +35,7 @@ class AlgebraTable:
         if len(table) != self.dim or any(len(row) != self.dim for row in table):
             raise AlgebraError("table shape does not match basis size")
         self._sparse = None
+        self._int_view = None
 
     @classmethod
     def from_pairs(cls, field, labels, pair_products):
@@ -52,15 +57,17 @@ class AlgebraTable:
 
     def sparse_row(self, i, j):
         if self._sparse is None:
-            zero = self.field.zero
             self._sparse = [
-                [
-                    {k: c for k, c in enumerate(row) if c != zero}
-                    for row in rows
-                ]
+                [{k: c for k, c in enumerate(row) if c} for row in rows]
                 for rows in self.table
             ]
         return self._sparse[i][j]
+
+    def int_view(self):
+        """The table as integer sparse rows, built once and cached."""
+        if self._int_view is None:
+            self._int_view = IntTable.of(self)
+        return self._int_view
 
     def mul_basis(self, i, j):
         return list(self.table[i][j])
@@ -73,10 +80,10 @@ class AlgebraTable:
         zero = f.zero
         acc = [zero] * self.dim
         for i, cx in enumerate(x):
-            if cx == zero:
+            if not cx:
                 continue
             for j, cy in enumerate(y):
-                if cy == zero:
+                if not cy:
                     continue
                 c = f.mul(cx, cy)
                 for k, v in self.sparse_row(i, j).items():
@@ -96,6 +103,35 @@ class AlgebraTable:
         return "AlgebraTable(%s, dim=%d)" % (self.field.name, self.dim)
 
 
+@dataclass(frozen=True)
+class IntTable:
+    """A structure-constant table over the integers: ``rows[a][b]`` maps k to
+    an int.  Over Q the entries are the constants times ``scale``, the lcm D
+    of all their denominators, and ``modulus`` is 0; over F_p they are the
+    residues themselves, ``scale`` is 1 and ``modulus`` is p.  A product of m
+    table entries is thereby the exact value times D**m, reduced mod p only
+    when it is tested."""
+
+    rows: list
+    scale: int
+    modulus: int
+
+    @classmethod
+    def of(cls, A):
+        p = A.field.characteristic
+        sparse = [[A.sparse_row(a, b) for b in range(A.dim)] for a in range(A.dim)]
+        if p:
+            return cls(sparse, 1, p)
+        scale = math.lcm(*(c.denominator for rows in sparse for row in rows
+                           for c in row.values()))
+        rows = [
+            [{k: c.numerator * (scale // c.denominator) for k, c in row.items()}
+             for row in rows]
+            for rows in sparse
+        ]
+        return cls(rows, scale, 0)
+
+
 # ---------------------------------------------------------------------------
 # Sparse helpers (dict vectors keyed by basis index)
 
@@ -104,18 +140,10 @@ def _sp_accumulate(field, acc, c, vec):
     add, mul, zero = field.add, field.mul, field.zero
     for k, v in vec.items():
         w = add(acc.get(k, zero), mul(c, v))
-        if w == zero:
-            acc.pop(k, None)
-        else:
+        if w:
             acc[k] = w
-
-
-def _sp_mul_vec_basis(A, v, t):
-    out = {}
-    f = A.field
-    for s, c in v.items():
-        _sp_accumulate(f, out, c, A.sparse_row(s, t))
-    return out
+        else:
+            acc.pop(k, None)
 
 
 def _sp_mul_vec_vec(A, u, v):
@@ -129,8 +157,7 @@ def _sp_mul_vec_vec(A, u, v):
 
 
 def _sp_from_dense(field, v):
-    zero = field.zero
-    return {i: c for i, c in enumerate(v) if c != zero}
+    return {i: c for i, c in enumerate(v) if c}
 
 
 def _sp_to_dense(field, v, dim):
@@ -245,16 +272,33 @@ def linearized_gap(A, i, j, y, k):
     """The linearized Jordan identity on the basis quadruple (b_i, b_j, b_y,
     b_k): the sum of ((ab)y)c - (ab)(yc) over the cyclic shifts (a, b, c) of
     (b_i, b_j, b_k), as a sparse vector that is empty exactly when the
-    identity holds there."""
-    f = A.field
-    one, neg_one = f.one, f.neg(f.one)
-    row = A.sparse_row
+    identity holds there.
+
+    The sum runs in plain ints on ``A.int_view()``.  Every term is a product
+    of three structure constants, so over Q the result is the gap times D**3
+    for the view's scale D; over F_p it is the gap's residues, reduced once
+    per coordinate at the end."""
+    view = A.int_view()
+    rows = view.rows
+    row_y = rows[y]
     gap = {}
+    get = gap.get
     for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-        ab = row(a, b)
-        _sp_accumulate(f, gap, one, _sp_mul_vec_basis(A, _sp_mul_vec_basis(A, ab, y), c))
-        _sp_accumulate(f, gap, neg_one, _sp_mul_vec_vec(A, ab, row(y, c)))
-    return gap
+        yc = row_y[c]
+        for s, u in rows[a][b].items():
+            row_s = rows[s]
+            for t, v in row_s[y].items():  # ((ab)y)c
+                uv = u * v
+                for r, w in rows[t][c].items():
+                    gap[r] = get(r, 0) + uv * w
+            for t, v in yc.items():  # (ab)(yc)
+                uv = u * v
+                for r, w in row_s[t].items():
+                    gap[r] = get(r, 0) - uv * w
+    p = view.modulus
+    if p:
+        return {r: w % p for r, w in gap.items() if w % p}
+    return {r: w for r, w in gap.items() if w}
 
 
 def linearized_identity_holds(A, i, j, y, k):
@@ -530,56 +574,14 @@ def direct_sum(A, B):
 
 
 # ---------------------------------------------------------------------------
-# Idempotent search on small supports (test fixtures and the CLI)
-
-
-def find_idempotents(A, max_support=2, numerators=range(-3, 4), denominators=(1, 2, 3)):
-    """Nonzero idempotents supported on at most max_support basis vectors with
-    coordinates from a small rational grid.  Exhaustive only in that range."""
-    from itertools import combinations
-    f = A.field
-    grid = []
-    for num in numerators:
-        for den in denominators:
-            if num != 0:
-                try:
-                    grid.append(f.div(f.from_int(num), f.from_int(den)))
-                except ZeroDivisionError:
-                    continue
-    grid = sorted(set(grid), key=str)
-    found = []
-    seen = set()
-    for size in range(1, max_support + 1):
-        for support in combinations(range(A.dim), size):
-            for coeffs in _grid_tuples(grid, size):
-                v = [f.zero] * A.dim
-                for pos, c in zip(support, coeffs):
-                    v[pos] = c
-                if A.is_idempotent(v):
-                    key = tuple(v)
-                    if key not in seen:
-                        seen.add(key)
-                        found.append(v)
-    return found
-
-
-def _grid_tuples(grid, size):
-    if size == 0:
-        yield ()
-        return
-    for head in grid:
-        for tail in _grid_tuples(grid, size - 1):
-            yield (head,) + tail
-
-
-# ---------------------------------------------------------------------------
 # JSON interchange
 
 
 def _is_product_triangle(rows, dim):
     return isinstance(rows, list) and len(rows) == dim and all(
         isinstance(row, list) and len(row) == dim - i
-        and all(isinstance(vec, list) and len(vec) == dim for vec in row)
+        and all(isinstance(vec, list) and len(vec) == dim
+                and all(isinstance(c, str) for c in vec) for vec in row)
         for i, row in enumerate(rows)
     )
 
@@ -604,14 +606,20 @@ def algebra_from_json_dict(data):
                if key not in data]
     if missing:
         raise AlgebraError("algebra JSON lacks %s" % ", ".join(missing))
-    field = field_from_name(data["field"])
+    if not isinstance(data["field"], str):
+        raise AlgebraError("field must be a string such as Q or F5")
     labels = data["labels"]
     dim = data["dim"]
+    if type(dim) is not int:
+        raise AlgebraError("dim must be an integer")
+    if not (isinstance(labels, list) and all(isinstance(l, str) for l in labels)):
+        raise AlgebraError("labels must be a list of strings")
     if len(labels) != dim:
         raise AlgebraError("label count does not match dim")
     if not _is_product_triangle(data["products"], dim):
         raise AlgebraError("products must have dim rows, row i holding dim - i "
-                           "vectors of length dim")
+                           "vectors of length dim, each entry a scalar string")
+    field = field_from_name(data["field"])
     products = {}
     for i, row in enumerate(data["products"]):
         for off, vec in enumerate(row):

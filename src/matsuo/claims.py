@@ -538,6 +538,10 @@ CLAIMS = {
 }
 
 
+# The claims whose runner reads the size parameter n.
+SIZED_CLAIMS = ("sym-zero-sum",)
+
+
 def claim_ids():
     return sorted(CLAIMS)
 
@@ -545,6 +549,8 @@ def claim_ids():
 def run_claim(claim_id, n=None, field_name=None, context=None):
     if claim_id not in CLAIMS:
         raise KeyError(claim_id)
+    if n is not None and claim_id not in SIZED_CLAIMS:
+        raise ValueError("claim %s takes no size parameter n" % claim_id)
     start = time.monotonic()
     anchors, checks = CLAIMS[claim_id](claim_id, n, field_name, context)
     ms = int((time.monotonic() - start) * 1000)

@@ -965,11 +965,22 @@ def space_from_name(name):
     raise AlgebraError("unknown space %r (expected P3 or P2dual)" % (name,))
 
 
+# Most points a named group may give: its distinguished involutions, each a
+# basis vector of a dense dim**3 table.  Sym(16) and E8 (120 points each) are
+# the largest fixtures; 200 admits up to sym:20.
+MAX_NAMED_POINTS = 200
+
+
 def group_from_name(name):
     name = name.strip()
     lowered = name.lower()
     if lowered.startswith("sym:"):
-        return build_sym(int(name.split(":", 1)[1]))
+        n = int(name.split(":", 1)[1])
+        points = n * (n - 1) // 2  # transpositions; checked before building any
+        if n >= 2 and points > MAX_NAMED_POINTS:
+            raise AlgebraError("input too large: sym:%d has %d points, more than "
+                               "the budget of %d" % (n, points, MAX_NAMED_POINTS))
+        return build_sym(n)
     if lowered == "3sq2":
         return build_3sq2()
     if lowered in ("w2a3", "w3a3"):

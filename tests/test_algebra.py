@@ -1,4 +1,5 @@
-from itertools import product
+import random
+from itertools import combinations, product
 
 import pytest
 
@@ -14,7 +15,6 @@ from matsuo.algebra import (
     check_axis,
     direct_sum,
     eigen_decomposition,
-    find_idempotents,
     is_absolute_zero_divisor,
     is_ideal,
     is_multiplicative,
@@ -160,6 +160,95 @@ def test_linearized_gap_matches_dense_oracle_on_failing_algebras():
             assert bool(linearized_gap(B, *quad)) == (
                 not linearized_identity_holds(B, *quad)), quad
     assert count_linearized_quadruples(A) == (81, 54)
+
+
+def _root_matsuo(name, alpha, field):
+    return matsuo_algebra(gamma_of_rootsystem(root_system_from_name(name)), alpha, field)
+
+
+def _dense_gap(A, i, j, y, k):
+    """The linearized identity's gap at one basis quadruple, by dense
+    products over the algebra's field."""
+    f = A.field
+    e = lambda t: unit_vector(f, A.dim, t)
+    gap = [f.zero] * A.dim
+    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+        ab = A.mul(e(a), e(b))
+        lhs = A.mul(A.mul(ab, e(y)), e(c))
+        rhs = A.mul(ab, A.mul(e(y), e(c)))
+        gap = [f.add(g, f.sub(u, v)) for g, u, v in zip(gap, lhs, rhs)]
+    return gap
+
+
+def _assert_gap_matches_oracle(A):
+    """linearized_gap agrees with the dense oracle on every quadruple; over Q
+    its entries are the dense gap times D**3.  Returns the failure count."""
+    view = A.int_view()
+    cube = view.scale ** 3
+    failures = 0
+    for quad in product(range(A.dim), repeat=4):
+        gap = linearized_gap(A, *quad)
+        assert bool(gap) == (not linearized_identity_holds(A, *quad)), quad
+        dense = _dense_gap(A, *quad)
+        if view.modulus:
+            assert gap == {r: w for r, w in enumerate(dense) if w}, quad
+        else:
+            assert gap == {r: w * cube for r, w in enumerate(dense) if w}, quad
+        failures += bool(gap)
+    return failures
+
+
+def _random_table(rng, field, entries, dim):
+    products = {(i, j): [rng.choice(entries) for _ in range(dim)]
+                for i in range(dim) for j in range(i, dim)}
+    return AlgebraTable.from_pairs(field, ["b%d" % i for i in range(dim)], products)
+
+
+def test_integer_gap_matches_dense_oracle_over_q_with_scaled_denominators():
+    fixtures = [
+        (_root_matsuo("A2", Q.parse("1/3"), Q), 6),
+        (_root_matsuo("A3", Q.parse("2/7"), Q), 7),
+        (_root_matsuo("A2", HALF, Q), 4),
+    ]
+    entries = [Q.parse(s) for s in ("3/10", "-5/9", "1/7", "0", "0", "1", "-2")]
+    fixtures.append((_random_table(random.Random(7), Q, entries, 3), 630))
+    failures = []
+    for A, scale in fixtures:
+        view = A.int_view()
+        assert (view.scale, view.modulus) == (scale, 0)
+        assert A.int_view() is view
+        failures.append(_assert_gap_matches_oracle(A))
+    assert failures[2] == 0
+    assert failures[0] and failures[1] and failures[3]
+
+
+def test_integer_gap_matches_dense_oracle_over_prime_fields():
+    F7 = PrimeField(7)
+    fixtures = [
+        _root_matsuo("A3", F3.div(F3.one, F3.from_int(2)), F3),
+        _root_matsuo("A3", F7.div(F7.one, F7.from_int(3)), F7),
+        _root_matsuo("A2", F7.div(F7.one, F7.from_int(2)), F7),
+    ]
+    failures = []
+    for A in fixtures:
+        view = A.int_view()
+        assert (view.scale, view.modulus) == (1, A.field.p)
+        failures.append(_assert_gap_matches_oracle(A))
+    assert failures[0] == 0 and failures[1] and failures[2] == 0
+
+
+def test_jordan_check_frozen_verdicts():
+    F3_half = F3.div(F3.one, F3.from_int(2))
+    w2a3 = matsuo_algebra(gamma_of_group(build_wk_affine_a(2, 3)), HALF, Q)
+    x = [Q.one] * 3 + [Q.zero] * 9
+    y = unit_vector(Q, 12, 3)
+    for A, expected in (
+        (_root_matsuo("A3", HALF, Q), (True, "", ())),
+        (matsuo_algebra(build_p3(), F3_half, F3), (True, "", ())),
+        (w2a3, (False, "pair", (x, y))),
+    ):
+        res = jordan_check(A)
+        assert (res.is_jordan, res.kind, res.witness) == expected
 
 
 def test_eigen_decomposition_point_dims():
@@ -381,6 +470,35 @@ def test_json_round_trip():
     assert back.table == A.table
     assert back.check_commutative()
     assert algebra_to_json(back) == text
+
+
+def find_idempotents(A, max_support=2, numerators=range(-3, 4), denominators=(1, 2, 3)):
+    """Nonzero idempotents supported on at most max_support basis vectors with
+    coordinates from a small rational grid.  Exhaustive only in that range."""
+    f = A.field
+    grid = []
+    for num in numerators:
+        for den in denominators:
+            if num != 0:
+                try:
+                    grid.append(f.div(f.from_int(num), f.from_int(den)))
+                except ZeroDivisionError:
+                    continue
+    grid = sorted(set(grid), key=str)
+    found = []
+    seen = set()
+    for size in range(1, max_support + 1):
+        for support in combinations(range(A.dim), size):
+            for coeffs in product(grid, repeat=size):
+                v = [f.zero] * A.dim
+                for pos, c in zip(support, coeffs):
+                    v[pos] = c
+                if A.is_idempotent(v):
+                    key = tuple(v)
+                    if key not in seen:
+                        seen.add(key)
+                        found.append(v)
+    return found
 
 
 def test_find_idempotents_and_peirce_axes():

@@ -1,10 +1,17 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from matsuo import claims
+from matsuo import constructions as cons
 from matsuo.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -75,6 +82,38 @@ def test_verify_rejects_too_small_n(capsys, n):
     assert rc == 2
     assert not out
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("claim", ["p3-unit", "miyamoto"])
+def test_verify_rejects_n_on_claims_without_size(capsys, claim):
+    rc, out, err = run_cli(capsys, "verify", claim, "--n", "4")
+    assert rc == 2
+    assert not out
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_verify_all_passes_n_to_sym_zero_sum_only(capsys, monkeypatch):
+    monkeypatch.setattr(claims, "claim_ids", lambda: ["p3-unit", "sym-zero-sum"])
+    rc, out, err = run_cli(capsys, "verify", "--all", "--n", "3", "--mask-runtime")
+    assert rc == 0 and not err
+    unit, sym = json.loads(out)
+    assert unit["claim_id"] == "p3-unit" and unit["pass"]
+    assert sym["claim_id"] == "sym-zero-sum" and sym["pass"]
+    assert all("n=3," in c["description"] for c in sym["checks"])
+
+
+def test_build_refuses_group_over_point_budget(capsys):
+    rc, out, err = run_cli(capsys, "build", "--group", "sym:100000")
+    assert rc == 2
+    assert not out
+    assert err.startswith("error: input too large") and err.count("\n") == 1
+
+
+def test_point_budget_admits_the_largest_fixtures():
+    assert cons.MAX_NAMED_POINTS >= 120  # sym:16 and E8
+    assert cons.group_from_name("sym:16").name == "Sym(16)"
+    with pytest.raises(ValueError, match="too large"):
+        cons.group_from_name("sym:21")
 
 
 def test_verify_list(capsys):
@@ -183,6 +222,68 @@ def test_axes_rejects_malformed_algebra_json(capsys, tmp_path, payload):
     assert rc == 2
     assert not out
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("payload", [
+    {"field": "Q", "dim": 1, "labels": ["e"], "products": [[[1]]]},
+    {"field": "Q", "dim": 1, "labels": 5, "products": [[["1"]]]},
+    {"field": 7, "dim": 1, "labels": ["e"], "products": [[["1"]]]},
+    {"field": "Q", "dim": True, "labels": ["e"], "products": [[["1"]]]},
+])
+def test_axes_rejects_wrongly_typed_algebra_json(capsys, tmp_path, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    rc, out, err = run_cli(capsys, "axes", str(path))
+    assert rc == 2
+    assert not out
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers(-3, 3)
+                 | st.floats(allow_nan=False, allow_infinity=False)
+                 | st.text(alphabet="0123456789/-. emodQF", max_size=6))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3),
+                                                               kids, max_size=3),
+    max_leaves=10,
+)
+
+
+@st.composite
+def _algebra_like(draw):
+    """Algebra JSON whose every field is either well typed or any JSON value,
+    with a key sometimes left out."""
+    dim = draw(st.integers(0, 3))
+    entry = st.sampled_from(["0", "1", "-1/2", "1/3", "2 mod 5"]) | _JSON_VALUES
+    data = {
+        "field": draw(st.sampled_from(["Q", "F3", "F5"]) | _JSON_VALUES),
+        "dim": draw(st.just(dim) | _JSON_VALUES),
+        "labels": draw(st.just(["b%d" % i for i in range(dim)]) | _JSON_VALUES),
+        "products": draw(st.just(None) | _JSON_VALUES),
+    }
+    if data["products"] is None:
+        data["products"] = [[[draw(entry) for _ in range(dim)] for _ in range(dim - i)]
+                            for i in range(dim)]
+    if draw(st.integers(0, 9)) == 0:
+        del data[draw(st.sampled_from(sorted(data)))]
+    return data
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_VALUES | _algebra_like())
+def test_axes_on_any_json_value_exits_cleanly(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "algebra.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["axes", path])
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        assert not out.getvalue()
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
 
 
 def test_axes_missing_file(capsys):
