@@ -4,10 +4,11 @@ verification, Miyamoto maps, U-operators, ideals and quotients.
 
 Vectors are coordinate lists over the algebra's field; the multiplication
 table is stored densely but all heavy scans run on sparse dict views, since
-the tables in scope have very few nonzeros per product.  The Jordan scan runs
-on an integer view of the table (``AlgebraTable.int_view``): over Q every
-structure constant is scaled by the lcm of the table's denominators, over F_p
-the constants are their residues and reduction waits until the end.
+the tables in scope have very few nonzeros per product.  The Jordan scan and
+the fusion test of ``check_axis`` run on an integer view of the table
+(``AlgebraTable.int_view``): over Q every structure constant is scaled by the
+lcm of the table's denominators, over F_p the constants are their residues and
+reduction waits until the end.
 """
 
 import json
@@ -295,10 +296,7 @@ def linearized_gap(A, i, j, y, k):
                 uv = u * v
                 for r, w in row_s[t].items():
                     gap[r] = get(r, 0) - uv * w
-    p = view.modulus
-    if p:
-        return {r: w % p for r, w in gap.items() if w % p}
-    return {r: w for r, w in gap.items() if w}
+    return _reduced(gap, view.modulus)
 
 
 def linearized_identity_holds(A, i, j, y, k):
@@ -376,43 +374,132 @@ class AxisCheck:
 
 def check_axis(A, e, rules):
     """Whether the idempotent e diagonalizes over the fusion eigenvalues and
-    every eigenvector product lands in the prescribed eigenspace sum."""
+    every eigenvector product lands in the prescribed eigenspace sum.
+
+    The eigenspaces come from ``eigen_decomposition``; the fusion test runs in
+    plain ints on ``A.int_view()``.  Each eigenvector and e are lifted to
+    ints (over Q scaled by the lcm of their denominators, over F_p their
+    residues), and so is ad(e), as ``unit * ad(e)`` with unit = D_e * D for
+    e's denominator lcm D_e and the view's scale D.  A product w = u v lies in
+    the sum of the eigenspaces A_nu, nu in S = ``rules.allowed(phi, psi)``
+    among the present eigenvalues, exactly when the product of
+    (ad(e) - nu), nu in S, kills w; each factor is applied for nu = a/b as
+    b * (unit * ad(e)) - a * unit, and over F_p reduced mod p.
+
+    This is exact once e is known to be diagonalizable, which is checked
+    first: writing w = sum of w_mu over the present eigenvalues mu, the
+    product is the sum of prod_S (mu - nu) w_mu, and as the eigenvalues are
+    distinct it vanishes exactly when w_mu = 0 for every mu outside S.  Every
+    step is homogeneous in w and only multiplies by nonzero scales, so no
+    scaling turns a nonzero vector into zero.  As the table is commutative,
+    a pair within one eigenspace is tested once, which keeps the first
+    failing pair, and with it the witness, that the full scan would find."""
+    return _axis_check(A, e, rules)[0]
+
+
+def _axis_check(A, e, rules):
+    """``check_axis``'s verdict and the eigen decomposition it rests on (None
+    when e is not an idempotent)."""
     try:
         dec = eigen_decomposition(A, e, candidates=list(rules.eigenvalues))
     except AlgebraError as err:
-        return AxisCheck(False, reason=str(err))
+        return AxisCheck(False, reason=str(err)), None
+    present = tuple(dec.eigenvalues)
     if not dec.diagonalizable:
-        return AxisCheck(False, dec.dims(), tuple(dec.eigenvalues),
-                         "eigenspaces do not span the algebra")
-    f = A.field
-    present = list(dec.eigenvalues)
-    for pi in range(len(present)):
+        return AxisCheck(False, dec.dims(), present,
+                         "eigenspaces do not span the algebra"), dec
+    witness = _fusion_violation(A, e, rules, dec)
+    if witness:
+        return AxisCheck(False, dec.dims(), present, "fusion rule violated",
+                         witness), dec
+    return AxisCheck(True, dec.dims(), present), dec
+
+
+def _fusion_violation(A, e, rules, dec):
+    """The first (phi, psi, u, v) whose product u v leaves the eigenspace sum
+    that ``rules.allowed(phi, psi)`` prescribes, or () when there is none.
+    The test is the annihilating product that ``check_axis`` describes."""
+    view = A.int_view()
+    rows, p = view.rows, view.modulus
+    lifted_e, scale_e = _int_lift(e)
+    ad_e = _int_columns(rows, lifted_e, p)
+    unit = scale_e * view.scale
+
+    def in_sum(w, values):
+        for nu in values:
+            if not w:
+                break
+            out = _int_apply(ad_e, w, nu.denominator)
+            c = nu.numerator * unit
+            for j, x in w.items():
+                out[j] = out.get(j, 0) - c * x
+            w = _reduced(out, p)
+        return not w
+
+    present = dec.eigenvalues
+    lifted = [[_int_lift(u)[0] for u in spc.rows] for spc in dec.spaces]
+    for pi, phi in enumerate(present):
+        mults = [_int_columns(rows, su, p) for su in lifted[pi]]
         for qi in range(pi, len(present)):
-            phi, psi = present[pi], present[qi]
-            allowed_vals = rules.allowed(phi, psi)
-            target = Subspace.from_vectors(
-                f, A.dim,
-                [row for v in allowed_vals if v in present
-                 for row in dec.space_of(v).rows],
-            )
-            for u in dec.spaces[pi].rows:
-                su = _sp_from_dense(f, u)
-                for v in dec.spaces[qi].rows:
-                    prod = _sp_mul_vec_vec(A, su, _sp_from_dense(f, v))
-                    if not target.contains(_sp_to_dense(f, prod, A.dim)):
-                        return AxisCheck(False, dec.dims(), tuple(present),
-                                         "fusion rule violated",
-                                         (phi, psi, u, v))
-    return AxisCheck(True, dec.dims(), tuple(present))
+            psi = present[qi]
+            values = [nu for nu in rules.allowed(phi, psi) if nu in present]
+            for a, mult in enumerate(mults):
+                for b in range(a if qi == pi else 0, len(lifted[qi])):
+                    w = _reduced(_int_apply(mult, lifted[qi][b]), p)
+                    if not in_sum(w, values):
+                        return (phi, psi, dec.spaces[pi].rows[a],
+                                dec.spaces[qi].rows[b])
+    return ()
+
+
+def _int_lift(v):
+    """A nonzero multiple of the coordinate list v as a sparse int vector:
+    over Q the entries times the lcm L of their denominators, over F_p the
+    residues themselves (L = 1).  Returns the vector and L."""
+    scale = math.lcm(*(c.denominator for c in v if c))
+    return {k: c.numerator * (scale // c.denominator)
+            for k, c in enumerate(v) if c}, scale
+
+
+def _int_columns(rows, u, p):
+    """Columns of multiplication by the sparse int vector u on an integer
+    view: column t is u b_t, scaled as u and the view are."""
+    cols = []
+    for t in range(len(rows)):
+        col = {}
+        get = col.get
+        for s, x in u.items():
+            for k, y in rows[s][t].items():
+                col[k] = get(k, 0) + x * y
+        cols.append(_reduced(col, p))
+    return cols
+
+
+def _int_apply(cols, v, factor=1):
+    """factor times the matrix with sparse columns cols applied to v, not
+    reduced."""
+    out = {}
+    get = out.get
+    for t, x in v.items():
+        x *= factor
+        for k, y in cols[t].items():
+            out[k] = get(k, 0) + x * y
+    return out
+
+
+def _reduced(w, p):
+    """The sparse int vector w without its zeros, reduced mod p when p > 0."""
+    if p:
+        return {k: x % p for k, x in w.items() if x % p}
+    return {k: x for k, x in w.items() if x}
 
 
 def miyamoto(A, e, rules):
     """The involution fixing the 1- and 0-eigenspaces of an axis and negating
     the alpha-eigenspace; verified to be an algebra automorphism of order <= 2."""
-    axis = check_axis(A, e, rules)
+    axis, dec = _axis_check(A, e, rules)
     if not axis.ok:
         raise AlgebraError("miyamoto map needs an axis: %s" % axis.reason)
-    dec = eigen_decomposition(A, e, candidates=list(rules.eigenvalues))
     f = A.field
     cols = []
     signs = []

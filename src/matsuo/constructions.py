@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from .linalg import Matrix, Subspace, _rref_rows, unit_vector
 from .fischer import (
+    MAX_NAMED_POINTS,
     build_p2_dual,
     build_p3,
     gamma_of_group,
@@ -963,12 +964,6 @@ def space_from_name(name):
     if lowered in ("p2dual", "p2v", "p2"):
         return build_p2_dual()
     raise AlgebraError("unknown space %r (expected P3 or P2dual)" % (name,))
-
-
-# Most points a named group may give: its distinguished involutions, each a
-# basis vector of a dense dim**3 table.  Sym(16) and E8 (120 points each) are
-# the largest fixtures; 200 admits up to sym:20.
-MAX_NAMED_POINTS = 200
 
 
 def group_from_name(name):

@@ -6,17 +6,44 @@ structural) and ints in ``range(p)`` for F_p.  A field object bundles the
 operations; everything downstream (matrices, algebras) stays generic over it.
 """
 
+import re
 from fractions import Fraction
+
+# Miller-Rabin with the first thirteen primes as bases is exact below
+# PRIME_LIMIT, the least strong pseudoprime to all of them (Sorenson and
+# Webster, 2015); the first twelve alone are fooled by 318665857834031151167461.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3317044064679887385961981
+
+# The scalars ``Rationals.fmt`` writes: an integer or a fraction n/d.
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def _is_prime(n):
+    """Deterministic Miller-Rabin for n < PRIME_LIMIT; larger n are refused
+    with ValueError, since no verdict on them would be exact."""
+    if n >= PRIME_LIMIT:
+        raise ValueError("input too large: %d-digit modulus, primality is decided "
+                         "only below %d" % (len(str(n)), PRIME_LIMIT))
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -58,7 +85,12 @@ class Rationals:
         return "%d/%d" % (a.numerator, a.denominator)
 
     def parse(self, s):
-        return Fraction(s.strip())
+        """Read an integer or a fraction n/d, as ``fmt`` writes them; decimals,
+        exponents and anything else raise ValueError."""
+        s = s.strip()
+        if not _RATIONAL.fullmatch(s):
+            raise ValueError("scalar %r is not an integer or a fraction n/d" % (s,))
+        return Fraction(s)
 
     def __eq__(self, other):
         return isinstance(other, Rationals)

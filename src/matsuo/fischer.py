@@ -329,12 +329,26 @@ def roots_of(label, rank=None):
     raise ValueError("unsupported root system %r" % (label,))
 
 
+# Most points a named geometry may give: its distinguished involutions or
+# positive roots, each a basis vector of a dense dim**3 table.  Sym(16) and E8
+# (120 points each) are the largest fixtures; 200 admits up to sym:20, A19 and
+# D14.
+MAX_NAMED_POINTS = 200
+
+
 def root_system_from_name(name):
-    """Parse names like A4, D5, E6, B2, G2."""
+    """Parse names like A4, D5, E6, B2, G2.  A<n> and D<n> with more than
+    MAX_NAMED_POINTS positive roots are refused before any root is built."""
     name = name.strip().upper()
     if name in ("E6", "E7", "E8", "B2", "G2"):
         return roots_of(name)
-    return roots_of(name[0], int(name[1:]))
+    label, rank = name[:1], int(name[1:])
+    n = max(rank, 0)  # roots_of refuses ranks below 1 with its own message
+    points = {"A": n * (n + 1) // 2, "D": n * (n - 1)}.get(label, 0)
+    if points > MAX_NAMED_POINTS:
+        raise GeometryError("input too large: %s has %d positive roots, more than "
+                            "the budget of %d" % (name, points, MAX_NAMED_POINTS))
+    return roots_of(label, rank)
 
 
 def gamma_of_rootsystem(rs):

@@ -10,6 +10,8 @@ from matsuo.groups import build_wk_affine_a
 from matsuo.algebra import (
     AlgebraError,
     AlgebraTable,
+    AxisCheck,
+    FusionRules,
     algebra_from_json,
     algebra_to_json,
     check_axis,
@@ -321,6 +323,100 @@ def test_check_axis_rejects_eigenvalue_outside_rules():
     res = check_axis(A, [Q.one, Q.zero], phi_alpha(Q, HALF))
     assert not res.ok
     assert "span" in res.reason
+
+
+def _check_axis_dense(A, e, rules):
+    """check_axis by dense elimination over the algebra's field: every product
+    of eigenvectors, in full (u, v) order, must lie in the span of the allowed
+    eigenspaces (``Subspace.contains``)."""
+    try:
+        dec = eigen_decomposition(A, e, candidates=list(rules.eigenvalues))
+    except AlgebraError as err:
+        return AxisCheck(False, reason=str(err))
+    present = list(dec.eigenvalues)
+    if not dec.diagonalizable:
+        return AxisCheck(False, dec.dims(), tuple(present),
+                         "eigenspaces do not span the algebra")
+    for pi in range(len(present)):
+        for qi in range(pi, len(present)):
+            phi, psi = present[pi], present[qi]
+            target = Subspace.from_vectors(
+                A.field, A.dim,
+                [row for v in rules.allowed(phi, psi) if v in present
+                 for row in dec.space_of(v).rows],
+            )
+            for u in dec.spaces[pi].rows:
+                for v in dec.spaces[qi].rows:
+                    if not target.contains(A.mul(u, v)):
+                        return AxisCheck(False, dec.dims(), tuple(present),
+                                         "fusion rule violated", (phi, psi, u, v))
+    return AxisCheck(True, dec.dims(), tuple(present))
+
+
+def _assert_matches_dense(A, e, rules):
+    res = check_axis(A, e, rules)
+    assert res == _check_axis_dense(A, e, rules)
+    return res
+
+
+@pytest.mark.parametrize("field", [Q, PrimeField(5)], ids=["Q", "F5"])
+def test_check_axis_matches_dense_oracle_on_points(field):
+    for source in (build_p3(), gamma_of_rootsystem(root_system_from_name("A4")),
+                   gamma_of_rootsystem(root_system_from_name("D4"))):
+        for den in (2, 3):
+            alpha = field.div(field.one, field.from_int(den))
+            A = matsuo_algebra(source, alpha, field)
+            rules = phi_alpha(field, alpha)
+            for i in range(A.dim):
+                assert _assert_matches_dense(A, unit_vector(field, A.dim, i), rules).ok
+
+
+@pytest.mark.parametrize("field", [Q, PrimeField(5)], ids=["Q", "F5"])
+def test_check_axis_matches_dense_oracle_on_p3_unit(field):
+    rules = phi_alpha(field, field.div(field.one, field.from_int(2)))
+    assert _assert_matches_dense(p3_algebra(field), p3_unit(field), rules).dims == (9,)
+
+
+def test_check_axis_matches_dense_oracle_on_violation():
+    A = AlgebraTable.from_pairs(
+        Q, ["e", "u"],
+        {(0, 0): [Q.one, Q.zero], (0, 1): [Q.zero, Q.zero], (1, 1): [Q.one, Q.zero]},
+    )
+    res = _assert_matches_dense(A, [Q.one, Q.zero], phi_alpha(Q, HALF))
+    assert res.reason == "fusion rule violated"
+    assert res.witness == (Q.zero, Q.zero, [Q.zero, Q.one], [Q.zero, Q.one])
+
+
+def _narrowed_rules(rules, phi, psi, allowed):
+    """rules with the products of phi- and psi-eigenvectors sent into the
+    eigenspaces of allowed only."""
+    table = dict(rules.table)
+    table[(phi, psi)] = table[(psi, phi)] = allowed
+    return FusionRules(rules.eigenvalues, table, rules.alpha)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_check_axis_matches_dense_oracle_on_idempotents(p):
+    # Every idempotent of A2 at 1/3 found on the grid, against Phi(beta) for
+    # every beta and against two narrowed variants of it: the non-axes fail
+    # on the span, and on the products both within one eigenspace and
+    # across two.
+    f = PrimeField(p)
+    A = _root_matsuo("A2", f.div(f.one, f.from_int(3)), f)
+    found = find_idempotents(A, max_support=3)
+    assert len(found) == 7
+    reasons, cross = set(), 0
+    for e in found:
+        for beta in range(2, p):
+            rules = phi_alpha(f, beta)
+            for variant in (rules, _narrowed_rules(rules, beta, beta, (f.one,)),
+                            _narrowed_rules(rules, f.zero, beta, (f.zero,))):
+                res = _assert_matches_dense(A, e, variant)
+                reasons.add(res.reason)
+                cross += bool(res.witness) and res.witness[0] != res.witness[1]
+    assert reasons == {"", "eigenspaces do not span the algebra",
+                       "fusion rule violated"}
+    assert cross
 
 
 def test_miyamoto_squares_to_identity_and_is_automorphism():

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from matsuo import claims
 from matsuo import constructions as cons
 from matsuo.cli import main
+from matsuo.fischer import root_system_from_name
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -109,11 +110,68 @@ def test_build_refuses_group_over_point_budget(capsys):
     assert err.startswith("error: input too large") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("roots", ["A100000", "D100000"])
+def test_build_refuses_roots_over_point_budget(capsys, roots):
+    rc, out, err = run_cli(capsys, "build", "--roots", roots)
+    assert rc == 2
+    assert not out
+    assert err.startswith("error: input too large") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("roots", [" ", "A", "D-100000"])
+def test_build_rejects_malformed_roots(capsys, roots):
+    rc, out, err = run_cli(capsys, "build", "--roots", roots)
+    assert rc == 2
+    assert not out
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "too large" not in err
+
+
+@pytest.mark.parametrize("alpha", ["1e1", "0.5", "1e999999999"])
+def test_build_rejects_alpha_not_written_as_fraction(capsys, alpha):
+    rc, out, err = run_cli(capsys, "build", "--space", "P3", "--alpha", alpha)
+    assert rc == 2
+    assert not out
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(max_size=12)
+       | st.from_regex(r"[+-]?[0-9]{1,4}(/[0-9]{1,3})?", fullmatch=True))
+def test_build_on_any_alpha_text_exits_cleanly(alpha):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["build", "--space", "P3", "--alpha=" + alpha])
+    assert rc in (0, 2)
+    if rc == 2:
+        assert not out.getvalue()
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+
+
+def test_build_over_large_prime_field(capsys):
+    rc, out, err = run_cli(capsys, "build", "--space", "P3",
+                           "--field", "F2305843009213693951")
+    assert rc == 0 and not err
+    assert json.loads(out)["field"] == "F2305843009213693951"
+    rc, out, err = run_cli(capsys, "build", "--space", "P3",
+                           "--field", "F3317044064679887385961981")
+    assert rc == 2 and not out
+    assert err.startswith("error: input too large") and err.count("\n") == 1
+
+
 def test_point_budget_admits_the_largest_fixtures():
     assert cons.MAX_NAMED_POINTS >= 120  # sym:16 and E8
     assert cons.group_from_name("sym:16").name == "Sym(16)"
     with pytest.raises(ValueError, match="too large"):
         cons.group_from_name("sym:21")
+
+
+def test_point_budget_bounds_named_root_systems():
+    assert len(root_system_from_name("A19").positive) == 190
+    assert len(root_system_from_name("D14").positive) == 182
+    for name in ("A20", "D15"):
+        with pytest.raises(ValueError, match="too large"):
+            root_system_from_name(name)
 
 
 def test_verify_list(capsys):

@@ -1,10 +1,18 @@
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matsuo.fields import PrimeField, Rationals, field_from_name, scalar_from_string
+from matsuo.fields import (
+    PRIME_LIMIT,
+    PrimeField,
+    Rationals,
+    _is_prime,
+    field_from_name,
+    scalar_from_string,
+)
 
 
 def test_characteristic_two_rejected():
@@ -72,3 +80,41 @@ def test_inverse_of_zero_raises():
         Rationals().inv(Fraction(0))
     with pytest.raises(ZeroDivisionError):
         PrimeField(5).inv(0)
+
+
+def test_primality_matches_trial_division_below_ten_thousand():
+    trial = [n for n in range(10000)
+             if n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))]
+    assert [n for n in range(10000) if _is_prime(n)] == trial
+
+
+def test_large_prime_modulus_accepted_at_once():
+    start = time.perf_counter()
+    f = field_from_name("F2305843009213693951")  # 2**61 - 1
+    assert time.perf_counter() - start < 1.0
+    assert f.p == 2 ** 61 - 1 and f.mul(f.inv(3), 3) == 1
+
+
+def test_large_composites_rejected():
+    for n in (2 ** 61 + 1,  # divisible by 3
+              3215031751,  # strong pseudoprime to the bases 2, 3, 5, 7
+              318665857834031151167461):  # ... and to every prime up to 37
+        with pytest.raises(ValueError, match="not prime"):
+            PrimeField(n)
+
+
+def test_modulus_beyond_exact_primality_refused():
+    for n in (PRIME_LIMIT, 10 ** 40 + 1):
+        with pytest.raises(ValueError, match="input too large"):
+            PrimeField(n)
+
+
+def test_rationals_parse_only_what_fmt_writes():
+    q = Rationals()
+    assert q.parse(" -3/4 ") == Fraction(-3, 4)
+    assert q.parse("+7") == 7
+    assert q.parse(q.fmt(Fraction(-5, 9))) == Fraction(-5, 9)
+    for text in ("1e1", "0.5", "1e999999999", "1_000", "3/-4", "1 / 2", "", "inf",
+                 "\u0661"):
+        with pytest.raises(ValueError):
+            q.parse(text)
