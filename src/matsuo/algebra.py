@@ -3,18 +3,18 @@ products, adjoints, eigen decompositions, fusion-rule and Jordan-identity
 verification, Miyamoto maps, U-operators, ideals and quotients.
 
 Vectors are coordinate lists over the algebra's field; the multiplication
-table is stored densely but all heavy scans run on sparse dict views, since
-the tables in scope have very few nonzeros per product.  The Jordan scan and
-the fusion test of ``check_axis`` run on an integer view of the table
-(``AlgebraTable.int_view``): over Q every structure constant is scaled by the
-lcm of the table's denominators, over F_p the constants are their residues and
-reduction waits until the end.
+table is stored densely, but every product of algebra elements (``mul``,
+``ad``, the Jordan scan, the fusion test of ``check_axis``) runs on one
+sparse integer view of it (``AlgebraTable.int_view``): over Q every structure
+constant is scaled by the lcm of the table's denominators, over F_p the
+constants are their residues and reduction waits until the end.
 """
 
 import json
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .linalg import Matrix, Subspace, kernel, unit_vector, vec_is_zero
 from .fields import field_from_name
@@ -74,28 +74,36 @@ class AlgebraTable:
         return list(self.table[i][j])
 
     def mul(self, x, y):
-        """Bilinear extension of the table to coordinate vectors."""
-        if len(x) != self.dim or len(y) != self.dim:
-            raise AlgebraError("vector length does not match algebra dimension")
-        f = self.field
-        zero = f.zero
-        acc = [zero] * self.dim
-        for i, cx in enumerate(x):
-            if not cx:
-                continue
-            for j, cy in enumerate(y):
-                if not cy:
-                    continue
-                c = f.mul(cx, cy)
-                for k, v in self.sparse_row(i, j).items():
-                    acc[k] = f.add(acc[k], f.mul(c, v))
-        return acc
+        """Bilinear extension of the table to coordinate vectors, on the
+        integer view: the columns x b_t for t in the support of y, applied."""
+        view = self.int_view()
+        lifted_x, scale_x = self._lift(x)
+        lifted_y, scale_y = self._lift(y)
+        cols = {t: _int_column(view.rows, lifted_x, t) for t in lifted_y}
+        w = _reduced(_int_apply(cols, lifted_y), view.modulus)
+        return self._from_int(w, scale_x * scale_y * view.scale)
 
     def ad(self, x):
         """Matrix of left multiplication by x (columns are x * b_j)."""
-        cols = [self.mul(x, unit_vector(self.field, self.dim, j))
-                for j in range(self.dim)]
+        view = self.int_view()
+        lifted, scale = self._lift(x)
+        cols = [self._from_int(col, scale * view.scale)
+                for col in _int_columns(view.rows, lifted, view.modulus)]
         return Matrix(self.field, [list(r) for r in zip(*cols)])
+
+    def _lift(self, v):
+        if len(v) != self.dim:
+            raise AlgebraError("vector length does not match algebra dimension")
+        return _int_lift(v)
+
+    def _from_int(self, w, scale):
+        """The dense vector w / scale of a reduced sparse int vector w: over Q
+        each coordinate is ``Fraction(c, scale)``, over F_p the residue."""
+        out = [self.field.zero] * self.dim
+        p = self.field.characteristic
+        for k, c in w.items():
+            out[k] = c if p else Fraction(c, scale)
+        return out
 
     def is_idempotent(self, e):
         return self.mul(e, e) == list(e)
@@ -131,41 +139,6 @@ class IntTable:
             for rows in sparse
         ]
         return cls(rows, scale, 0)
-
-
-# ---------------------------------------------------------------------------
-# Sparse helpers (dict vectors keyed by basis index)
-
-
-def _sp_accumulate(field, acc, c, vec):
-    add, mul, zero = field.add, field.mul, field.zero
-    for k, v in vec.items():
-        w = add(acc.get(k, zero), mul(c, v))
-        if w:
-            acc[k] = w
-        else:
-            acc.pop(k, None)
-
-
-def _sp_mul_vec_vec(A, u, v):
-    out = {}
-    f = A.field
-    mul = f.mul
-    for s, cu in u.items():
-        for t, cv in v.items():
-            _sp_accumulate(f, out, mul(cu, cv), A.sparse_row(s, t))
-    return out
-
-
-def _sp_from_dense(field, v):
-    return {i: c for i, c in enumerate(v) if c}
-
-
-def _sp_to_dense(field, v, dim):
-    out = [field.zero] * dim
-    for k, c in v.items():
-        out[k] = c
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -297,30 +270,6 @@ def linearized_gap(A, i, j, y, k):
                 for r, w in row_s[t].items():
                     gap[r] = get(r, 0) - uv * w
     return _reduced(gap, view.modulus)
-
-
-def linearized_identity_holds(A, i, j, y, k):
-    """Direct dense evaluation of the linearized identity on one basis
-    quadruple (x, z, y, w) = (b_i, b_j, b_y, b_k); independent of the sparse
-    scan above."""
-    f = A.field
-    e = lambda t: unit_vector(f, A.dim, t)
-    x, z, yv, w = e(i), e(j), e(y), e(k)
-    lhs = [f.zero] * A.dim
-    for t in (
-        A.mul(A.mul(A.mul(x, z), yv), w),
-        A.mul(A.mul(A.mul(z, w), yv), x),
-        A.mul(A.mul(A.mul(w, x), yv), z),
-    ):
-        lhs = [f.add(a, b) for a, b in zip(lhs, t)]
-    rhs = [f.zero] * A.dim
-    for t in (
-        A.mul(A.mul(x, z), A.mul(yv, w)),
-        A.mul(A.mul(z, w), A.mul(yv, x)),
-        A.mul(A.mul(w, x), A.mul(yv, z)),
-    ):
-        rhs = [f.add(a, b) for a, b in zip(rhs, t)]
-    return lhs == rhs
 
 
 # ---------------------------------------------------------------------------
@@ -464,15 +413,17 @@ def _int_lift(v):
 def _int_columns(rows, u, p):
     """Columns of multiplication by the sparse int vector u on an integer
     view: column t is u b_t, scaled as u and the view are."""
-    cols = []
-    for t in range(len(rows)):
-        col = {}
-        get = col.get
-        for s, x in u.items():
-            for k, y in rows[s][t].items():
-                col[k] = get(k, 0) + x * y
-        cols.append(_reduced(col, p))
-    return cols
+    return [_reduced(_int_column(rows, u, t), p) for t in range(len(rows))]
+
+
+def _int_column(rows, u, t):
+    """The column u b_t of ``_int_columns``, not reduced."""
+    col = {}
+    get = col.get
+    for s, x in u.items():
+        for k, y in rows[s][t].items():
+            col[k] = get(k, 0) + x * y
+    return col
 
 
 def _int_apply(cols, v, factor=1):
@@ -547,25 +498,14 @@ def is_trivial_element(A, a):
 
 def subspace_product(A, s, t):
     """Span of all products of a basis of s with a basis of t."""
-    f = A.field
-    vecs = []
-    for u in s.rows:
-        su = _sp_from_dense(f, u)
-        for v in t.rows:
-            prod = _sp_mul_vec_vec(A, su, _sp_from_dense(f, v))
-            vecs.append(_sp_to_dense(f, prod, A.dim))
-    return Subspace.from_vectors(f, A.dim, vecs)
+    vecs = [A.mul(u, v) for u in s.rows for v in t.rows]
+    return Subspace.from_vectors(A.field, A.dim, vecs)
 
 
 def is_ideal(A, s):
-    f = A.field
-    for i in range(A.dim):
-        row = {i: f.one}
-        for v in s.rows:
-            prod = _sp_mul_vec_vec(A, row, _sp_from_dense(f, v))
-            if not s.contains(_sp_to_dense(f, prod, A.dim)):
-                return False
-    return True
+    """Whether every basis vector times every row of s lies in s."""
+    return all(s.contains(A.mul(unit_vector(A.field, A.dim, i), v))
+               for i in range(A.dim) for v in s.rows)
 
 
 def solvable_chain(A, s):
@@ -596,10 +536,9 @@ def quotient(A, s):
     if not is_ideal(A, s):
         raise AlgebraError("quotient requires an ideal")
     f = A.field
-    zero = f.zero
     pivots = []
     for row in s.rows:
-        pivots.append(next(i for i, a in enumerate(row) if a != zero))
+        pivots.append(next(i for i, a in enumerate(row) if a))
     comp = [i for i in range(A.dim) if i not in set(pivots)]
     labels = [A.labels[i] for i in comp]
     products = {}

@@ -17,6 +17,8 @@ PRIME_LIMIT = 3317044064679887385961981
 
 # The scalars ``Rationals.fmt`` writes: an integer or a fraction n/d.
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+# What ``PrimeField.fmt`` writes: a residue and its modulus.
+_RESIDUE = re.compile(r"([+-]?[0-9]+) mod ([0-9]+)")
 
 
 def _is_prime(n):
@@ -144,16 +146,20 @@ class PrimeField:
         return "%d mod %d" % (a % self.p, self.p)
 
     def parse(self, s):
+        """Read ``<int> mod <p>``, as ``fmt`` writes it, or an integer or a
+        fraction n/d in ASCII digits; anything else raises ValueError."""
         s = s.strip()
-        if "mod" in s:
-            r, m = s.split("mod")
-            if int(m) != self.p:
+        residue = _RESIDUE.fullmatch(s)
+        if residue:
+            if int(residue[2]) != self.p:
                 raise ValueError("scalar %r has wrong modulus for %s" % (s, self.name))
-            return int(r) % self.p
-        if "/" in s:
-            num, den = s.split("/")
-            return self.div(int(num) % self.p, int(den) % self.p)
-        return int(s) % self.p
+            return int(residue[1]) % self.p
+        if not _RATIONAL.fullmatch(s):
+            raise ValueError("scalar %r is not an integer, a fraction n/d or "
+                             "a residue 'r mod %d'" % (s, self.p))
+        num, _, den = s.partition("/")
+        num = int(num) % self.p
+        return self.div(num, int(den) % self.p) if den else num
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -177,8 +183,4 @@ def field_from_name(name):
 
 def scalar_from_string(field, s):
     """Read a scalar such as ``1/2`` or ``-3`` into the given field."""
-    s = s.strip()
-    if "/" in s and isinstance(field, PrimeField):
-        num, den = s.split("/")
-        return field.div(field.from_int(int(num)), field.from_int(int(den)))
     return field.parse(s)

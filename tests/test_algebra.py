@@ -25,7 +25,6 @@ from matsuo.algebra import (
     iso_check,
     jordan_check,
     linearized_gap,
-    linearized_identity_holds,
     miyamoto,
     phi_alpha,
     quotient,
@@ -33,11 +32,57 @@ from matsuo.algebra import (
     u_operator,
 )
 from matsuo.claims import count_linearized_quadruples
-from matsuo.constructions import matsuo_algebra, p3_unit
+from matsuo.constructions import matsuo_algebra, p3_unit, zero_sum_sym_algebra
 
 Q = Rationals()
 F3 = PrimeField(3)
 HALF = Q.parse("1/2")
+
+
+def ref_mul(A, x, y):
+    """Reference product: the bilinear extension of the dense table
+    ``A.table`` with the field's own add and mul.  Independent of the integer
+    view that ``A.mul`` runs on."""
+    f = A.field
+    acc = [f.zero] * A.dim
+    for i, cx in enumerate(x):
+        for j, cy in enumerate(y):
+            if cx and cy:
+                c = f.mul(cx, cy)
+                for k, v in enumerate(A.table[i][j]):
+                    acc[k] = f.add(acc[k], f.mul(c, v))
+    return acc
+
+
+def ref_ad(A, x):
+    """Reference matrix of multiplication by x, column j being x b_j."""
+    cols = [ref_mul(A, x, unit_vector(A.field, A.dim, j)) for j in range(A.dim)]
+    return Matrix(A.field, [list(r) for r in zip(*cols)])
+
+
+def linearized_identity_holds(A, i, j, y, k):
+    """Direct dense evaluation of the linearized identity on one basis
+    quadruple (x, z, y, w) = (b_i, b_j, b_y, b_k) through ``ref_mul``;
+    independent of the integer scan ``linearized_gap``."""
+    f = A.field
+    m = lambda a, b: ref_mul(A, a, b)
+    e = lambda t: unit_vector(f, A.dim, t)
+    x, z, yv, w = e(i), e(j), e(y), e(k)
+    lhs = [f.zero] * A.dim
+    for t in (
+        m(m(m(x, z), yv), w),
+        m(m(m(z, w), yv), x),
+        m(m(m(w, x), yv), z),
+    ):
+        lhs = [f.add(a, b) for a, b in zip(lhs, t)]
+    rhs = [f.zero] * A.dim
+    for t in (
+        m(m(x, z), m(yv, w)),
+        m(m(z, w), m(yv, x)),
+        m(m(w, x), m(yv, z)),
+    ):
+        rhs = [f.add(a, b) for a, b in zip(rhs, t)]
+    return lhs == rhs
 
 
 def p3_algebra(field=Q):
@@ -91,6 +136,52 @@ def test_ad_matrix_columns():
         assert m.column(j) == A.mul(x, unit_vector(Q, 9, j))
 
 
+def _seeded_vectors(f, dim, seed=5, count=4):
+    """Seeded vectors with fractional entries n/d (over F_p their residues),
+    about a third of them zero, plus the zero vector and a basis vector."""
+    rng = random.Random(seed)
+    dens = [d for d in (1, 2, 3, 5, 7) if f.from_int(d)]
+    vecs = [[f.div(f.from_int(rng.choice((0, 0, 0, 1, -1, 2, -3, 4))),
+                   f.from_int(rng.choice(dens))) for _ in range(dim)]
+            for _ in range(count)]
+    return vecs + [[f.zero] * dim, unit_vector(f, dim, dim - 1)]
+
+
+_PRODUCT_FIXTURES = {
+    "A2-third-Q": lambda: _root_matsuo("A2", Q.parse("1/3"), Q),
+    "random-630-Q": lambda: _random_630(),
+    "zero-sum-4-Q": lambda: zero_sum_sym_algebra(Q, 4).algebra,
+    "A3-half-F3": lambda: _root_matsuo("A3", F3.div(F3.one, F3.from_int(2)), F3),
+    "A3-third-F7": lambda: _root_matsuo("A3", PrimeField(7).div(1, 3), PrimeField(7)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PRODUCT_FIXTURES))
+def test_mul_and_ad_match_reference_product(name):
+    A = _PRODUCT_FIXTURES[name]()
+    vecs = _seeded_vectors(A.field, A.dim)
+    if not A.field.characteristic:
+        assert any(c.denominator > 1 for v in vecs for c in v)
+    for x in vecs:
+        assert A.ad(x) == ref_ad(A, x)
+        for y in vecs:
+            got, want = A.mul(x, y), ref_mul(A, x, y)
+            assert got == want
+            assert [type(c) for c in got] == [type(c) for c in want]
+
+
+def test_mul_and_ad_reject_vectors_of_wrong_length():
+    A = p3_algebra()
+    e = unit_vector(Q, 9, 0)
+    for v in ([Q.one] * 8, [Q.one] * 10, []):
+        with pytest.raises(AlgebraError):
+            A.ad(v)
+        with pytest.raises(AlgebraError):
+            A.mul(v, e)
+        with pytest.raises(AlgebraError):
+            A.mul(e, v)
+
+
 def test_jordan_check_on_small_matsuo():
     gam = gamma_of_rootsystem(root_system_from_name("A2"))
     A = matsuo_algebra(gam, HALF, Q)
@@ -125,8 +216,8 @@ def brute_force_jordan(A, coefficients=(-1, 0, 1, 2)):
     grid = [f.from_int(c) for c in coefficients]
     for a in product(grid, repeat=A.dim):
         a = list(a)
-        ad_a = A.ad(a)
-        ad_aa = A.ad(A.mul(a, a))
+        ad_a = ref_ad(A, a)
+        ad_aa = ref_ad(A, ref_mul(A, a, a))
         if ad_a * ad_aa != ad_aa * ad_a:
             return False
     return True
@@ -170,14 +261,15 @@ def _root_matsuo(name, alpha, field):
 
 def _dense_gap(A, i, j, y, k):
     """The linearized identity's gap at one basis quadruple, by dense
-    products over the algebra's field."""
+    products over the algebra's field (``ref_mul``)."""
     f = A.field
+    m = lambda a, b: ref_mul(A, a, b)
     e = lambda t: unit_vector(f, A.dim, t)
     gap = [f.zero] * A.dim
     for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-        ab = A.mul(e(a), e(b))
-        lhs = A.mul(A.mul(ab, e(y)), e(c))
-        rhs = A.mul(ab, A.mul(e(y), e(c)))
+        ab = m(e(a), e(b))
+        lhs = m(m(ab, e(y)), e(c))
+        rhs = m(ab, m(e(y), e(c)))
         gap = [f.add(g, f.sub(u, v)) for g, u, v in zip(gap, lhs, rhs)]
     return gap
 
@@ -206,14 +298,19 @@ def _random_table(rng, field, entries, dim):
     return AlgebraTable.from_pairs(field, ["b%d" % i for i in range(dim)], products)
 
 
+def _random_630():
+    """A seeded random 3-dim table over Q whose denominators have lcm 630."""
+    entries = [Q.parse(s) for s in ("3/10", "-5/9", "1/7", "0", "0", "1", "-2")]
+    return _random_table(random.Random(7), Q, entries, 3)
+
+
 def test_integer_gap_matches_dense_oracle_over_q_with_scaled_denominators():
     fixtures = [
         (_root_matsuo("A2", Q.parse("1/3"), Q), 6),
         (_root_matsuo("A3", Q.parse("2/7"), Q), 7),
         (_root_matsuo("A2", HALF, Q), 4),
+        (_random_630(), 630),
     ]
-    entries = [Q.parse(s) for s in ("3/10", "-5/9", "1/7", "0", "0", "1", "-2")]
-    fixtures.append((_random_table(random.Random(7), Q, entries, 3), 630))
     failures = []
     for A, scale in fixtures:
         view = A.int_view()
@@ -327,8 +424,8 @@ def test_check_axis_rejects_eigenvalue_outside_rules():
 
 def _check_axis_dense(A, e, rules):
     """check_axis by dense elimination over the algebra's field: every product
-    of eigenvectors, in full (u, v) order, must lie in the span of the allowed
-    eigenspaces (``Subspace.contains``)."""
+    of eigenvectors (``ref_mul``), in full (u, v) order, must lie in the span
+    of the allowed eigenspaces (``Subspace.contains``)."""
     try:
         dec = eigen_decomposition(A, e, candidates=list(rules.eigenvalues))
     except AlgebraError as err:
@@ -347,7 +444,7 @@ def _check_axis_dense(A, e, rules):
             )
             for u in dec.spaces[pi].rows:
                 for v in dec.spaces[qi].rows:
-                    if not target.contains(A.mul(u, v)):
+                    if not target.contains(ref_mul(A, u, v)):
                         return AxisCheck(False, dec.dims(), tuple(present),
                                          "fusion rule violated", (phi, psi, u, v))
     return AxisCheck(True, dec.dims(), tuple(present))

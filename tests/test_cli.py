@@ -135,13 +135,23 @@ def test_build_rejects_alpha_not_written_as_fraction(capsys, alpha):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("alpha", ["1_1/2", "\u0663", "3mod5"])
+def test_build_over_prime_field_rejects_alpha_not_written_as_fmt_does(capsys, alpha):
+    rc, out, err = run_cli(capsys, "build", "--space", "P3", "--field", "F5",
+                           "--alpha", alpha)
+    assert rc == 2
+    assert not out
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.text(max_size=12)
-       | st.from_regex(r"[+-]?[0-9]{1,4}(/[0-9]{1,3})?", fullmatch=True))
-def test_build_on_any_alpha_text_exits_cleanly(alpha):
+       | st.from_regex(r"[+-]?[0-9]{1,4}(/[0-9]{1,3})?", fullmatch=True),
+       st.sampled_from(["Q", "F5"]))
+def test_build_on_any_alpha_text_exits_cleanly(alpha, field):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main(["build", "--space", "P3", "--alpha=" + alpha])
+        rc = main(["build", "--space", "P3", "--field", field, "--alpha=" + alpha])
     assert rc in (0, 2)
     if rc == 2:
         assert not out.getvalue()

@@ -118,3 +118,30 @@ def test_rationals_parse_only_what_fmt_writes():
                  "\u0661"):
         with pytest.raises(ValueError):
             q.parse(text)
+
+
+def test_prime_field_parse_only_what_fmt_writes():
+    f5 = PrimeField(5)
+    assert f5.parse(f5.fmt(3)) == 3
+    assert f5.parse(" 4 mod 5 ") == 4
+    assert f5.parse("-1 mod 5") == 4
+    assert f5.parse("+7") == 2
+    assert f5.parse("-3/2") == 1  # -3 * 3 = -9 = 1 mod 5
+    for x in range(5):
+        assert f5.parse(f5.fmt(x)) == x
+    for text in ("1_0", "1_1/2", "٣", "3/٢", "3 mod ٥", "3mod5",
+                 "3 mod 5 mod 5", "1e1", "0.5", "3/-4", "1 / 2", "", "mod 5", "0x3"):
+        with pytest.raises(ValueError):
+            f5.parse(text)
+    with pytest.raises(ValueError, match="wrong modulus"):
+        f5.parse("3 mod 7")
+    with pytest.raises(ZeroDivisionError):
+        f5.parse("1/5")
+
+
+def test_scalar_from_string_is_the_field_parser():
+    for field in (Rationals(), PrimeField(5), PrimeField(7)):
+        for text in ("1/2", "-3", " 2/3 ", "+4"):
+            assert scalar_from_string(field, text) == field.parse(text)
+        with pytest.raises(ValueError):
+            scalar_from_string(field, "1_1/2")
