@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix, Subspace, kernel, unit_vector, vec_is_zero
+from .linalg import Matrix, Subspace, kernel, rref, unit_vector, vec_is_zero
 from .fields import field_from_name
 
 
@@ -536,10 +536,7 @@ def quotient(A, s):
     if not is_ideal(A, s):
         raise AlgebraError("quotient requires an ideal")
     f = A.field
-    pivots = []
-    for row in s.rows:
-        pivots.append(next(i for i, a in enumerate(row) if a))
-    comp = [i for i in range(A.dim) if i not in set(pivots)]
+    comp = [i for i in range(A.dim) if i not in s.pivots]
     labels = [A.labels[i] for i in comp]
     products = {}
     for a, i in enumerate(comp):
@@ -575,8 +572,7 @@ def iso_check(A, B, m):
         raise AlgebraError("algebras have different dimensions")
     if A.field != B.field:
         raise AlgebraError("algebras live over different fields")
-    from .linalg import rref as _rref
-    _, rank = _rref(m)
+    _, rank = rref(m)
     if rank != A.dim:
         return False
     return is_multiplicative(A, B, m)

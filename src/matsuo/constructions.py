@@ -9,7 +9,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix, Subspace, _rref_rows, unit_vector
+from .linalg import Matrix, Subspace, span_coordinates, unit_vector
 from .fischer import (
     MAX_NAMED_POINTS,
     build_p2_dual,
@@ -122,21 +122,6 @@ def _jordan_product(m1, m2, field):
     return (m1 * m2 + m2 * m1).scale(half)
 
 
-def _coords_in_rows(field, rows, v):
-    aug = [list(r) + [x] for r, x in zip([list(c) for c in zip(*rows)], v)]
-    red, _ = _rref_rows(field, aug)
-    ncols = len(rows)
-    coords = [field.zero] * ncols
-    for row in red:
-        pc = next((i for i, a in enumerate(row) if a != field.zero), None)
-        if pc is None:
-            continue
-        if pc == ncols:
-            return None  # inconsistent: v outside the span
-        coords[pc] = row[ncols]
-    return coords
-
-
 @dataclass
 class RootProjectionAlgebra:
     algebra: AlgebraTable
@@ -151,34 +136,27 @@ def jordan_from_roots(field, rs):
     projections; reports coordinates for every positive root."""
     f = field
     mats = {r: proj_matrix(f, r) for r in rs.positive}
-    basis_roots = []
-    span = Subspace.zero(f, rs.ambient * rs.ambient)
-    for r in rs.positive:
-        grown = span.add(Subspace.from_vectors(f, rs.ambient * rs.ambient,
-                                               [_flatten(mats[r])]))
-        if grown.dim > span.dim:
-            basis_roots.append(r)
-            span = grown
-    rows = [_flatten(mats[r]) for r in basis_roots]
-    root_coords = {}
-    for r in rs.positive:
-        coords = _coords_in_rows(f, rows, _flatten(mats[r]))
-        if coords is None:
-            raise AlgebraError("projection of %r escapes the span" % (r,))
-        root_coords[r] = coords
-    products = {}
-    for i, r in enumerate(basis_roots):
-        for j in range(i, len(basis_roots)):
-            s = basis_roots[j]
-            prod = _jordan_product(mats[r], mats[s], f)
-            coords = _coords_in_rows(f, rows, _flatten(prod))
-            if coords is None:
-                raise AlgebraError("projection span is not closed under the product")
-            products[(i, j)] = coords
+    basis, coords = span_coordinates(f, [_flatten(mats[r]) for r in rs.positive])
+    basis_roots = [rs.positive[k] for k in basis]
+    products, _ = _product_table(f, [mats[r] for r in basis_roots])
     labels = ["m(%s)" % ",".join(str(a) for a in r) for r in basis_roots]
     return RootProjectionAlgebra(
-        AlgebraTable.from_pairs(f, labels, products), basis_roots, root_coords, mats
+        AlgebraTable.from_pairs(f, labels, products), basis_roots,
+        dict(zip(rs.positive, coords)), mats
     )
+
+
+def _product_table(field, basis, extra=()):
+    """Coordinates on the independent matrices of basis of the symmetrized
+    product of each pair of them, and of each matrix in extra, from one
+    elimination; returns ({(i, j): coords}, [coords of each extra matrix])."""
+    k = len(basis)
+    pairs = [(i, j) for i in range(k) for j in range(i, k)]
+    mats = basis + [_jordan_product(basis[i], basis[j], field) for i, j in pairs]
+    found, coords = span_coordinates(field, [_flatten(m) for m in mats + list(extra)])
+    if found != list(range(k)):
+        raise AlgebraError("a product leaves the span of the basis matrices")
+    return dict(zip(pairs, coords[k:])), coords[len(mats):]
 
 
 def jr_dimension(field, rs):
@@ -291,29 +269,19 @@ def zero_sum_sym_algebra(field, n):
         m.rows[i][j] = f.neg(half)
         m.rows[j][i] = f.neg(half)
         mats.append(m)
-    rows = [_flatten(m) for m in mats]
-    products = {}
-    for a in range(len(pairs)):
-        for b in range(a, len(pairs)):
-            prod = _jordan_product(mats[a], mats[b], f)
-            coords = _coords_in_rows(f, rows, _flatten(prod))
-            if coords is None:
-                raise AlgebraError("zero-sum product escaped the basis span")
-            products[(a, b)] = coords
-    labels = ["m%d%d" % (i + 1, j + 1) for i, j in pairs]
-    alg = AlgebraTable.from_pairs(f, labels, products)
-    out = ZeroSumSymAlgebra(alg, n, pairs, mats)
+    unit = []
     if f.from_int(n) != f.zero:
         ninv = f.inv(f.from_int(n))
         diag = f.mul(f.from_int(n - 1), ninv)
         off = f.neg(ninv)
-        u = Matrix(f, [[diag if i == j else off for j in range(n)]
-                       for i in range(n)])
-        coords = _coords_in_rows(f, rows, _flatten(u))
-        if coords is None:
-            raise AlgebraError("unit escaped the basis span")
-        out.unit = coords
-        out.unit_matrix = u
+        unit = [Matrix(f, [[diag if i == j else off for j in range(n)]
+                           for i in range(n)])]
+    products, unit_coords = _product_table(f, mats, unit)
+    labels = ["m%d%d" % (i + 1, j + 1) for i, j in pairs]
+    alg = AlgebraTable.from_pairs(f, labels, products)
+    out = ZeroSumSymAlgebra(alg, n, pairs, mats)
+    if unit:
+        out.unit, out.unit_matrix = unit_coords[0], unit[0]
     return out
 
 

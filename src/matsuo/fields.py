@@ -19,6 +19,8 @@ PRIME_LIMIT = 3317044064679887385961981
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 # What ``PrimeField.fmt`` writes: a residue and its modulus.
 _RESIDUE = re.compile(r"([+-]?[0-9]+) mod ([0-9]+)")
+# What ``PrimeField.name`` writes: F and the modulus without a leading zero.
+_PRIME_FIELD = re.compile(r"F([1-9][0-9]*)")
 
 
 def _is_prime(n):
@@ -172,12 +174,14 @@ class PrimeField:
 
 
 def field_from_name(name):
-    """Parse a field flag: ``Q`` or ``F<p>`` for an odd prime p."""
+    """Parse a field flag: ``Q`` or ``F<p>`` for an odd prime p, written as
+    ``name`` writes it (ASCII digits, no sign, no leading zero)."""
     name = name.strip()
     if name == "Q":
         return Rationals()
-    if name.startswith("F"):
-        return PrimeField(int(name[1:]))
+    modulus = _PRIME_FIELD.fullmatch(name)
+    if modulus:
+        return PrimeField(int(modulus[1]))
     raise ValueError("unknown field %r (expected Q or F<p>)" % (name,))
 
 

@@ -489,18 +489,34 @@ def space_to_text(space):
     return "\n".join(out) + "\n"
 
 
+def _number(token):
+    """A point count or a point number, in ASCII digits as space_to_text writes."""
+    if not (token.isascii() and token.isdigit()):
+        raise GeometryError("%r is not a number" % (token,))
+    return int(token)
+
+
+def _parsed_space(n, triples, labels=None):
+    """The space read by a parser, refused unless it satisfies the axioms and
+    has at most MAX_NAMED_POINTS points."""
+    if n > MAX_NAMED_POINTS:
+        raise GeometryError("input too large: %d points, more than the budget of %d"
+                            % (n, MAX_NAMED_POINTS))
+    space = PartialTripleSystem(n, triples, labels)
+    space._ensure()
+    return space
+
+
 def space_from_text(text):
-    lines = [l.strip() for l in text.strip().splitlines() if l.strip()]
-    if not lines or not lines[0].startswith("points"):
+    lines = [l.split() for l in text.splitlines() if l.strip()]
+    if not lines or len(lines[0]) != 2 or lines[0][0] != "points":
         raise GeometryError("expected a 'points N' header")
-    n = int(lines[0].split()[1])
     triples = []
-    for l in lines[1:]:
-        parts = [int(x) - 1 for x in l.split()]
+    for parts in lines[1:]:
         if len(parts) != 3:
-            raise GeometryError("line %r does not have 3 points" % (l,))
-        triples.append(tuple(parts))
-    return PartialTripleSystem(n, triples)
+            raise GeometryError("line %r does not have 3 points" % (" ".join(parts),))
+        triples.append(tuple(_number(x) - 1 for x in parts))
+    return _parsed_space(_number(lines[0][1]), triples)
 
 
 def space_to_json_dict(space):
@@ -512,8 +528,15 @@ def space_to_json_dict(space):
 
 
 def space_from_json_dict(data):
-    return PartialTripleSystem(
-        data["points"],
-        [tuple(p - 1 for p in line) for line in data["lines"]],
-        labels=data.get("labels"),
-    )
+    """Read what space_to_json_dict writes: a point count, lines of three
+    1-based point numbers and, optionally, one string label per point."""
+    get = data.get if isinstance(data, dict) else {}.get
+    n, lines, labels = get("points"), get("lines"), get("labels")
+    if not (type(n) is int and n >= 0 and isinstance(lines, list)
+            and all(isinstance(l, list) and len(l) == 3
+                    and all(type(p) is int for p in l) for l in lines)
+            and (labels is None or isinstance(labels, list)
+                 and all(isinstance(s, str) for s in labels))):
+        raise GeometryError("a space is {'points': N, 'lines': [[a, b, c], ...]} "
+                            "with optional string 'labels'")
+    return _parsed_space(n, [tuple(p - 1 for p in l) for l in lines], labels)

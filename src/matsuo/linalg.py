@@ -85,7 +85,7 @@ class Matrix:
             for c in bt:
                 acc = zero
                 for a, b in zip(r, c):
-                    if a != zero and b != zero:
+                    if a and b:
                         acc = add(acc, mul(a, b))
                 row.append(acc)
             out.append(row)
@@ -101,7 +101,7 @@ class Matrix:
         for r in self.rows:
             acc = zero
             for a, x in zip(r, v):
-                if a != zero and x != zero:
+                if a and x:
                     acc = add(acc, mul(a, x))
             out.append(acc)
         return out
@@ -113,8 +113,7 @@ class Matrix:
         return Matrix(self.field, [list(c) for c in zip(*self.rows)])
 
     def is_zero(self):
-        z = self.field.zero
-        return all(a == z for r in self.rows for a in r)
+        return not any(a for r in self.rows for a in r)
 
     def inverse(self):
         if self.nrows != self.ncols:
@@ -122,8 +121,8 @@ class Matrix:
         n = self.nrows
         f = self.field
         aug = [list(r) + col for r, col in zip(self.rows, Matrix.identity(f, n).rows)]
-        red, _ = _rref_rows(f, aug)
-        if [r[:n] for r in red] != Matrix.identity(f, n).rows:
+        red, pivots = _rref_rows(f, aug)
+        if pivots != list(range(n)):
             raise ValueError("matrix is singular")
         return Matrix(f, [r[n:] for r in red])
 
@@ -136,16 +135,18 @@ class Matrix:
 
 
 def _rref_rows(field, rows):
-    """In-place reduced row echelon form on a list of row lists; returns (rows, rank)."""
-    zero = field.zero
+    """In-place reduced row echelon form on a list of row lists; returns
+    (rows, pivots), where pivots[r] is the column of row r's leading one and
+    the rows from len(pivots) on are zero."""
     sub, mul, div = field.sub, field.mul, field.div
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
+    pivots = []
     piv_r = 0
     for col in range(ncols):
         src = -1
         for r in range(piv_r, nrows):
-            if rows[r][col] != zero:
+            if rows[r][col]:
                 src = r
                 break
         if src < 0:
@@ -160,45 +161,51 @@ def _rref_rows(field, rows):
             if r == piv_r:
                 continue
             factor = rows[r][col]
-            if factor != zero:
+            if factor:
                 rr = rows[r]
                 for c in range(col, ncols):
                     rr[c] = sub(rr[c], mul(factor, pr[c]))
+        pivots.append(col)
         piv_r += 1
         if piv_r == nrows:
             break
-    return rows, piv_r
+    return rows, pivots
 
 
 def rref(m):
     """Reduced row echelon form of a matrix; returns (rref_matrix, rank)."""
-    rows, rank = _rref_rows(m.field, [list(r) for r in m.rows])
-    return Matrix(m.field, rows), rank
+    rows, pivots = _rref_rows(m.field, [list(r) for r in m.rows])
+    return Matrix(m.field, rows), len(pivots)
 
 
 def kernel(m):
     """Right kernel {v : m v = 0} as a Subspace of dimension ncols - rank."""
     f = m.field
-    red, rank = rref(m)
-    zero, one, neg = f.zero, f.one, f.neg
-    pivots = []
-    c = 0
-    for r in range(rank):
-        while red.rows[r][c] == zero:
-            c += 1
-        pivots.append(c)
-        c += 1
+    red, pivots = _rref_rows(f, [list(r) for r in m.rows])
     pivot_set = set(pivots)
     basis = []
     for free in range(m.ncols):
         if free in pivot_set:
             continue
-        v = [zero] * m.ncols
-        v[free] = one
-        for r, pc in enumerate(pivots):
-            v[pc] = neg(red.rows[r][free])
+        v = [f.zero] * m.ncols
+        v[free] = f.one
+        for row, pc in zip(red, pivots):
+            v[pc] = f.neg(row[free])
         basis.append(v)
     return Subspace.from_vectors(f, m.ncols, basis)
+
+
+def span_coordinates(field, vectors):
+    """One elimination over a list of equal-length vectors.  Returns (basis,
+    coords): basis lists the indices of the first maximal independent subset
+    (each vector kept when it is outside the span of those before it), and
+    coords[k] holds the coefficients of vectors[k] on the vectors at basis.
+
+    The vectors are the columns of the eliminated matrix: its pivot columns
+    are the basis, and column k of the reduced form writes vector k in it."""
+    red, pivots = _rref_rows(field, [list(c) for c in zip(*vectors)])
+    return pivots, [[row[k] for row in red[:len(pivots)]]
+                    for k in range(len(vectors))]
 
 
 class Subspace:
@@ -207,12 +214,13 @@ class Subspace:
     The representation is unique per subspace, so equality is structural.
     """
 
-    __slots__ = ("field", "ambient", "rows")
+    __slots__ = ("field", "ambient", "rows", "pivots")
 
-    def __init__(self, field, ambient, rref_rows):
+    def __init__(self, field, ambient, rref_rows, pivots):
         self.field = field
         self.ambient = ambient
         self.rows = rref_rows
+        self.pivots = pivots
 
     @classmethod
     def from_vectors(cls, field, ambient, vectors):
@@ -221,51 +229,44 @@ class Subspace:
             if len(v) != ambient:
                 raise ValueError("vector of wrong length for ambient dimension")
         if not vectors:
-            return cls(field, ambient, [])
-        rows, rank = _rref_rows(field, vectors)
-        return cls(field, ambient, rows[:rank])
+            return cls.zero(field, ambient)
+        rows, pivots = _rref_rows(field, vectors)
+        return cls(field, ambient, rows[:len(pivots)], pivots)
 
     @classmethod
     def zero(cls, field, ambient):
-        return cls(field, ambient, [])
+        return cls(field, ambient, [], [])
 
     @classmethod
     def full(cls, field, ambient):
-        return cls(field, ambient, Matrix.identity(field, ambient).rows)
+        return cls(field, ambient, Matrix.identity(field, ambient).rows,
+                   list(range(ambient)))
 
     @property
     def dim(self):
         return len(self.rows)
 
-    def _eliminate(self, v):
-        """Subtract multiples of the echelon rows from a copy of v to clear
-        its pivot coordinates; returns (remainder, multiples)."""
-        f = self.field
-        zero, sub, mul = f.zero, f.sub, f.mul
-        v = list(v)
-        coeffs = []
-        for row in self.rows:
-            pc = next(i for i, a in enumerate(row) if a != zero)
-            factor = v[pc]
-            coeffs.append(factor)
-            if factor != zero:
-                for i in range(pc, self.ambient):
-                    v[i] = sub(v[i], mul(factor, row[i]))
-        return v, coeffs
-
     def reduce(self, v):
         """Reduce a vector modulo the subspace (eliminate its pivot coordinates)."""
-        return self._eliminate(v)[0]
+        sub, mul = self.field.sub, self.field.mul
+        v = list(v)
+        for row, pc in zip(self.rows, self.pivots):
+            factor = v[pc]
+            if factor:
+                for i in range(pc, self.ambient):
+                    v[i] = sub(v[i], mul(factor, row[i]))
+        return v
 
     def contains(self, v):
         return vec_is_zero(self.field, self.reduce(v))
 
     def coordinates(self, v):
-        """Coefficients of v against the echelon basis, or None if v is outside."""
-        rest, coeffs = self._eliminate(v)
-        if not vec_is_zero(self.field, rest):
+        """Coefficients of v against the echelon basis, or None if v is outside.
+        Each row has a one at its pivot and the others zero there, so the
+        coefficients are v's entries at the pivots."""
+        if not self.contains(v):
             return None
-        return coeffs
+        return [v[pc] for pc in self.pivots]
 
     def add(self, other):
         self._check_compatible(other)
@@ -291,9 +292,9 @@ class Subspace:
         for coeffs in null.rows:
             v = [f.zero] * self.ambient
             for c, row in zip(coeffs[:k1], self.rows):
-                if c != f.zero:
+                if c:
                     for i, a in enumerate(row):
-                        if a != f.zero:
+                        if a:
                             v[i] = f.add(v[i], f.mul(c, a))
             vecs.append(v)
         return Subspace.from_vectors(f, self.ambient, vecs)
@@ -321,8 +322,7 @@ class Subspace:
 
 
 def vec_is_zero(field, v):
-    z = field.zero
-    return all(a == z for a in v)
+    return not any(v)
 
 def unit_vector(field, n, i):
     v = [field.zero] * n

@@ -158,6 +158,26 @@ def test_build_on_any_alpha_text_exits_cleanly(alpha, field):
         assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
 
 
+def test_build_rejects_field_not_written_as_name_does(capsys):
+    rc, out, err = run_cli(capsys, "build", "--space", "P3", "--field", "F1_1")
+    assert rc == 2
+    assert not out
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_axes_rejects_json_field_not_written_as_name_does(capsys, tmp_path):
+    rc, out, _ = run_cli(capsys, "build", "--roots", "A2", "--field", "F11")
+    assert rc == 0
+    data = json.loads(out)
+    data["field"] = "F1_1"
+    path = tmp_path / "a2.json"
+    path.write_text(json.dumps(data))
+    rc, out, err = run_cli(capsys, "axes", str(path))
+    assert rc == 2
+    assert not out
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_build_over_large_prime_field(capsys):
     rc, out, err = run_cli(capsys, "build", "--space", "P3",
                            "--field", "F2305843009213693951")
@@ -219,6 +239,18 @@ def test_verify_rank4_w2a3_golden(capsys):
     rc, out, _ = run_cli(capsys, "verify", "rank4-W2A3", "--mask-runtime")
     assert rc == 0
     assert out == (GOLDEN / "rank4-W2A3.json").read_text()
+
+
+def test_verify_sym_zero_sum_golden(capsys):
+    rc, out, _ = run_cli(capsys, "verify", "sym-zero-sum", "--mask-runtime")
+    assert rc == 0
+    assert out == (GOLDEN / "verify-sym-zero-sum.json").read_text()
+
+
+def test_verify_root_projections_golden(capsys):
+    rc, out, _ = run_cli(capsys, "verify", "root-projections", "--mask-runtime")
+    assert rc == 0
+    assert out == (GOLDEN / "verify-root-projections.json").read_text()
 
 
 def test_verify_with_field_restriction(capsys):

@@ -22,6 +22,18 @@ def test_characteristic_two_rejected():
         field_from_name("F2")
 
 
+@pytest.mark.parametrize("name", ["F1_1", "F05", "F+5", "F 5", "F\u0663", "F",
+                                  "F-5", "F5.0", "f5", "FF5", "Q5"])
+def test_field_name_only_as_name_writes_it(name):
+    with pytest.raises(ValueError):
+        field_from_name(name)
+
+
+def test_field_name_round_trips():
+    for field in (Rationals(), PrimeField(3), PrimeField(101)):
+        assert field_from_name(field.name) == field
+
+
 def test_non_prime_rejected():
     for n in (1, 4, 9, 15):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matsuo.fischer import (
     GeometryError,
@@ -272,3 +273,88 @@ def test_space_text_round_trip():
     data = space_to_json_dict(p3)
     again = space_from_json_dict(data)
     assert again.lines == p3.lines and again.labels == p3.labels
+
+
+@pytest.mark.parametrize("text", [
+    "", "points", "points x", "points 3 4", "points -3", "points ٣",
+    "points 3\n1 2", "points 3\n1 2 x", "points 3\n1 2 +3", "points 3\n1 2 4",
+    "points 3\n0 1 2", "points 3\n1 1 2", "points 3\n1 2 3\n3 2 1",
+    "points 4\n1 2 3\n1 2 4", "points 201",
+])
+def test_space_from_text_rejects_malformed_input(text):
+    with pytest.raises(GeometryError):
+        space_from_text(text)
+
+
+@pytest.mark.parametrize("data", [
+    {}, [], "points", None, {"points": 3}, {"lines": []},
+    {"points": 3, "lines": [[1, 2, "x"]]}, {"points": 3, "lines": [[1, 2]]},
+    {"points": True, "lines": []}, {"points": -1, "lines": []},
+    {"points": 3.0, "lines": []}, {"points": 3, "lines": [[1, 2, True]]},
+    {"points": 3, "lines": "123"}, {"points": 3, "lines": [[1, 2, 4]]},
+    {"points": 3, "lines": [], "labels": "abc"},
+    {"points": 3, "lines": [], "labels": ["a", "b"]},
+    {"points": 3, "lines": [], "labels": ["a", "b", 3]},
+    {"points": 201, "lines": []},
+])
+def test_space_from_json_dict_rejects_malformed_input(data):
+    with pytest.raises(GeometryError):
+        space_from_json_dict(data)
+
+
+def _assert_valid_or_refused(parse, data):
+    try:
+        space = parse(data)
+    except ValueError:
+        return
+    assert isinstance(space, PartialTripleSystem)
+    assert validate_pts(space).ok
+
+
+_SPACES = [build_p3(), build_p2_dual()]
+
+
+def _spliced(text, at, junk):
+    at %= len(text) + 1
+    return text[:at] + junk + text[at:]
+
+
+def _with_line(data, at, line):
+    """The space's JSON with its lines cut at `at` and `line`, if any, appended."""
+    return dict(data, lines=data["lines"][:at] + ([] if line is None else [line]))
+
+
+_POINT_TEXT = (st.integers(-2, 12) | st.integers()).map(str) | st.text(max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(max_size=40)
+       | st.builds(_spliced, st.sampled_from(_SPACES).map(space_to_text),
+                   st.integers(0, 200), st.text(max_size=3))
+       | st.builds(
+           lambda n, lines: "points %s\n" % n + "\n".join(" ".join(l) for l in lines),
+           _POINT_TEXT,
+           st.lists(st.lists(_POINT_TEXT, min_size=2, max_size=4), max_size=6)))
+def test_space_from_text_on_any_text(text):
+    _assert_valid_or_refused(space_from_text, text)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON
+       | st.builds(_with_line, st.sampled_from(_SPACES).map(space_to_json_dict),
+                   st.integers(0, 12),
+                   st.none() | st.lists(st.integers(-1, 12), max_size=4) | _JSON)
+       | st.fixed_dictionaries(
+           {"points": st.integers(-1, 12) | st.integers() | _JSON,
+            "lines": st.lists(st.lists(st.integers(-1, 12), min_size=2, max_size=4),
+                              max_size=6) | _JSON},
+           optional={"labels": st.lists(st.text(max_size=2), max_size=12) | _JSON}))
+def test_space_from_json_dict_on_any_value(data):
+    _assert_valid_or_refused(space_from_json_dict, data)

@@ -2,11 +2,29 @@ import random
 
 import pytest
 
+from matsuo.constructions import (
+    _flatten,
+    _jordan_product,
+    jordan_from_roots,
+    proj_matrix,
+    zero_sum_sym_algebra,
+)
 from matsuo.fields import PrimeField, Rationals
-from matsuo.linalg import Matrix, Subspace, kernel, rref, unit_vector
+from matsuo.fischer import root_system_from_name
+from matsuo.linalg import (
+    Matrix,
+    Subspace,
+    _rref_rows,
+    kernel,
+    rref,
+    span_coordinates,
+    unit_vector,
+)
 
 Q = Rationals()
 F3 = PrimeField(3)
+F5 = PrimeField(5)
+F7 = PrimeField(7)
 
 
 def _m(field, rows):
@@ -113,3 +131,163 @@ def test_matrix_serialization_strings():
     assert m.to_strings() == [["1/1", "-2/1"]]
     m3 = _m(F3, [[1, 2]])
     assert m3.to_strings() == [["1 mod 3", "2 mod 3"]]
+
+
+# ---------------------------------------------------------------------------
+# span_coordinates against one elimination per vector
+
+
+def _coords_in_rows(field, rows, v):
+    """Oracle: coordinates of v on the independent rows, from an elimination
+    of the rows as columns augmented by v; None if v is outside their span."""
+    aug = [list(r) + [x] for r, x in zip([list(c) for c in zip(*rows)], v)]
+    red, _ = _rref_rows(field, aug)
+    ncols = len(rows)
+    coords = [field.zero] * ncols
+    for row in red:
+        pc = next((i for i, a in enumerate(row) if a != field.zero), None)
+        if pc is None:
+            continue
+        if pc == ncols:
+            return None  # inconsistent: v outside the span
+        coords[pc] = row[ncols]
+    return coords
+
+
+def _greedy_basis(field, ambient, vectors):
+    """Oracle: indices of the vectors that grow the span of those before them."""
+    span, basis = Subspace.zero(field, ambient), []
+    for k, v in enumerate(vectors):
+        grown = span.add(Subspace.from_vectors(field, ambient, [v]))
+        if grown.dim > span.dim:
+            basis.append(k)
+            span = grown
+    return basis
+
+
+def _random_vectors(field, rng, ambient, count):
+    """Vectors drawn as combinations of a few random generators (so the set is
+    often rank-deficient), with some zero and some repeated ones."""
+    def rand():
+        return [field.from_int(rng.randint(-3, 3)) for _ in range(ambient)]
+
+    gens = [rand() for _ in range(rng.randint(0, ambient + 1))]
+    out = []
+    for _ in range(count):
+        kind = rng.random()
+        if kind < 0.1 or not gens:
+            v = [field.zero] * ambient
+        elif kind < 0.2 and out:
+            v = list(rng.choice(out))
+        else:
+            v = [field.zero] * ambient
+            for g in gens:
+                c = field.from_int(rng.randint(-2, 2))
+                v = [field.add(a, field.mul(c, b)) for a, b in zip(v, g)]
+        out.append(v)
+    return out
+
+
+@pytest.mark.parametrize("field", [Q, F3, F7], ids=["Q", "F3", "F7"])
+def test_span_coordinates_matches_per_vector_oracle(field):
+    rng = random.Random(field.characteristic + 17)
+    outside_seen = 0
+    for _ in range(120):
+        ambient = rng.randint(0, 6)
+        vectors = _random_vectors(field, rng, ambient, rng.randint(0, 9))
+        basis, coords = span_coordinates(field, vectors)
+        assert basis == _greedy_basis(field, ambient, vectors)
+        rows = [vectors[k] for k in basis]
+        assert len(coords) == len(vectors)
+        for v, c in zip(vectors, coords):
+            assert c == _coords_in_rows(field, rows, v)
+            rebuilt = [field.zero] * ambient
+            for a, row in zip(c, rows):
+                rebuilt = [field.add(x, field.mul(a, y)) for x, y in zip(rebuilt, row)]
+            assert rebuilt == v
+        if not rows:
+            continue
+        w = [field.from_int(rng.randint(-3, 3)) for _ in range(ambient)]
+        outside = _coords_in_rows(field, rows, w) is None
+        outside_seen += outside
+        found, wc = span_coordinates(field, rows + [w])
+        assert found == list(range(len(rows) + outside))
+        if not outside:
+            assert wc[-1] == _coords_in_rows(field, rows, w)
+    assert outside_seen > 10
+
+
+def test_span_coordinates_on_no_vectors():
+    assert span_coordinates(Q, []) == ([], [])
+    assert span_coordinates(Q, [[], []]) == ([], [[], []])
+
+
+def _first_nonzero_columns(space):
+    return [next(i for i, a in enumerate(row) if a) for row in space.rows]
+
+
+@pytest.mark.parametrize("field", [Q, F3, F7], ids=["Q", "F3", "F7"])
+def test_subspace_pivots_are_the_leading_columns(field):
+    rng = random.Random(field.characteristic + 29)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        s = Subspace.from_vectors(field, n, _random_vectors(field, rng, n, rng.randint(0, 6)))
+        t = Subspace.from_vectors(field, n, _random_vectors(field, rng, n, rng.randint(0, 6)))
+        m = Matrix(field, _random_vectors(field, rng, n, rng.randint(1, 6)))
+        spaces = [s, t, s.add(t), s.intersect(t), kernel(m),
+                  Subspace.zero(field, n), Subspace.full(field, n)]
+        for space in spaces:
+            assert space.pivots == _first_nonzero_columns(space)
+            assert all(row[pc] == field.one for row, pc in zip(space.rows, space.pivots))
+
+
+@pytest.mark.parametrize("field", [Q, F5], ids=["Q", "F5"])
+@pytest.mark.parametrize("n", range(2, 8))
+def test_zero_sum_table_matches_per_vector_oracle(field, n):
+    zs = zero_sum_sym_algebra(field, n)
+    mats = zs.basis_matrices
+    rows = [_flatten(m) for m in mats]
+    for a in range(len(mats)):
+        for b in range(a, len(mats)):
+            prod = _jordan_product(mats[a], mats[b], field)
+            assert zs.algebra.mul_basis(a, b) == _coords_in_rows(field, rows, _flatten(prod))
+    if field.from_int(n) == field.zero:
+        assert zs.unit is None
+    else:
+        assert zs.unit == _coords_in_rows(field, rows, _flatten(zs.unit_matrix))
+
+
+@pytest.mark.parametrize("field", [Q, F5], ids=["Q", "F5"])
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "D4"])
+def test_root_projection_table_matches_per_vector_oracle(field, name):
+    rs = root_system_from_name(name)
+    proj = jordan_from_roots(field, rs)
+    mats = {r: proj_matrix(field, r) for r in rs.positive}
+    flat = [_flatten(mats[r]) for r in rs.positive]
+    basis = _greedy_basis(field, rs.ambient * rs.ambient, flat)
+    assert proj.basis_roots == [rs.positive[k] for k in basis]
+    rows = [flat[k] for k in basis]
+    assert proj.root_coords == {r: _coords_in_rows(field, rows, v)
+                                for r, v in zip(rs.positive, flat)}
+    for i, r in enumerate(proj.basis_roots):
+        for j in range(i, len(proj.basis_roots)):
+            prod = _jordan_product(mats[r], mats[proj.basis_roots[j]], field)
+            assert proj.algebra.mul_basis(i, j) == _coords_in_rows(field, rows, _flatten(prod))
+
+
+@pytest.mark.parametrize("field", [Q, F3, F7], ids=["Q", "F3", "F7"])
+def test_subspace_coordinates_match_per_vector_oracle(field):
+    rng = random.Random(field.characteristic + 41)
+    outside_seen = 0
+    for _ in range(80):
+        n = rng.randint(1, 6)
+        s = Subspace.from_vectors(field, n, _random_vectors(field, rng, n, rng.randint(1, 5)))
+        if not s.rows:
+            continue
+        for w in _random_vectors(field, rng, n, 3) + [[field.from_int(rng.randint(-3, 3))
+                                                       for _ in range(n)]]:
+            expected = _coords_in_rows(field, s.rows, w)
+            outside_seen += expected is None
+            assert s.coordinates(w) == expected
+            assert s.contains(w) == (expected is not None)
+    assert outside_seen > 10
