@@ -642,10 +642,15 @@ def algebra_from_json_dict(data):
         raise AlgebraError("products must have dim rows, row i holding dim - i "
                            "vectors of length dim, each entry a scalar string")
     field = field_from_name(data["field"])
+    # a table repeats a few scalars many times: parse each distinct string
+    # once, in the order of the file, so the first bad one is still reported
+    scalars = dict.fromkeys(s for row in data["products"] for vec in row for s in vec)
+    for s in scalars:
+        scalars[s] = field.parse(s)
     products = {}
     for i, row in enumerate(data["products"]):
         for off, vec in enumerate(row):
-            products[(i, i + off)] = [field.parse(s) for s in vec]
+            products[(i, i + off)] = [scalars[s] for s in vec]
     return AlgebraTable.from_pairs(field, labels, products)
 
 

@@ -5,6 +5,7 @@ Points are 0-based indices with optional string labels.  Lines are sorted
 3-tuples of point indices.
 """
 
+import re
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -336,15 +337,22 @@ def roots_of(label, rank=None):
 MAX_NAMED_POINTS = 200
 
 
+_TYPE_AND_RANK = re.compile(r"([A-Z])([1-9][0-9]*)")
+
+
 def root_system_from_name(name):
-    """Parse names like A4, D5, E6, B2, G2.  A<n> and D<n> with more than
+    """Parse names like A4, D5, E6, B2, G2, in either case: a type letter and
+    an ASCII rank without sign or leading zero.  A<n> and D<n> with more than
     MAX_NAMED_POINTS positive roots are refused before any root is built."""
     name = name.strip().upper()
     if name in ("E6", "E7", "E8", "B2", "G2"):
         return roots_of(name)
-    label, rank = name[:1], int(name[1:])
-    n = max(rank, 0)  # roots_of refuses ranks below 1 with its own message
-    points = {"A": n * (n + 1) // 2, "D": n * (n - 1)}.get(label, 0)
+    parts = _TYPE_AND_RANK.fullmatch(name)
+    if not parts:
+        raise GeometryError("unknown root system %r (expected a name such as "
+                            "A4, D5 or E6)" % (name,))
+    label, rank = parts[1], int(parts[2])
+    points = {"A": rank * (rank + 1) // 2, "D": rank * (rank - 1)}.get(label, 0)
     if points > MAX_NAMED_POINTS:
         raise GeometryError("input too large: %s has %d positive roots, more than "
                             "the budget of %d" % (name, points, MAX_NAMED_POINTS))

@@ -8,6 +8,8 @@ values with structural equality.
 """
 
 import os
+import re
+from array import array
 from dataclasses import dataclass, field
 
 from .fields import _is_prime
@@ -421,10 +423,26 @@ def _invert_word(word):
     return tuple(l ^ 1 for l in reversed(word))
 
 
+# Exponents multiply word lengths, so a short text can name a word of any
+# length; the parser refuses one longer than this, and brackets nested deeper
+# than MAX_NESTING, before building it.
+MAX_WORD_LENGTH = 100_000
+MAX_NESTING = 100
+_EXPONENT = re.compile(r"-?[0-9]+")
+_GENERATOR_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _check_length(n):
+    if n > MAX_WORD_LENGTH:
+        raise GroupError("input too large: a word of more than %d letters"
+                         % MAX_WORD_LENGTH)
+
+
 class _WordParser:
     def __init__(self, text, gen_index):
         self.text = text
         self.pos = 0
+        self.depth = 0
         self.gen_index = gen_index
 
     def _skip_ws(self):
@@ -435,33 +453,45 @@ class _WordParser:
         self._skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
+    def expect(self, ch):
+        if self.peek() != ch:
+            raise GroupError("expected %r at %r" % (ch, self.text[self.pos:]))
+        self.pos += 1
+
     def parse_sequence(self, stop=""):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise GroupError("input too large: brackets nested more than %d deep"
+                             % MAX_NESTING)
         word = []
         while True:
             ch = self.peek()
             if not ch or ch in stop:
+                self.depth -= 1
                 return tuple(word)
             word.extend(self.parse_factor())
+            _check_length(len(word))
 
     def parse_factor(self):
         word = self.parse_atom()
         while self.peek() == "^":
             self.pos += 1
             ch = self.peek()
-            if ch == "{" :
+            if ch == "{":
                 self.pos += 1
                 conj = self.parse_sequence(stop="}")
-                self.pos += 1
-                word = _free_reduce(_invert_word(conj) + word + conj)
+                self.expect("}")
             elif ch.isalpha() or ch == "_":
                 conj = self.parse_name_word()
-                word = _free_reduce(_invert_word(conj) + word + conj)
             else:
                 n = self.parse_int()
-                if n >= 0:
-                    word = _free_reduce(word * n)
-                else:
-                    word = _free_reduce(_invert_word(word) * (-n))
+                if n < 0:
+                    word, n = _invert_word(word), -n
+                _check_length(len(word) * n)
+                word = _free_reduce(word * n)
+                continue
+            _check_length(2 * len(conj) + len(word))
+            word = _free_reduce(_invert_word(conj) + word + conj)
         return word
 
     def parse_atom(self):
@@ -469,7 +499,7 @@ class _WordParser:
         if ch == "(":
             self.pos += 1
             inner = self.parse_sequence(stop=")")
-            self.pos += 1
+            self.expect(")")
             return inner
         if ch.isalpha() or ch == "_":
             return self.parse_name_word()
@@ -490,13 +520,15 @@ class _WordParser:
         return (2 * self.gen_index[best],)
 
     def parse_int(self):
+        """An ASCII integer exponent, at most MAX_WORD_LENGTH in size."""
         self._skip_ws()
-        start = self.pos
-        if self.peek() == "-":
-            self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        return int(self.text[start:self.pos])
+        m = _EXPONENT.match(self.text, self.pos)
+        if not m:
+            raise GroupError("expected an exponent at %r" % self.text[self.pos:])
+        self.pos = m.end()
+        if len(m[0]) > 12 or abs(int(m[0])) > MAX_WORD_LENGTH:
+            raise GroupError("input too large: exponent %s" % m[0][:12])
+        return int(m[0])
 
 
 def parse_word(expr, generator_names):
@@ -511,11 +543,18 @@ def parse_word(expr, generator_names):
 
 
 def parse_presentation(text):
-    """Text format: a ``gens a b c`` header, then one relator per line."""
+    """Text format: a ``gens a b c`` header, then one relator per line.
+    Generator names are distinct ASCII identifiers."""
     lines = [l.strip() for l in text.strip().splitlines() if l.strip()]
-    if not lines or not lines[0].startswith("gens"):
+    header = lines[0].split() if lines else []
+    if not header or header[0] != "gens":
         raise GroupError("expected a 'gens ...' header")
-    names = lines[0].split()[1:]
+    names = header[1:]
+    for i, name in enumerate(names):
+        if not _GENERATOR_NAME.fullmatch(name):
+            raise GroupError("generator name %r is not an ASCII identifier" % name)
+        if name in names[:i]:
+            raise GroupError("generator %r is named twice" % name)
     pres = Presentation(names)
     for l in lines[1:]:
         pres.relators.append(parse_word(l, names))
@@ -612,27 +651,21 @@ class CosetTable:
     def _icol(self, col):
         return col if self.involution_mode else col ^ 1
 
-    def word_permutation(self, word):
-        acc = list(range(self.n_cosets))
-        for letter in word:
-            col = self._column_of_letter(letter)
-            colmap = [row[col] for row in self.table]
-            acc = [colmap[x] for x in acc]
-        return tuple(acc)
-
     def verify(self):
         """Check that each generator acts as a permutation, every relator acts
         trivially from every coset, and subgroup words fix coset 0."""
         if not self.complete:
             raise GroupError("cannot verify an incomplete table")
-        n = self.n_cosets
-        idx = list(range(n))
-        for col in range(self.ncols):
-            colmap = [row[col] for row in self.table]
+        idx = list(range(self.n_cosets))
+        columns = [[row[col] for row in self.table] for col in range(self.ncols)]
+        for colmap in columns:
             if sorted(colmap) != idx:
                 return False
         for w in self.presentation.relator_words():
-            if self.word_permutation(w) != tuple(idx):
+            acc = idx
+            for letter in w:
+                acc = list(map(columns[self._column_of_letter(letter)].__getitem__, acc))
+            if acc != idx:
                 return False
         for w in self.subgroup_words:
             acc = 0
@@ -705,6 +738,18 @@ class CosetTable:
         )
 
 
+def _closing_segments(word, icol):
+    """The closed walk of a column word cut at the positions from which it
+    reads the word again: forwards where rotating the word gives it back,
+    backwards where the reversed inverse columns do.  Returns the pieces
+    from the start up to the last such position, empty when there is none."""
+    n = len(word)
+    back = [icol[c] for c in reversed(word)]
+    cuts = [k for k in range(1, n)
+            if word[k:] + word[:k] == word or back[n - k:] + back[:n - k] == word]
+    return [word[i:k] for i, k in zip([0] + cuts, cuts)]
+
+
 def _coset_budget():
     return int(os.environ.get("MATSUO_MAX_COSETS", str(DEFAULT_MAX_COSETS)))
 
@@ -713,11 +758,14 @@ def todd_coxeter(pres, subgroup=(), max_cosets=None, variant=0):
     """Coset enumeration over a subgroup given by generator words.
 
     Relator-driven filling with first-touch coset numbering; coincidences are
-    processed through a union-find with path compression.  ``variant`` selects
-    an alternative deterministic processing order (rotated relators, reversed
-    relator list) so that coset counts can be cross-checked between two
-    independent runs.  Returns an incomplete table instead of guessing if the
-    budget is exhausted.
+    processed through a union-find with path compression.  Once a relator
+    closes at a coset, it also closes at the cosets where its cycle reads it
+    again; those are marked and not rescanned, because a scan there would
+    change nothing, so the table is the one rescanning everything gives.
+    ``variant`` selects an alternative deterministic processing order
+    (rotated relators, reversed relator list) so that coset counts can be
+    cross-checked between two independent runs.  Returns an incomplete table
+    instead of guessing if the budget is exhausted.
     """
     if max_cosets is None:
         max_cosets = _coset_budget()
@@ -752,6 +800,13 @@ def todd_coxeter(pres, subgroup=(), max_cosets=None, variant=0):
     parent = [0]
     ndead = 0
     total_defined = 1
+    # Bit r of marks[c] says relator r is known to close at coset c, so a scan
+    # of it from c would change nothing.  Only the first 64 relators are
+    # tracked, and only those whose cycle reads them again from another coset;
+    # two bytes a coset hold the marks while there are at most 16 relators.
+    segments = [_closing_segments(w, icol) if r < 64 else ()
+                for r, w in enumerate(rel_cols)]
+    marks = array("H" if len(rel_cols) <= 16 else "Q", [0])
 
     def rep(c):
         r = c
@@ -769,6 +824,7 @@ def todd_coxeter(pres, subgroup=(), max_cosets=None, variant=0):
         if a > b:
             a, b = b, a
         parent[b] = a
+        marks[a] |= marks[b]  # a coincidence maps closed walks to closed walks
         ndead += 1
         queue.append(b)
 
@@ -809,6 +865,7 @@ def todd_coxeter(pres, subgroup=(), max_cosets=None, variant=0):
             raise _Overflow
         table.append([-1] * ncols)
         parent.append(n)
+        marks.append(0)
         table[c][x] = n
         table[n][icol[x]] = c
         total_defined += 1
@@ -854,10 +911,17 @@ def todd_coxeter(pres, subgroup=(), max_cosets=None, variant=0):
             if parent[alpha] != alpha or table[alpha] is None:
                 alpha += 1
                 continue
-            for w in rel_cols:
+            for r, w in enumerate(rel_cols):
+                if marks[alpha] >> r & 1:
+                    continue
                 scan_and_fill(alpha, w)
                 if parent[alpha] != alpha:
                     break
+                c = alpha
+                for seg in segments[r]:
+                    for col in seg:
+                        c = table[c][col]
+                    marks[c] |= 1 << r
             if parent[alpha] == alpha:
                 row = table[alpha]
                 for x in range(ncols):
@@ -868,13 +932,14 @@ def todd_coxeter(pres, subgroup=(), max_cosets=None, variant=0):
         return CosetTable(pres, subgroup or (), [], ncols, involution_mode,
                           False, total_defined, variant)
 
-    # compact live cosets, preserving first-touch order
+    # compact live cosets in place, preserving first-touch order
     remap = {}
     live = []
     for c in range(len(table)):
         if parent[c] == c and table[c] is not None:
             remap[c] = len(live)
             live.append(table[c])
-    compact = [[remap[rep(entry)] for entry in row] for row in live]
-    return CosetTable(pres, subgroup or (), compact, ncols, involution_mode,
+    for row in live:
+        row[:] = [remap[rep(entry)] for entry in row]
+    return CosetTable(pres, subgroup or (), live, ncols, involution_mode,
                       True, total_defined, variant)

@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import combinations, product
 
@@ -663,6 +664,15 @@ def test_json_round_trip():
     assert back.table == A.table
     assert back.check_commutative()
     assert algebra_to_json(back) == text
+
+
+def test_json_read_reports_the_first_bad_scalar():
+    data = json.loads(algebra_to_json(p3_algebra()))
+    vec = data["products"][0][1]
+    vec[0], vec[2] = "0.5", "1e1"
+    data["products"][2][0][0] = "1e1"
+    with pytest.raises(ValueError, match="'0.5'"):
+        algebra_from_json(json.dumps(data))
 
 
 def find_idempotents(A, max_support=2, numerators=range(-3, 4), denominators=(1, 2, 3)):

@@ -118,7 +118,8 @@ def test_build_refuses_roots_over_point_budget(capsys, roots):
     assert err.startswith("error: input too large") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("roots", [" ", "A", "D-100000"])
+@pytest.mark.parametrize("roots", [" ", "A", "D-100000",
+                                   "A+3", "A03", "A 3", "A\u0663", "D_4"])
 def test_build_rejects_malformed_roots(capsys, roots):
     rc, out, err = run_cli(capsys, "build", "--roots", roots)
     assert rc == 2
@@ -194,6 +195,10 @@ def test_point_budget_admits_the_largest_fixtures():
     assert cons.group_from_name("sym:16").name == "Sym(16)"
     with pytest.raises(ValueError, match="too large"):
         cons.group_from_name("sym:21")
+
+
+def test_root_system_names_ignore_case():
+    assert root_system_from_name("a4").positive == root_system_from_name("A4").positive
 
 
 def test_point_budget_bounds_named_root_systems():

@@ -1,7 +1,11 @@
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from matsuo.groups import (
+    MAX_NESTING,
+    MAX_WORD_LENGTH,
     GroupError,
+    Presentation,
     build_3sq2,
     build_sym,
     build_wk_affine_a,
@@ -18,6 +22,7 @@ from matsuo.groups import (
     todd_coxeter,
     wk_embedding_subgroup,
     _canonicalize_mod_diagonal,
+    _free_reduce,
 )
 
 
@@ -157,12 +162,261 @@ def test_presentation_text_round_trip_with_inverse_letters():
     assert again.relators == pres.relators
 
 
+@pytest.mark.parametrize("text, message", [
+    ("gens a\na^99999999999", "too large"),
+    ("gens a b\n((a b)^50000)^2", "too large"),
+    ("gens a\na^99999^99999", "too large"),
+    ("gens a\n" + "(" * 5000 + "a" + ")" * 5000, "too large"),
+    ("gens a\n" + "a^{" * 5000 + "a" + "}" * 5000, "too large"),
+    ("gens a a", "named twice"),
+    ("gens a\na^\u0663", "exponent"),
+    ("gens a\na^-", "exponent"),
+    ("gens a b\n(a b", "expected"),
+    ("gens (", "identifier"),
+    ("gensa b", "header"),
+])
+def test_parse_presentation_refuses(text, message):
+    with pytest.raises(GroupError, match=message):
+        parse_presentation(text)
+
+
+def test_parse_presentation_limits_are_inclusive():
+    deep = "(" * (MAX_NESTING - 1) + "a" + ")" * (MAX_NESTING - 1)
+    assert parse_presentation("gens a\n" + deep).relators == [(0,)]
+    long = parse_presentation("gens a b\n(a b)^%d" % (MAX_WORD_LENGTH // 2))
+    assert len(long.relators[0]) == MAX_WORD_LENGTH
+
+
+_WORD_TEXT = st.text(alphabet="ab_()^{}-0123456789 \u0663", max_size=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(max_size=40)
+       | st.builds("gens {} {}\n{}".format, st.text(max_size=3), st.text(max_size=3),
+                   _WORD_TEXT)
+       | st.builds(lambda k, body: "gens a b\n" + "(" * k + body + ")" * k,
+                   st.integers(0, 300), _WORD_TEXT))
+def test_parse_presentation_on_any_text(text):
+    try:
+        pres = parse_presentation(text)
+    except ValueError:
+        return
+    assert isinstance(pres, Presentation)
+    for w in pres.relators:
+        assert len(w) <= MAX_WORD_LENGTH
+        assert all(0 <= letter < 2 * pres.ngens for letter in w)
+    again = parse_presentation(presentation_to_text(pres))
+    assert again.generator_names == pres.generator_names
+    assert again.relators == [w for w in pres.relators if w]
+
+
 def test_coxeter_presentation_shape():
     pres = coxeter_presentation(["a", "b", "c"], [("a", "b"), ("b", "c")])
     assert len(pres.relators) == 3 + 3  # squares + one relator per pair
 
 
 # --- Todd-Coxeter ------------------------------------------------------------
+
+def _hlt_reference(pres, subgroup=(), max_cosets=2_000_000, variant=0):
+    """The enumerator without closed-relator marks: every relator is scanned
+    from every live coset.  Returns (complete, total_defined, table)."""
+    ngens = pres.ngens
+    relators = [_free_reduce(w) for w in pres.relator_words()]
+    squares = {w[0] >> 1 for w in relators if len(w) == 2 and w[0] == w[1]}
+    involution_mode = all(i in squares for i in range(ngens))
+    if involution_mode:
+        ncols = ngens
+        col_of = lambda letter: letter >> 1
+        icol = list(range(ncols))
+        relators = [w for w in relators if not (len(w) == 2 and w[0] == w[1])]
+    else:
+        ncols = 2 * ngens
+        col_of = lambda letter: letter
+        icol = [c ^ 1 for c in range(ncols)]
+    rel_cols = [[col_of(l) for l in w] for w in relators if w]
+    sub_cols = [[col_of(l) for l in w] for w in subgroup]
+    if variant:
+        rel_cols = [w[1:] + w[:1] if len(w) > 1 else w for w in rel_cols]
+        rel_cols = list(reversed(rel_cols))
+    table = [[-1] * ncols]
+    parent = [0]
+    ndead = 0
+    total_defined = 1
+
+    def rep(c):
+        r = c
+        while parent[r] != r:
+            r = parent[r]
+        while parent[c] != r:
+            parent[c], c = r, parent[c]
+        return r
+
+    def merge(a, b, queue):
+        nonlocal ndead
+        a, b = rep(a), rep(b)
+        if a == b:
+            return
+        if a > b:
+            a, b = b, a
+        parent[b] = a
+        ndead += 1
+        queue.append(b)
+
+    def coincidence(a, b):
+        queue = []
+        merge(a, b, queue)
+        head = 0
+        while head < len(queue):
+            gamma = queue[head]
+            head += 1
+            row = table[gamma]
+            for x in range(ncols):
+                delta = row[x]
+                if delta < 0:
+                    continue
+                table[delta][icol[x]] = -1
+                mu, nu = rep(gamma), rep(delta)
+                t = table[mu][x]
+                if t >= 0:
+                    merge(nu, t, queue)
+                elif table[nu][icol[x]] >= 0:
+                    merge(mu, table[nu][icol[x]], queue)
+                else:
+                    table[mu][x] = nu
+                    table[nu][icol[x]] = mu
+            table[gamma] = None
+
+    class Overflow(Exception):
+        pass
+
+    def define(c, x):
+        nonlocal total_defined
+        n = len(table)
+        if n - ndead >= max_cosets:
+            raise Overflow
+        table.append([-1] * ncols)
+        parent.append(n)
+        table[c][x] = n
+        table[n][icol[x]] = c
+        total_defined += 1
+        return n
+
+    def scan_and_fill(alpha, word):
+        f, i, b, j = alpha, 0, alpha, len(word) - 1
+        while True:
+            while i <= j and table[f][word[i]] >= 0:
+                f = table[f][word[i]]
+                i += 1
+            if i > j:
+                if f != b:
+                    coincidence(f, b)
+                return
+            while j >= i and table[b][icol[word[j]]] >= 0:
+                b = table[b][icol[word[j]]]
+                j -= 1
+            if j < i:
+                coincidence(f, b)
+                return
+            if i == j:
+                table[f][word[i]] = b
+                table[b][icol[word[i]]] = f
+                return
+            f = define(f, word[i])
+            i += 1
+
+    try:
+        for w in sub_cols:
+            scan_and_fill(0, w)
+        alpha = 0
+        while alpha < len(table):
+            if parent[alpha] == alpha and table[alpha] is not None:
+                for w in rel_cols:
+                    scan_and_fill(alpha, w)
+                    if parent[alpha] != alpha:
+                        break
+                if parent[alpha] == alpha:
+                    for x in range(ncols):
+                        if table[alpha][x] < 0:
+                            define(alpha, x)
+            alpha += 1
+    except Overflow:
+        return False, total_defined, []
+    live = [c for c in range(len(table)) if parent[c] == c and table[c] is not None]
+    remap = {c: k for k, c in enumerate(live)}
+    return True, total_defined, [[remap[rep(e)] for e in table[c]] for c in live]
+
+
+def _agrees_with_reference(pres, subgroup=(), max_cosets=2_000_000, variant=0):
+    tab = todd_coxeter(pres, subgroup=subgroup, max_cosets=max_cosets,
+                       variant=variant)
+    got = (tab.complete, tab.total_defined, tab.table)
+    assert got == _hlt_reference(pres, subgroup, max_cosets, variant)
+    return tab
+
+
+_SYM5 = coxeter_presentation(["a", "b", "c", "d"],
+                             [("a", "b"), ("b", "c"), ("c", "d")])
+_NON_INVOLUTION = parse_presentation("gens a b\na^3\nb^2\n(a b)^4")
+
+
+@pytest.mark.parametrize("variant", [0, 1])
+def test_marked_enumeration_matches_reference_on_rank4_groups(variant):
+    su32 = _agrees_with_reference(su32_quotient_presentation(), variant=variant)
+    assert su32.total_defined == (14552, 14363)[variant]
+    hall = hall_quotient_presentation()
+    abc = [parse_word("a b c", hall.generator_names)]
+    over_abc = _agrees_with_reference(hall, abc, variant=variant)
+    assert over_abc.n_cosets == 19683
+    assert over_abc.total_defined == (53533, 62475)[variant]
+
+
+@pytest.mark.parametrize("variant", [0, 1])
+def test_marked_enumeration_matches_reference_on_small_groups(variant):
+    assert _agrees_with_reference(_SYM5, variant=variant).n_cosets == 120
+    tab = _agrees_with_reference(_NON_INVOLUTION, variant=variant)
+    assert not tab.involution_mode and tab.n_cosets == 24
+    sub = [parse_word("a", ["a", "b"])]
+    assert _agrees_with_reference(_NON_INVOLUTION, sub, variant=variant).n_cosets == 8
+    # 80 relators: more than the 64 that carry marks
+    many = Presentation(_SYM5.generator_names, _SYM5.relators * 8)
+    assert _agrees_with_reference(many, variant=variant).n_cosets == 120
+
+
+@pytest.mark.parametrize("cap", [200, 2000])
+def test_marked_enumeration_runs_out_where_reference_does(cap):
+    for pres in (su32_quotient_presentation(), hall_quotient_presentation()):
+        for variant in (0, 1):
+            tab = _agrees_with_reference(pres, max_cosets=cap, variant=variant)
+            assert not tab.complete
+
+
+@st.composite
+def _small_presentations(draw):
+    """Coxeter-like relators on up to three generators, some not involutions,
+    plus short free words and subgroup words that may use inverse letters."""
+    n = draw(st.integers(1, 3))
+    letters = st.integers(0, 2 * n - 1)
+    relators = [(2 * i,) * draw(st.sampled_from([2, 2, 3, 4])) for i in range(n)
+                if draw(st.booleans())]
+    relators += [(2 * i, 2 * j) * draw(st.integers(2, 5))
+                 for i in range(n) for j in range(i + 1, n) if draw(st.booleans())]
+    relators += draw(st.lists(st.lists(letters, min_size=1, max_size=8).map(tuple),
+                              max_size=2))
+    subgroup = draw(st.lists(st.lists(letters, min_size=1, max_size=4).map(tuple),
+                             max_size=2))
+    pres = Presentation(["g%d" % i for i in range(n)], relators)
+    return pres, subgroup, draw(st.sampled_from([30, 300])), draw(st.integers(0, 1))
+
+
+@seed(7)
+@settings(max_examples=150, deadline=None)
+@given(_small_presentations())
+def test_marked_enumeration_matches_reference_on_random_presentations(case):
+    pres, subgroup, cap, variant = case
+    tab = _agrees_with_reference(pres, subgroup, cap, variant)
+    if tab.complete:
+        assert tab.verify()
+
 
 def test_single_involution():
     tab = todd_coxeter(parse_presentation("gens a\na^2"))
@@ -219,12 +473,14 @@ def test_su32_quotient_variant_order_agrees(su32_table):
 
 def test_hall_quotient_coset_count(hall_table):
     assert hall_table.n_cosets == 118098 == 2 * 3 ** 10
+    assert hall_table.total_defined == 321682
     assert hall_table.verify()
 
 
 def test_hall_quotient_variant_order_agrees(hall_table):
     other = todd_coxeter(hall_quotient_presentation(), variant=1)
     assert other.complete and other.n_cosets == hall_table.n_cosets
+    assert other.total_defined == 371756
 
 
 def test_coset_table_csv():
