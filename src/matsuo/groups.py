@@ -5,6 +5,11 @@ generators, D): permutations as tuples, affine matrices over F_k modulo the
 diagonal translation subgroup, and cosets of a finitely presented group
 coming out of the Todd-Coxeter enumerator.  Elements are always hashable
 values with structural equality.
+
+Every affine matrix has the block form [[P, 0], [t, 1]] with P a permutation
+matrix and t a translation row over F_k.  The generators are checked for it,
+products and inverses keep it, and the product relies on it: a row of P
+selects a row of the right factor, so no dense matrix product is formed.
 """
 
 import os
@@ -255,15 +260,6 @@ def build_3sq2():
 # Affine matrix realizations modulo the diagonal
 
 
-def _mat_mul_mod(a, b, k):
-    n = len(a)
-    bt = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) % k for col in bt)
-        for row in a
-    )
-
-
 def _affine_inv_mod(m, k):
     # elements of k^(n+1) : Sym(n+1) have a permutation linear part
     n = len(m) - 1
@@ -276,15 +272,17 @@ def _affine_inv_mod(m, k):
     return tuple(rows)
 
 
+def _canonical_bottom(t, k):
+    """The bottom row (t', 1) of the fixed coset representative modulo the
+    diagonal translation: t shifted so its first entry is 0, over range(k)."""
+    t0 = t[0]
+    return tuple([(x - t0) % k for x in t]) + (1,)
+
+
 def _canonicalize_mod_diagonal(m, k):
-    """Fixed coset representative modulo the diagonal translation: shift the
-    translation row so its first entry is 0."""
+    """Fixed coset representative modulo the diagonal translation."""
     n = len(m) - 1
-    j = (-m[n][0]) % k
-    if j == 0:
-        return m
-    bottom = tuple((m[n][c] + j) % k for c in range(n)) + (1,)
-    return m[:n] + (bottom,)
+    return m[:n] + (_canonical_bottom(m[n][:n], k),)
 
 
 def _embedded_swap(size, i, j):
@@ -311,12 +309,42 @@ def _affine_generators(k, n_coords, size):
     return swaps, tuple(tuple(r) for r in d)
 
 
+def _check_affine_shape(g, k, size):
+    """Raise GroupError unless g is a size-square [[P, 0], [t, 1]] matrix with
+    P a permutation matrix and t over range(k)."""
+    n = size - 1
+    if len(g) != size or any(len(row) != size for row in g):
+        raise GroupError("affine generator is not %d-square" % size)
+    if [row[n] for row in g] != [0] * n + [1]:
+        raise GroupError("affine generator's last column is not (0, ..., 0, 1)")
+    rows = g[:n]
+    if (any(sorted(row) != [0] * n + [1] for row in rows)
+            or sorted(row.index(1) for row in rows) != list(range(n))):
+        raise GroupError("affine generator's linear part is not a permutation matrix")
+    if not all(x in range(k) for x in g[n]):
+        raise GroupError("affine generator's translation row is not over F_%d" % k)
+
+
 def _affine_group(name, k, size, raw_gens, names):
     """The group generated by size-square affine matrices over F_k, modulo
-    the diagonal translation; elements are canonicalized matrices."""
+    the diagonal translation; elements are canonicalized matrices.
+
+    Each generator must have the form [[P, 0], [t, 1]] (P a permutation
+    matrix, t a row over F_k), which products and inverses preserve.  The
+    product [[P, 0], [s, 1]] [[Q, 0], [t, 1]] = [[PQ, 0], [sQ + t, 1]] is read
+    off that form: row i of PQ is the row of Q that row i of P selects, and
+    sQ moves entry j of s to the column of Q's 1 in row j."""
+    for g in raw_gens:
+        _check_affine_shape(g, k, size)
+    n = size - 1
 
     def mul(a, b):
-        return _canonicalize_mod_diagonal(_mat_mul_mod(a, b, k), k)
+        t = list(b[n][:n])
+        for j, x in enumerate(a[n][:n]):
+            t[b[j].index(1)] += x
+        rows = [b[row.index(1)] for row in a[:n]]
+        rows.append(_canonical_bottom(t, k))
+        return tuple(rows)
 
     def inv(a):
         return _canonicalize_mod_diagonal(_affine_inv_mod(a, k), k)
@@ -439,11 +467,21 @@ def _check_length(n):
 
 
 class _WordParser:
-    def __init__(self, text, gen_index):
+    """Parses words over one list of generator names, one text at a time."""
+
+    def __init__(self, generator_names):
+        self.gen_index = {n: i for i, n in enumerate(generator_names)}
+        self.name_lengths = sorted({len(n) for n in self.gen_index}, reverse=True)
+
+    def parse(self, text):
         self.text = text
         self.pos = 0
         self.depth = 0
-        self.gen_index = gen_index
+        word = self.parse_sequence()
+        self._skip_ws()
+        if self.pos != len(text):
+            raise GroupError("trailing input in word %r" % text)
+        return _free_reduce(word)
 
     def _skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -509,15 +547,12 @@ class _WordParser:
         # longest known generator name at this position, so that a brace
         # group like {bc} splits into the two generators b and c
         self._skip_ws()
-        best = None
-        for name in self.gen_index:
-            if self.text.startswith(name, self.pos):
-                if best is None or len(name) > len(best):
-                    best = name
-        if best is None:
-            raise GroupError("cannot read a generator at %r" % self.text[self.pos:])
-        self.pos += len(best)
-        return (2 * self.gen_index[best],)
+        for n in self.name_lengths:
+            name = self.text[self.pos:self.pos + n]
+            if name in self.gen_index:
+                self.pos += len(name)
+                return (2 * self.gen_index[name],)
+        raise GroupError("cannot read a generator at %r" % self.text[self.pos:])
 
     def parse_int(self):
         """An ASCII integer exponent, at most MAX_WORD_LENGTH in size."""
@@ -533,13 +568,7 @@ class _WordParser:
 
 def parse_word(expr, generator_names):
     """Parse word sugar such as ``(a^b d)^3`` or ``a^{bc}`` into letters."""
-    gen_index = {n: i for i, n in enumerate(generator_names)}
-    parser = _WordParser(expr, gen_index)
-    word = parser.parse_sequence()
-    parser._skip_ws()
-    if parser.pos != len(parser.text):
-        raise GroupError("trailing input in word %r" % expr)
-    return _free_reduce(word)
+    return _WordParser(generator_names).parse(expr)
 
 
 def parse_presentation(text):
@@ -550,14 +579,17 @@ def parse_presentation(text):
     if not header or header[0] != "gens":
         raise GroupError("expected a 'gens ...' header")
     names = header[1:]
-    for i, name in enumerate(names):
+    seen = set()
+    for name in names:
         if not _GENERATOR_NAME.fullmatch(name):
             raise GroupError("generator name %r is not an ASCII identifier" % name)
-        if name in names[:i]:
+        if name in seen:
             raise GroupError("generator %r is named twice" % name)
+        seen.add(name)
     pres = Presentation(names)
+    parser = _WordParser(names)
     for l in lines[1:]:
-        pres.relators.append(parse_word(l, names))
+        pres.relators.append(parser.parse(l))
     return pres
 
 
@@ -662,9 +694,16 @@ class CosetTable:
             if sorted(colmap) != idx:
                 return False
         for w in self.presentation.relator_words():
-            acc = idx
-            for letter in w:
-                acc = list(map(columns[self._column_of_letter(letter)].__getitem__, acc))
+            if not w:
+                continue
+            cols, m = _shortest_period([self._column_of_letter(l) for l in w])
+            # the relator is u^m: compose u's map once, then raise it to m
+            period = columns[cols[0]]
+            for col in cols[1:]:
+                period = list(map(columns[col].__getitem__, period))
+            acc = period
+            for _ in range(m - 1):
+                acc = list(map(period.__getitem__, acc))
             if acc != idx:
                 return False
         for w in self.subgroup_words:
@@ -736,6 +775,14 @@ class CosetTable:
             d_seeds=gens,
             elements=list(range(n)),
         )
+
+
+def _shortest_period(word):
+    """The shortest u with word == u * m, and m."""
+    n = len(word)
+    for p in range(1, n + 1):
+        if n % p == 0 and word[:p] * (n // p) == word:
+            return word[:p], n // p
 
 
 def _closing_segments(word, icol):

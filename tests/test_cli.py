@@ -246,6 +246,13 @@ def test_verify_rank4_w2a3_golden(capsys):
     assert out == (GOLDEN / "rank4-W2A3.json").read_text()
 
 
+@pytest.mark.parametrize("claim_id", ["embed-W2A3-r5", "embed-W3A3-r5", "rank4-W3A3"])
+def test_verify_affine_group_claims_golden(capsys, claim_id):
+    rc, out, _ = run_cli(capsys, "verify", claim_id, "--mask-runtime")
+    assert rc == 0
+    assert out == (GOLDEN / ("verify-%s.json" % claim_id)).read_text()
+
+
 def test_verify_sym_zero_sum_golden(capsys):
     rc, out, _ = run_cli(capsys, "verify", "sym-zero-sum", "--mask-runtime")
     assert rc == 0

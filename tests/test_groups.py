@@ -1,9 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from matsuo.groups import (
     MAX_NESTING,
     MAX_WORD_LENGTH,
+    CosetTable,
     GroupError,
     Presentation,
     build_3sq2,
@@ -21,6 +24,7 @@ from matsuo.groups import (
     su32_quotient_presentation,
     todd_coxeter,
     wk_embedding_subgroup,
+    _affine_group,
     _canonicalize_mod_diagonal,
     _free_reduce,
 )
@@ -127,6 +131,87 @@ def test_printed_d_matrix_shape():
     assert d[4] == (1, 0, 0, 1, 1)  # -1 = 1 mod 2
 
 
+def _mat_mul_mod(a, b, k):
+    """Dense matrix product over F_k: the oracle for the affine product."""
+    bt = list(zip(*b))
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) % k for col in bt)
+        for row in a
+    )
+
+
+def _dense_mul(k):
+    return lambda a, b: _canonicalize_mod_diagonal(_mat_mul_mod(a, b, k), k)
+
+
+def _assert_all_pairs_dense(group, k):
+    # row i of ab is row i of a times b, so the dense oracle runs once per
+    # distinct row of the elements and b, not once per pair
+    els = group.elements()
+    for b in els:
+        row_times_b = {}
+        for a in els:
+            rows = []
+            for row in a:
+                if row not in row_times_b:
+                    row_times_b[row] = _mat_mul_mod((row,), b, k)[0]
+                rows.append(row_times_b[row])
+            assert group.mul(a, b) == _canonicalize_mod_diagonal(tuple(rows), k)
+
+
+def test_affine_product_matches_dense_oracle_on_all_pairs():
+    _assert_all_pairs_dense(build_wk_affine_a(2, 3), 2)
+    for k in (2, 3):
+        _assert_all_pairs_dense(wk_embedding_subgroup(k, 5), k)
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_affine_product_matches_dense_oracle_on_seeded_pairs(k):
+    g = build_wk_affine_a(k, 3)
+    els = g.elements()
+    rng = random.Random(k)
+    for _ in range(2000):
+        a, b = rng.choice(els), rng.choice(els)
+        assert g.mul(a, b) == _dense_mul(k)(a, b)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_affine_inverse_and_closure_match_dense_oracle(k):
+    g = build_wk_affine_a(k, 3)
+    els = g.elements()
+    assert els == mulclose(g.generators, _dense_mul(k), g.identity)
+    assert len(els) == {2: 96, 3: 648, 5: 3000}[k]
+    for x in els:
+        assert g.mul(g.inv(x), x) == g.identity
+
+
+def _swap01(size):
+    rows = [[int(i == j) for j in range(size)] for i in range(size)]
+    rows[0], rows[1] = rows[1], rows[0]
+    return rows
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: m[0].__setitem__(1, 0), "permutation"),       # a zero row
+    (lambda m: m[2].__setitem__(0, 1), "permutation"),       # two ones in a row
+    (lambda m: m.__setitem__(2, list(m[1])), "permutation"),  # a column twice
+    (lambda m: m[0].__setitem__(1, 2), "permutation"),       # entry 2, not 1
+    (lambda m: m[0].__setitem__(4, 1), "last column"),
+    (lambda m: m[4].__setitem__(4, 2), "last column"),
+    (lambda m: m[4].__setitem__(2, 3), "translation"),       # 3 is not in F_3
+    (lambda m: m.pop(), "square"),
+])
+def test_affine_group_rejects_generators_outside_the_block_form(edit, message):
+    good = _swap01(5)
+    good[4][2] = 2
+    _affine_group("ok", 3, 5, [tuple(map(tuple, good))], ["s"])
+    bad = _swap01(5)
+    edit(bad)
+    with pytest.raises(GroupError, match=message):
+        _affine_group("bad", 3, 5, [tuple(map(tuple, good)), tuple(map(tuple, bad))],
+                      ["s", "t"])
+
+
 # --- word and presentation parsing ------------------------------------------
 
 def test_parse_word_sugar():
@@ -144,6 +229,23 @@ def test_parse_word_powers_and_inverse():
     assert parse_word("(a b)^2", names) == (0, 2, 0, 2)
     assert parse_word("(a b)^-1", names) == (3, 1)
     assert parse_word("a a^-1", names) == ()
+
+
+def test_parse_word_takes_the_longest_name_at_each_position():
+    names = ["a", "ab", "abc"]
+    assert parse_word("abcab a abca", names) == (4, 2, 0, 4, 0)
+    assert parse_word("ab^-1 abc^2", names) == (3, 4, 4)
+    assert parse_word("(a ab)^{abc}", names) == (5, 0, 2, 4)
+    with pytest.raises(GroupError):
+        parse_word("abd", names)
+
+
+def test_parse_presentation_with_2000_generators():
+    names = ["g%d" % i for i in range(2000)]
+    text = "gens %s\n%s\n%s\n" % (" ".join(names), " ".join(names), "".join(names))
+    pres = parse_presentation(text)
+    assert pres.generator_names == names
+    assert pres.relators == [tuple(range(0, 4000, 2))] * 2
 
 
 def test_presentation_text_round_trip():
@@ -416,6 +518,56 @@ def test_marked_enumeration_matches_reference_on_random_presentations(case):
     tab = _agrees_with_reference(pres, subgroup, cap, variant)
     if tab.complete:
         assert tab.verify()
+
+
+def _verify_reference(tab):
+    """The letter-by-letter check: each generator column is a permutation,
+    every relator fixes every coset, subgroup words fix coset 0."""
+    idx = list(range(tab.n_cosets))
+    columns = [[row[col] for row in tab.table] for col in range(tab.ncols)]
+    if any(sorted(c) != idx for c in columns):
+        return False
+    for w in tab.presentation.relator_words():
+        acc = idx
+        for letter in w:
+            acc = [columns[tab._column_of_letter(letter)][x] for x in acc]
+        if acc != idx:
+            return False
+    for w in tab.subgroup_words:
+        acc = 0
+        for letter in w:
+            acc = tab.table[acc][tab._column_of_letter(letter)]
+        if acc != 0:
+            return False
+    return True
+
+
+def _tampered(tab, table=None, subgroup_words=None):
+    return CosetTable(tab.presentation,
+                      tab.subgroup_words if subgroup_words is None else subgroup_words,
+                      [list(row) for row in tab.table] if table is None else table,
+                      tab.ncols, tab.involution_mode, tab.complete,
+                      tab.total_defined, tab.variant)
+
+
+def test_verify_matches_letter_by_letter_reference(su32_table):
+    hall = hall_quotient_presentation()
+    over_abc = todd_coxeter(hall, subgroup=[parse_word("a b c", hall.generator_names)])
+    inverse_letters = parse_presentation("gens a b\na^3\nb^2\n(a b)^4\n(a^-1 b)^4")
+    tables = [su32_table, over_abc, todd_coxeter(_NON_INVOLUTION),
+              todd_coxeter(inverse_letters)]
+    for tab in tables:
+        assert tab.complete
+        assert tab.verify() is _verify_reference(tab) is True
+        one = _tampered(tab)
+        r = tab.n_cosets // 2
+        one.table[r][1] = (one.table[r][1] + 1) % tab.n_cosets
+        swapped = _tampered(tab)
+        # two images in one column exchanged: still a permutation
+        swapped.table[1][0], swapped.table[2][0] = swapped.table[2][0], swapped.table[1][0]
+        wrong_sub = _tampered(tab, subgroup_words=[(2,)])
+        for bad in (one, swapped, wrong_sub):
+            assert bad.verify() is _verify_reference(bad) is False
 
 
 def test_single_involution():
