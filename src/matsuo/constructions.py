@@ -6,6 +6,7 @@ counterexample coefficients.
 """
 
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,7 +26,6 @@ from .groups import (
     build_sym,
     build_wk_affine_a,
     wk_embedding_subgroup,
-    generator_bijection,
     generator_homomorphism,
 )
 from .algebra import (
@@ -416,6 +416,12 @@ class EtaleModel:
         f = self.field
         return (f.zero, f.one)
 
+    def regular(self, x):
+        """Multiplication by x on the basis {1, g}: the columns are x and x g."""
+        f = self.field
+        u, v = x
+        return [[u, f.neg(f.mul(self.c, v))], [v, f.sub(u, f.mul(self.b, v))]]
+
 
 def zeta_model(field):
     """x^2 + 3: the generator squares to -3."""
@@ -430,59 +436,28 @@ def beta_model(field):
     return EtaleModel(field, "beta", 1, 1)
 
 
-def _mat3_zero(model):
-    z = model.zero()
-    return [[z, z, z] for _ in range(3)]
+def _blocks(model, entries):
+    """The 3x3 matrix over E with the given {(i, j): x} entries, as a 6x6
+    matrix over F: entry (i, j) becomes the 2x2 block of its regular
+    representation, so matrix products over E are products over F."""
+    f = model.field
+    rows = [[f.zero] * 6 for _ in range(6)]
+    for (i, j), x in entries.items():
+        for r, row in enumerate(model.regular(x)):
+            rows[2 * i + r][2 * j:2 * j + 2] = row
+    return Matrix(f, rows)
 
 def _brace(model, x, i, j):
     """x[ij] = x e_ij + sigma(x) e_ji."""
-    m = _mat3_zero(model)
     if i == j:
-        m[i][i] = model.add(x, model.sigma(x))
-    else:
-        m[i][j] = x
-        m[j][i] = model.sigma(x)
-    return m
-
-def _mat3_mul(model, a, b):
-    out = _mat3_zero(model)
-    for i in range(3):
-        for j in range(3):
-            acc = model.zero()
-            for t in range(3):
-                acc = model.add(acc, model.mul(a[i][t], b[t][j]))
-            out[i][j] = acc
-    return out
-
-def _mat3_jordan(model, a, b):
-    f = model.field
-    half = f.div(f.one, f.from_int(2))
-    ab = _mat3_mul(model, a, b)
-    ba = _mat3_mul(model, b, a)
-    return [
-        [
-            (f.mul(half, f.add(ab[i][j][0], ba[i][j][0])),
-             f.mul(half, f.add(ab[i][j][1], ba[i][j][1])))
-            for j in range(3)
-        ]
-        for i in range(3)
-    ]
-
-def _mat3_scale2(model, m):
-    f = model.field
-    two = f.from_int(2)
-    return [[(f.mul(two, e[0]), f.mul(two, e[1])) for e in row] for row in m]
+        return _blocks(model, {(i, i): model.add(x, model.sigma(x))})
+    return _blocks(model, {(i, j): x, (j, i): model.sigma(x)})
 
 _H3_OFF = [(0, 1), (0, 2), (1, 2)]
 
 
 def h3_basis_matrices(model):
-    f = model.field
-    basis = []
-    for i in range(3):
-        m = _mat3_zero(model)
-        m[i][i] = model.one()
-        basis.append(m)
+    basis = [_blocks(model, {(i, i): model.one()}) for i in range(3)]
     for i, j in _H3_OFF:
         basis.append(_brace(model, model.one(), i, j))
         basis.append(_brace(model, model.gen(), i, j))
@@ -498,32 +473,11 @@ def h3_labels(model):
     return out
 
 
-def _h3_coords(model, m):
-    """Coordinates of a hermitian matrix in the 9-element basis."""
-    f = model.field
-    coords = []
-    for i in range(3):
-        u, v = m[i][i]
-        if v != f.zero:
-            raise AlgebraError("matrix is not hermitian")
-        coords.append(u)
-    for i, j in _H3_OFF:
-        u, v = m[i][j]
-        if model.sigma(m[i][j]) != m[j][i]:
-            raise AlgebraError("matrix is not hermitian")
-        coords.extend([u, v])
-    return coords
-
-
 def h3_algebra(field, model=None):
     """Hermitian 3x3 matrices over the quadratic extension, as a 9-dimensional
     structure-constant algebra under the symmetrized product."""
     model = model or zeta_model(field)
-    basis = h3_basis_matrices(model)
-    products = {}
-    for a in range(9):
-        for b in range(a, 9):
-            products[(a, b)] = _h3_coords(model, _mat3_jordan(model, basis[a], basis[b]))
+    products, _ = _product_table(field, h3_basis_matrices(model))
     return AlgebraTable.from_pairs(field, h3_labels(model), products)
 
 
@@ -533,6 +487,11 @@ def h3_rule_check(field, model=None):
     model = model or zeta_model(field)
     els = [model.one(), model.gen()]
     idx = range(3)
+
+    def twice(a, b):
+        p = _jordan_product(a, b, field)
+        return p + p
+
     # 2 x[ij] . y[jk] = (xy)[ik] for distinct i, j, k
     for i in idx:
         for j in idx:
@@ -541,8 +500,7 @@ def h3_rule_check(field, model=None):
                     continue
                 for x in els:
                     for y in els:
-                        lhs = _mat3_scale2(model, _mat3_jordan(
-                            model, _brace(model, x, i, j), _brace(model, y, j, k)))
+                        lhs = twice(_brace(model, x, i, j), _brace(model, y, j, k))
                         if lhs != _brace(model, model.mul(x, y), i, k):
                             return False
     # 2 x[ii] . y[ij] = ((x + sigma x) y)[ij] for i != j
@@ -552,8 +510,7 @@ def h3_rule_check(field, model=None):
                 continue
             for x in els:
                 for y in els:
-                    lhs = _mat3_scale2(model, _mat3_jordan(
-                        model, _brace(model, x, i, i), _brace(model, y, i, j)))
+                    lhs = twice(_brace(model, x, i, i), _brace(model, y, i, j))
                     tr = model.add(x, model.sigma(x))
                     if lhs != _brace(model, model.mul(tr, y), i, j):
                         return False
@@ -561,21 +518,15 @@ def h3_rule_check(field, model=None):
     for i, j in _H3_OFF:
         for x in els:
             for y in els:
-                lhs = _mat3_scale2(model, _mat3_jordan(
-                    model, _brace(model, x, i, j), _brace(model, y, i, j)))
+                lhs = twice(_brace(model, x, i, j), _brace(model, y, i, j))
                 w = model.mul(x, model.sigma(y))
-                rhs = _brace(model, w, i, i)
-                wjj = _brace(model, w, j, j)
-                rhs = [[model.add(rhs[r][c], wjj[r][c]) for c in range(3)]
-                       for r in range(3)]
-                if lhs != rhs:
+                if lhs != _brace(model, w, i, i) + _brace(model, w, j, j):
                     return False
     # 2 x[ii] . y[ii] = ((x + sigma x)(y + sigma y))[ii]
     for i in idx:
         for x in els:
             for y in els:
-                lhs = _mat3_scale2(model, _mat3_jordan(
-                    model, _brace(model, x, i, i), _brace(model, y, i, i)))
+                lhs = twice(_brace(model, x, i, i), _brace(model, y, i, i))
                 w = model.mul(model.add(x, model.sigma(x)),
                               model.add(y, model.sigma(y)))
                 if lhs != _brace(model, w, i, i):
@@ -587,9 +538,9 @@ def h3_rule_check(field, model=None):
                 continue
             for x in els:
                 for y in els:
-                    prod = _mat3_jordan(model, _brace(model, x, i, i),
-                                        _brace(model, y, k, l))
-                    if prod != _mat3_zero(model):
+                    prod = _jordan_product(_brace(model, x, i, i),
+                                           _brace(model, y, k, l), field)
+                    if not prod.is_zero():
                         return False
     return True
 
@@ -897,11 +848,13 @@ def embedding_check(k, r=5):
     small = build_wk_affine_a(k, 3)
     sub = wk_embedding_subgroup(k, r)
     small_order = small.order()
-    sub_order = sub.order()
     hom = generator_homomorphism(sub, small)
     central = False
     kernel_size = 0
-    if hom is not None:
+    if hom is None:
+        sub_order = sub.order()
+    else:
+        sub_order = len(hom)
         kernel = [x for x, y in hom.items() if y == small.identity]
         kernel_size = len(kernel)
         central = all(
@@ -912,7 +865,9 @@ def embedding_check(k, r=5):
     spaces_iso = pts_isomorphic(gamma_of_group(small), gamma_of_group(sub)) is not None
     return EmbeddingReport(
         k, r, small_order, sub_order,
-        generator_bijection(small, sub) is not None,
+        # the generator homomorphism is onto, so it is a bijection exactly
+        # when its kernel is trivial
+        hom is not None and kernel_size == 1,
         hom is not None and central,
         kernel_size,
         spaces_iso,
@@ -934,11 +889,17 @@ def space_from_name(name):
     raise AlgebraError("unknown space %r (expected P3 or P2dual)" % (name,))
 
 
+_SYM_NAME = re.compile(r"sym:([1-9][0-9]*)")
+
+
 def group_from_name(name):
+    """Parse a group flag: ``sym:N`` with N in ASCII digits without sign or
+    leading zero, ``3sq2``, ``W2A3`` or ``W3A3``, in either case."""
     name = name.strip()
     lowered = name.lower()
-    if lowered.startswith("sym:"):
-        n = int(name.split(":", 1)[1])
+    sym = _SYM_NAME.fullmatch(lowered)
+    if sym:
+        n = int(sym[1])
         points = n * (n - 1) // 2  # transpositions; checked before building any
         if n >= 2 and points > MAX_NAMED_POINTS:
             raise AlgebraError("input too large: sym:%d has %d points, more than "

@@ -410,16 +410,6 @@ def generator_homomorphism(g1, g2, cap=ELEMENT_CAP):
     return hom
 
 
-def generator_bijection(g1, g2, cap=ELEMENT_CAP):
-    """The generator pairing extended to an isomorphism, or None."""
-    hom = generator_homomorphism(g1, g2, cap)
-    if hom is None:
-        return None
-    if len(set(hom.values())) != len(hom) or len(hom) != g2.order(cap):
-        return None
-    return hom
-
-
 # ---------------------------------------------------------------------------
 # Presentations
 
@@ -470,7 +460,13 @@ class _WordParser:
     """Parses words over one list of generator names, one text at a time."""
 
     def __init__(self, generator_names):
-        self.gen_index = {n: i for i, n in enumerate(generator_names)}
+        self.gen_index = {}
+        for i, name in enumerate(generator_names):
+            if not _GENERATOR_NAME.fullmatch(name):
+                raise GroupError("generator name %r is not an ASCII identifier" % name)
+            if name in self.gen_index:
+                raise GroupError("generator %r is named twice" % name)
+            self.gen_index[name] = i
         self.name_lengths = sorted({len(n) for n in self.gen_index}, reverse=True)
 
     def parse(self, text):
@@ -567,7 +563,8 @@ class _WordParser:
 
 
 def parse_word(expr, generator_names):
-    """Parse word sugar such as ``(a^b d)^3`` or ``a^{bc}`` into letters."""
+    """Parse word sugar such as ``(a^b d)^3`` or ``a^{bc}`` into letters,
+    over generator names that are distinct ASCII identifiers."""
     return _WordParser(generator_names).parse(expr)
 
 
@@ -579,15 +576,8 @@ def parse_presentation(text):
     if not header or header[0] != "gens":
         raise GroupError("expected a 'gens ...' header")
     names = header[1:]
-    seen = set()
-    for name in names:
-        if not _GENERATOR_NAME.fullmatch(name):
-            raise GroupError("generator name %r is not an ASCII identifier" % name)
-        if name in seen:
-            raise GroupError("generator %r is named twice" % name)
-        seen.add(name)
-    pres = Presentation(names)
     parser = _WordParser(names)
+    pres = Presentation(names)
     for l in lines[1:]:
         pres.relators.append(parser.parse(l))
     return pres

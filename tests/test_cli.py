@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from matsuo import claims
 from matsuo import constructions as cons
+from matsuo.algebra import AlgebraError
 from matsuo.cli import main
 from matsuo.fischer import root_system_from_name
 
@@ -126,6 +127,29 @@ def test_build_rejects_malformed_roots(capsys, roots):
     assert not out
     assert err.startswith("error:") and err.count("\n") == 1
     assert "too large" not in err
+
+
+_MALFORMED_SYM = ["sym:+4", "sym:05", "sym:1_0", "sym:\u0665", "sym:abc", "sym:",
+                  "sym: 4", "sym:-4"]
+
+
+@pytest.mark.parametrize("group", _MALFORMED_SYM)
+def test_group_from_name_rejects_malformed_sym(group):
+    with pytest.raises(AlgebraError, match="unknown group"):
+        cons.group_from_name(group)
+
+
+@pytest.mark.parametrize("group", _MALFORMED_SYM)
+def test_build_rejects_malformed_sym(capsys, group):
+    rc, out, err = run_cli(capsys, "build", "--group", group)
+    assert rc == 2
+    assert not out
+    assert err.startswith("error: unknown group") and err.count("\n") == 1
+
+
+def test_group_names_ignore_case():
+    assert cons.group_from_name(" SYM:4 ").order() == 24
+    assert cons.group_from_name("Sym:10").name == "Sym(10)"
 
 
 @pytest.mark.parametrize("alpha", ["1e1", "0.5", "1e999999999"])

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,7 @@ from matsuo.fischer import (
 from matsuo.groups import build_wk_affine_a
 from matsuo.algebra import (
     AlgebraError,
+    algebra_to_json,
     eigen_decomposition,
     is_multiplicative,
     iso_check,
@@ -24,7 +26,9 @@ from matsuo import constructions as cons
 Q = Rationals()
 F3 = PrimeField(3)
 F5 = PrimeField(5)
+F7 = PrimeField(7)
 HALF = Q.parse("1/2")
+GOLDEN = Path(__file__).parent / "golden"
 
 
 # --- Matsuo builder -----------------------------------------------------------
@@ -251,6 +255,32 @@ def test_h3_rules_hold_in_both_models():
     assert cons.h3_rule_check(Q)
     assert cons.h3_rule_check(Q, cons.beta_model(Q))
     assert cons.h3_rule_check(F5)
+    assert cons.h3_rule_check(F7, cons.beta_model(F7))
+
+
+@pytest.mark.parametrize("field, model, name", [
+    (Q, cons.zeta_model, "q-zeta"),
+    (Q, cons.beta_model, "q-beta"),
+    (F5, cons.zeta_model, "f5-zeta"),
+    (F7, cons.beta_model, "f7-beta"),
+])
+def test_h3_tables_match_golden(field, model, name):
+    text = algebra_to_json(cons.h3_algebra(field, model(field)))
+    assert text == (GOLDEN / ("h3-%s.json" % name)).read_text()
+
+
+class _NegatingConjugation(cons.EtaleModel):
+    # g -> -g is not a ring map of F[g]/(g^2 + g + 1)
+    def sigma(self, x):
+        return (x[0], self.field.neg(x[1]))
+
+
+def test_h3_refuses_a_conjugation_that_is_not_an_automorphism():
+    model = _NegatingConjugation(Q, "beta", 1, 1)
+    assert not cons.h3_rule_check(Q, model)
+    # g[12] . g[12] puts -g^2 = 1 + g on the diagonal, outside F
+    with pytest.raises(AlgebraError, match="leaves the span"):
+        cons.h3_algebra(Q, model)
 
 
 def test_h3_rejects_characteristic_three():

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from matsuo.constructions import embedding_check
 from matsuo.groups import (
     MAX_NESTING,
     MAX_WORD_LENGTH,
@@ -13,7 +14,6 @@ from matsuo.groups import (
     build_sym,
     build_wk_affine_a,
     coxeter_presentation,
-    generator_bijection,
     generator_homomorphism,
     hall_quotient_presentation,
     is_3transposition,
@@ -238,6 +238,18 @@ def test_parse_word_takes_the_longest_name_at_each_position():
     assert parse_word("(a ab)^{abc}", names) == (5, 0, 2, 4)
     with pytest.raises(GroupError):
         parse_word("abd", names)
+
+
+@pytest.mark.parametrize("names, message", [
+    (["", "a"], "identifier"),
+    (["a", "a"], "named twice"),
+    (["b c", "a"], "identifier"),
+    (["\u0663"], "identifier"),
+])
+def test_parse_word_refuses_bad_generator_names(names, message):
+    # an empty name would match everywhere without consuming text
+    with pytest.raises(GroupError, match=message):
+        parse_word("b", names)
 
 
 def test_parse_presentation_with_2000_generators():
@@ -669,6 +681,27 @@ def test_mulclose_cap():
 def test_embedding_subgroup_orders():
     assert wk_embedding_subgroup(2, 5).order() == 192
     assert wk_embedding_subgroup(3, 5).order() == 648
+
+
+def generator_bijection(g1, g2):
+    """The generator pairing extended to an isomorphism, or None: the oracle
+    for `embedding_check`'s exact_bijection, which reads the kernel of the
+    map the other way instead."""
+    hom = generator_homomorphism(g1, g2)
+    if hom is None:
+        return None
+    if len(set(hom.values())) != len(hom) or len(hom) != g2.order():
+        return None
+    return hom
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_embedding_exact_bijection_agrees_with_generator_bijection(k):
+    small = build_wk_affine_a(k, 3)
+    sub = wk_embedding_subgroup(k, 5)
+    rep = embedding_check(k, 5)
+    assert rep.exact_bijection == (generator_bijection(small, sub) is not None)
+    assert rep.embedded_order == sub.order()
 
 
 def test_generator_maps():
