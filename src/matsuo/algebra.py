@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from .linalg import Matrix, Subspace, kernel, rref, unit_vector, vec_is_zero
 from .fields import field_from_name
+from .groups import _perm_inv, _perm_mul
 
 
 class AlgebraError(ValueError):
@@ -221,25 +222,120 @@ def jordan_sample_pairs(A, seed=1729, count=64):
 def jordan_check(A, seed=1729):
     """Decide whether the table satisfies the Jordan identity.
 
-    The four-variable linearization is checked on all basis quadruples, which
-    is exact and complete by multilinearity; quadruples are only enumerated up
-    to the symmetry of the identity in its three repeated slots.  The
-    quadratic identity itself is additionally evaluated on a deterministic
-    sample of non-basis elements first, so a failure is reported with a small
-    witness pair when one exists there.
+    The quadratic identity is first evaluated on a deterministic sample of
+    non-basis elements, so a failure is reported with a small witness pair
+    when one exists there.  Then the four-variable linearization is checked
+    on basis quadruples, which is exact and complete by multilinearity, up to
+    the symmetry of the identity in its three repeated slots and up to
+    verified automorphisms: one quadruple per orbit of the basis permutations
+    that ``_table_automorphisms`` proves to be automorphisms of the table (for
+    a Matsuo algebra the Miyamoto involutions y -> y^x).  A failure there is
+    reported as the first failing quadruple (i, j, y, k) in i <= j <= k,
+    all-y order; ``_quadruple_scan`` says why the reduction keeps it.
     """
     f = A.field
     for x, y in jordan_sample_pairs(A, seed=seed):
         if not vec_is_zero(f, _defining_identity_gap(A, x, y)):
             return JordanCheck(False, "pair", (x, y))
+    witness = _quadruple_scan(A, _table_automorphisms(A))
+    if witness is None:
+        return JordanCheck(True)
+    return JordanCheck(False, "quadruple", witness)
+
+
+def _quadruple_scan(A, gens):
+    """The first basis quadruple (i, j, y, k) in i <= j <= k, all-y order at
+    which ``linearized_gap`` is nonzero, or None, evaluated only up to
+    G = <gens>, a tuple of basis permutations that are automorphisms of the
+    table.
+
+    R is the set of least points of the G-orbits, rep(p) the least point of
+    p's G-orbit and rep_r(p) that of its orbit under the stabiliser G_r.  The
+    scan visits (i, j, k) = (r, s, c) with r in R, s = rep_r(s), rep(s) >= r,
+    rep(c) >= r and rep_r(c) >= s, and every y, in that order; with gens = ()
+    that is every quadruple.  It still meets the full scan's first failure:
+    the identity is symmetric in its three slots and an automorphism maps the
+    gap at a quadruple to the gap at its image, so were that failure not
+    visited, an element of G taking one of its slots below i, or of G_i
+    taking j or k below j, would give an earlier one."""
     dim = A.dim
-    for i in range(dim):
-        for j in range(i, dim):
-            for k in range(j, dim):
-                for y in range(dim):
-                    if linearized_gap(A, i, j, y, k):
-                        return JordanCheck(False, "quadruple", (i, j, y, k))
-    return JordanCheck(True)
+    points = range(dim)
+    rep = _orbit_minima(dim, gens)
+    for r in sorted(set(rep)):
+        rep_r = _orbit_minima(dim, _stabiliser_generators(dim, r, gens))
+        for s in sorted({rep_r[p] for p in points if rep[p] >= r}):
+            for c in points:
+                if rep[c] >= r and rep_r[c] >= s:
+                    for y in points:
+                        if linearized_gap(A, r, s, y, c):
+                            return (r, s, y, c)
+    return None
+
+
+def _table_automorphisms(A):
+    """Basis permutations proved to be automorphisms of A's table.
+
+    For each basis index x the candidate sigma_x sends y to the one index of
+    supp(b_x b_y) outside {x, y}, and y to itself when there is no such single
+    index; in a Matsuo algebra that is the Miyamoto involution y -> y^x.  A
+    candidate is kept only when it is a permutation other than the identity
+    and maps the integer view onto itself, rows[sigma i][sigma j] being
+    rows[i][j] with indices moved by sigma for every pair.  A table that is
+    not symmetric keeps none, since the scan's slot symmetry needs a
+    commutative product."""
+    rows = A.int_view().rows
+    dim = A.dim
+    if any(rows[i][j] != rows[j][i] for i in range(dim) for j in range(i)):
+        return ()
+    identity = tuple(range(dim))
+    kept = {}
+    for x in range(dim):
+        sigma = []
+        for y in range(dim):
+            outside = [k for k in rows[x][y] if k != x and k != y]
+            sigma.append(outside[0] if len(outside) == 1 else y)
+        sigma = tuple(sigma)
+        if (sigma != identity and len(set(sigma)) == dim
+                and all(rows[sigma[i]][sigma[j]]
+                        == {sigma[k]: c for k, c in rows[i][j].items()}
+                        for i in range(dim) for j in range(i, dim))):
+            kept[sigma] = None
+    return tuple(kept)
+
+
+def _orbit_minima(n, gens):
+    """For each point of range(n), the least point of its orbit under the
+    group the permutations gens generate, by union-find."""
+    parent = list(range(n))
+
+    def root(p):
+        while parent[p] != p:
+            parent[p] = parent[parent[p]]
+            p = parent[p]
+        return p
+
+    for g in gens:
+        for p, q in enumerate(g):
+            a, b = root(p), root(q)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    return [root(p) for p in range(n)]
+
+
+def _stabiliser_generators(n, r, gens):
+    """Schreier generators of the stabiliser of the point r in <gens>: u_p g
+    u_{p^g}^-1 for every generator g and every point p of r's orbit, where
+    u_p, from a breadth-first transversal, sends r to p."""
+    transversal = {r: tuple(range(n))}
+    orbit = [r]
+    for p in orbit:
+        for g in gens:
+            if g[p] not in transversal:
+                transversal[g[p]] = _perm_mul(transversal[p], g)
+                orbit.append(g[p])
+    inverse = {p: _perm_inv(u) for p, u in transversal.items()}
+    return {_perm_mul(_perm_mul(u, g), inverse[g[p]])
+            for p, u in transversal.items() for g in gens}
 
 
 def linearized_gap(A, i, j, y, k):

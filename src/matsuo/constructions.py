@@ -10,6 +10,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .fields import check_digits
 from .linalg import Matrix, Subspace, span_coordinates, unit_vector
 from .fischer import (
     MAX_NAMED_POINTS,
@@ -899,6 +900,7 @@ def group_from_name(name):
     lowered = name.lower()
     sym = _SYM_NAME.fullmatch(lowered)
     if sym:
+        check_digits(name, "group")
         n = int(sym[1])
         points = n * (n - 1) // 2  # transpositions; checked before building any
         if n >= 2 and points > MAX_NAMED_POINTS:

@@ -21,6 +21,18 @@ _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 _RESIDUE = re.compile(r"([+-]?[0-9]+) mod ([0-9]+)")
 # What ``PrimeField.name`` writes: F and the modulus without a leading zero.
 _PRIME_FIELD = re.compile(r"F([1-9][0-9]*)")
+# The most decimal digits CPython converts to an int by default
+# (sys.int_info.default_max_str_digits); longer numbers are refused as input.
+MAX_DIGITS = 4300
+
+
+def check_digits(text, what):
+    """Raise ValueError ("input too large") when text holds a run of more than
+    MAX_DIGITS decimal digits, before anything converts it to a number."""
+    if len(text) > MAX_DIGITS and any(
+            len(run) > MAX_DIGITS for run in re.findall(r"[0-9]+", text)):
+        raise ValueError("input too large: %s has a number of more than %d digits"
+                         % (what, MAX_DIGITS))
 
 
 def _is_prime(n):
@@ -92,6 +104,7 @@ class Rationals:
         """Read an integer or a fraction n/d, as ``fmt`` writes them; decimals,
         exponents and anything else raise ValueError."""
         s = s.strip()
+        check_digits(s, "scalar")
         if not _RATIONAL.fullmatch(s):
             raise ValueError("scalar %r is not an integer or a fraction n/d" % (s,))
         return Fraction(s)
@@ -151,6 +164,7 @@ class PrimeField:
         """Read ``<int> mod <p>``, as ``fmt`` writes it, or an integer or a
         fraction n/d in ASCII digits; anything else raises ValueError."""
         s = s.strip()
+        check_digits(s, "scalar")
         residue = _RESIDUE.fullmatch(s)
         if residue:
             if int(residue[2]) != self.p:
@@ -181,6 +195,7 @@ def field_from_name(name):
         return Rationals()
     modulus = _PRIME_FIELD.fullmatch(name)
     if modulus:
+        check_digits(name, "field")
         return PrimeField(int(modulus[1]))
     raise ValueError("unknown field %r (expected Q or F<p>)" % (name,))
 

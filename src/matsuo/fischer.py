@@ -9,6 +9,8 @@ import re
 from dataclasses import dataclass
 from itertools import combinations
 
+from .fields import check_digits
+
 
 class GeometryError(ValueError):
     pass
@@ -351,6 +353,7 @@ def root_system_from_name(name):
     if not parts:
         raise GeometryError("unknown root system %r (expected a name such as "
                             "A4, D5 or E6)" % (name,))
+    check_digits(name, "root system")
     label, rank = parts[1], int(parts[2])
     points = {"A": rank * (rank + 1) // 2, "D": rank * (rank - 1)}.get(label, 0)
     if points > MAX_NAMED_POINTS:

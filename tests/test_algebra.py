@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from itertools import combinations, product
 
 import pytest
@@ -7,7 +8,8 @@ import pytest
 from matsuo.fields import PrimeField, Rationals
 from matsuo.linalg import Matrix, Subspace, unit_vector
 from matsuo.fischer import build_p3, gamma_of_group, gamma_of_rootsystem, root_system_from_name
-from matsuo.groups import build_wk_affine_a
+from matsuo import algebra
+from matsuo.groups import _perm_mul, build_wk_affine_a, mulclose
 from matsuo.algebra import (
     AlgebraError,
     AlgebraTable,
@@ -31,9 +33,11 @@ from matsuo.algebra import (
     quotient,
     subspace_product,
     u_operator,
+    _quadruple_scan,
+    _table_automorphisms,
 )
 from matsuo.claims import count_linearized_quadruples
-from matsuo.constructions import matsuo_algebra, p3_unit, zero_sum_sym_algebra
+from matsuo.constructions import h3_algebra, matsuo_algebra, p3_unit, zero_sum_sym_algebra
 
 Q = Rationals()
 F3 = PrimeField(3)
@@ -349,6 +353,215 @@ def test_jordan_check_frozen_verdicts():
     ):
         res = jordan_check(A)
         assert (res.is_jordan, res.kind, res.witness) == expected
+
+
+def _jordan_scan_reference(A):
+    """The plain quadruple scan: the first (i, j, y, k) in i <= j <= k,
+    all-y order with a nonzero ``linearized_gap``, or None.  Independent of
+    any automorphism of the table."""
+    dim = A.dim
+    for i in range(dim):
+        for j in range(i, dim):
+            for k in range(j, dim):
+                for y in range(dim):
+                    if linearized_gap(A, i, j, y, k):
+                        return (i, j, y, k)
+    return None
+
+
+def _tampered(A, i, j, k, value):
+    """A copy of A's table with the coordinate k of b_i b_j = b_j b_i set to
+    value."""
+    table = [[list(vec) for vec in row] for row in A.table]
+    table[i][j][k] = table[j][i][k] = value
+    return AlgebraTable(A.field, A.labels, table)
+
+
+def _one_dim(f):
+    return AlgebraTable.from_pairs(f, ["e"], {(0, 0): [f.one]})
+
+
+def _scan_fixtures():
+    """(id, builder) pairs: Matsuo algebras of A2-A5 at 1/2 and 1/3 over Q,
+    F5 and F7, P3 over F3, the hermitian algebra (no automorphism kept), a
+    direct sum with two orbits, D4 and W2A3, whose first failures have j = 1,
+    and Matsuo tables with one entry changed."""
+    F5, F7 = PrimeField(5), PrimeField(7)
+    out = []
+    for f in (Q, F5, F7):
+        for name in ("A2", "A3", "A4", "A5"):
+            for d in (2, 3):
+                out.append(("%s-1/%d-%s" % (name, d, f.name),
+                            lambda name=name, d=d, f=f:
+                            _root_matsuo(name, f.div(f.one, f.from_int(d)), f)))
+    third = Q.parse("1/3")
+    out += [
+        ("P3-F3", lambda: p3_algebra(F3)),
+        ("h3-Q", lambda: h3_algebra(Q)),
+        ("h3-F7", lambda: h3_algebra(F7)),
+        ("A3+1-half", lambda: direct_sum(_root_matsuo("A3", HALF, Q), _one_dim(Q))),
+        ("A3+1-third", lambda: direct_sum(_root_matsuo("A3", third, Q), _one_dim(Q))),
+        ("D4-half-Q", lambda: _root_matsuo("D4", HALF, Q)),
+        ("W2A3-half-Q", lambda: matsuo_algebra(gamma_of_group(build_wk_affine_a(2, 3)),
+                                               HALF, Q)),
+        ("A3-half-b0b0", lambda: _tampered(_root_matsuo("A3", HALF, Q), 0, 0, 0, Q.from_int(2))),
+        ("A3-half-b0b1", lambda: _tampered(_root_matsuo("A3", HALF, Q), 0, 1, 0, Q.one)),
+        ("A4-half-b0b0", lambda: _tampered(_root_matsuo("A4", HALF, Q), 0, 0, 0, Q.from_int(3))),
+        ("A4-half-b2b5", lambda: _tampered(_root_matsuo("A4", HALF, Q), 2, 5, 9, Q.one)),
+        ("P3-F3-b3b3", lambda: _tampered(p3_algebra(F3), 3, 3, 7, F3.one)),
+    ]
+    return out
+
+
+@pytest.mark.parametrize("build", [b for _, b in _scan_fixtures()],
+                         ids=[name for name, _ in _scan_fixtures()])
+def test_quadruple_scan_agrees_with_the_plain_scan(build, monkeypatch):
+    A = build()
+    expected = _jordan_scan_reference(A)
+    assert _quadruple_scan(A, _table_automorphisms(A)) == expected
+    assert _quadruple_scan(A, ()) == expected
+    if expected is not None:
+        assert not linearized_identity_holds(A, *expected)
+    res = jordan_check(A)
+    if res.is_jordan or res.kind == "quadruple":
+        assert res.witness == (expected or ())
+    # past the pair pre-pass, the reported witness is the plain scan's
+    monkeypatch.setattr(algebra, "jordan_sample_pairs", lambda A, seed: [])
+    res = jordan_check(A)
+    assert (res.is_jordan, res.witness) == (
+        (True, ()) if expected is None else (False, expected))
+
+
+def test_scan_fixtures_reach_both_verdicts_and_orbit_counts():
+    fixtures = dict(_scan_fixtures())
+    kept = {name: len(_table_automorphisms(fixtures[name]()))
+            for name in ("A4-1/2-Q", "P3-F3", "h3-Q", "A3+1-half", "A3-half-b0b0")}
+    assert kept == {"A4-1/2-Q": 10, "P3-F3": 9, "h3-Q": 0, "A3+1-half": 6,
+                    "A3-half-b0b0": 2}
+    A = fixtures["A3+1-half"]()
+    assert len(set(algebra._orbit_minima(A.dim, _table_automorphisms(A)))) == 2
+    verdicts = {name: _jordan_scan_reference(build()) is None
+                for name, build in _scan_fixtures()
+                if name.startswith(("A3-", "A3+", "P3", "h3", "D4", "W2"))}
+    assert verdicts == {
+        "A3-1/2-Q": True, "A3-1/3-Q": False, "A3-1/2-F5": True,
+        "A3-1/3-F5": False, "A3-1/2-F7": True, "A3-1/3-F7": False,
+        "P3-F3": True, "h3-Q": True, "h3-F7": True, "A3+1-half": True,
+        "A3+1-third": False, "D4-half-Q": False, "W2A3-half-Q": False,
+        "A3-half-b0b0": False,
+        "A3-half-b0b1": False, "P3-F3-b3b3": False,
+    }
+
+
+def _visited_quadruples(A, gens, monkeypatch):
+    """Every quadruple (i, j, y, k) the reduced scan evaluates on A."""
+    visited = []
+    with monkeypatch.context() as m:
+        m.setattr(algebra, "linearized_gap",
+                  lambda A, i, j, y, k: visited.append((i, j, y, k)) or {})
+        assert _quadruple_scan(A, gens) is None
+    return visited
+
+
+def test_quadruple_scan_meets_every_orbit(monkeypatch):
+    # the images of the visited quadruples under the whole group, with the
+    # three symmetric slots sorted, are all quadruples i <= j <= k, any y
+    for A in (_root_matsuo("A4", HALF, Q), p3_algebra(F3),
+              direct_sum(_root_matsuo("A3", HALF, Q), _one_dim(Q)),
+              _tampered(_root_matsuo("A3", HALF, Q), 0, 0, 0, Q.from_int(2))):
+        gens = _table_automorphisms(A)
+        group = mulclose(gens, _perm_mul, tuple(range(A.dim)))
+        visited = _visited_quadruples(A, gens, monkeypatch)
+        covered = {(tuple(sorted((g[i], g[j], g[k]))), g[y])
+                   for g in group for i, j, y, k in visited}
+        everything = {((i, j, k), y) for i in range(A.dim) for j in range(i, A.dim)
+                      for k in range(j, A.dim) for y in range(A.dim)}
+        assert covered == everything
+        assert len(visited) < len(everything)
+
+
+def test_quadruple_scan_counts_on_sym7(monkeypatch):
+    # Sym(7) has one orbit on its 21 transpositions and three on ordered pairs
+    A = _root_matsuo("A6", PrimeField(5).div(1, 2), PrimeField(5))
+    gens = _table_automorphisms(A)
+    assert len(gens) == 21
+    assert len(_visited_quadruples(A, gens, monkeypatch)) == 1071
+    assert len(_visited_quadruples(A, (), monkeypatch)) == 21 * 23 * 22 * 21 // 6
+
+
+def test_table_automorphisms_need_a_symmetric_table():
+    # only b_5 b_0 changes, not b_0 b_5; five of the six reflections would
+    # pass a check of the pairs i <= j alone
+    A = _root_matsuo("A3", HALF, Q)
+    table = [[list(vec) for vec in row] for row in A.table]
+    table[5][0] = list(table[5][0])
+    table[5][0][5] += 1
+    assert len(_table_automorphisms(A)) == 6
+    assert _table_automorphisms(AlgebraTable(Q, A.labels, table)) == ()
+
+
+def test_stabiliser_generators_generate_the_point_stabiliser():
+    generator_sets = [
+        _table_automorphisms(A)
+        for A in (_root_matsuo("A4", HALF, Q), p3_algebra(F3),
+                  direct_sum(_root_matsuo("A3", HALF, Q), _one_dim(Q)))
+    ] + [((1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)),     # Sym(4), adjacent swaps
+         ((1, 2, 3, 4, 0), (1, 0, 2, 3, 4)),               # Sym(5)
+         ((1, 2, 0, 4, 5, 3, 6), (0, 1, 2, 4, 3, 5, 6))]  # two orbits, one fixed
+    for gens in generator_sets:
+        n = len(gens[0])
+        identity = tuple(range(n))
+        group = mulclose(gens, _perm_mul, identity)
+        for r in range(n):
+            schreier = algebra._stabiliser_generators(n, r, gens)
+            assert set(mulclose(schreier, _perm_mul, identity)) == {
+                g for g in group if g[r] == r}
+
+
+def _reflection(space, x):
+    n = space.n_points
+    return tuple(space.wedge(x, y) if y != x and space.collinear(x, y) else y
+                 for y in range(n))
+
+
+def test_table_automorphisms_are_the_geometric_reflections():
+    for space in (gamma_of_rootsystem(root_system_from_name("A3")),
+                  gamma_of_rootsystem(root_system_from_name("A4")), build_p3()):
+        A = matsuo_algebra(space, HALF, Q)
+        kept = _table_automorphisms(A)
+        assert len(kept) == A.dim
+        assert set(kept) == {_reflection(space, x) for x in range(A.dim)}
+
+
+def test_kept_automorphisms_of_a_tampered_table_pass_the_dense_oracle():
+    for A in (_tampered(_root_matsuo("A3", HALF, Q), 0, 0, 0, Q.from_int(2)),
+              _tampered(_root_matsuo("A4", HALF, Q), 0, 0, 0, Q.from_int(3)),
+              _tampered(_root_matsuo("A4", HALF, Q), 2, 5, 9, Q.one),
+              _tampered(p3_algebra(F3), 3, 3, 3, F3.from_int(2))):
+        f = A.field
+        kept = _table_automorphisms(A)
+        assert 0 < len(kept) < A.dim
+        e = lambda t: unit_vector(f, A.dim, t)
+        for sigma in kept:
+            def image(v):
+                out = [f.zero] * A.dim
+                for k, c in enumerate(v):
+                    out[sigma[k]] = c
+                return out
+            for i in range(A.dim):
+                for j in range(A.dim):
+                    assert ref_mul(A, e(sigma[i]), e(sigma[j])) == image(ref_mul(A, e(i), e(j)))
+
+
+def test_jordan_check_on_sym9_is_fast():
+    # the Matsuo algebra of Sym(9) on its 36 transpositions; the plain scan
+    # evaluates 303,696 quadruples, the reduced one 3,312
+    A = _root_matsuo("A8", HALF, Q)
+    start = time.perf_counter()
+    res = jordan_check(A)
+    elapsed = time.perf_counter() - start
+    assert (A.dim, res.is_jordan) == (36, True)
+    assert elapsed < 1.0
 
 
 def test_eigen_decomposition_point_dims():

@@ -214,6 +214,37 @@ def test_build_over_large_prime_field(capsys):
     assert err.startswith("error: input too large") and err.count("\n") == 1
 
 
+_HUGE = "9" * 5000  # past the 4300 digits Python converts to an int
+
+
+@pytest.mark.parametrize("argv", [
+    ["--group", "sym:" + _HUGE],
+    ["--roots", "A" + _HUGE],
+    ["--space", "P3", "--field", "F" + _HUGE],
+    ["--space", "P3", "--alpha", _HUGE],
+    ["--space", "P3", "--alpha", "1/" + _HUGE],
+    ["--space", "P3", "--field", "F5", "--alpha", _HUGE],
+    ["--space", "P3", "--field", "F5", "--alpha", _HUGE + " mod 5"],
+], ids=["sym", "roots", "field", "alpha-Q", "alpha-Q-denominator", "alpha-F5",
+        "alpha-F5-residue"])
+def test_build_refuses_numbers_over_the_digit_limit(capsys, argv):
+    rc, out, err = run_cli(capsys, "build", *argv)
+    assert rc == 2
+    assert not out
+    assert err.startswith("error: input too large") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("field", ["Q", "F5"])
+def test_axes_refuses_json_scalars_over_the_digit_limit(capsys, tmp_path, field):
+    payload = {"field": field, "dim": 1, "labels": ["e"], "products": [[[_HUGE]]]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(payload))
+    rc, out, err = run_cli(capsys, "axes", str(path))
+    assert rc == 2
+    assert not out
+    assert err.startswith("error: input too large") and err.count("\n") == 1
+
+
 def test_point_budget_admits_the_largest_fixtures():
     assert cons.MAX_NAMED_POINTS >= 120  # sym:16 and E8
     assert cons.group_from_name("sym:16").name == "Sym(16)"

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matsuo.fields import (
+    MAX_DIGITS,
     PRIME_LIMIT,
     PrimeField,
     Rationals,
@@ -149,6 +150,17 @@ def test_prime_field_parse_only_what_fmt_writes():
         f5.parse("3 mod 7")
     with pytest.raises(ZeroDivisionError):
         f5.parse("1/5")
+
+
+def test_parse_admits_numbers_up_to_the_digit_limit():
+    q, f5 = Rationals(), PrimeField(5)
+    limit = "9" * MAX_DIGITS
+    assert q.parse(limit + "/" + limit) == 1
+    assert f5.parse(limit) == f5.parse(limit + " mod 5") == 4
+    for text in ("9" + limit, "1/9" + limit):
+        for field in (q, f5):
+            with pytest.raises(ValueError, match="input too large"):
+                field.parse(text)
 
 
 def test_scalar_from_string_is_the_field_parser():
