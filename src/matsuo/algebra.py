@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix, Subspace, kernel, rref, unit_vector, vec_is_zero
+from .linalg import Matrix, Subspace, kernel, rref, unit_vector
 from .fields import field_from_name
 from .groups import _perm_inv, _perm_mul
 
@@ -49,13 +49,6 @@ class AlgebraTable:
             table[i][j] = list(vec)
             table[j][i] = list(vec)
         return cls(field, labels, table)
-
-    def check_commutative(self):
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                if self.table[i][j] != self.table[j][i]:
-                    return False
-        return True
 
     def sparse_row(self, i, j):
         if self._sparse is None:
@@ -200,9 +193,10 @@ def _defining_identity_gap(A, x, y):
     return [A.field.sub(a, b) for a, b in zip(lhs, rhs)]
 
 
-def jordan_sample_pairs(A, seed=1729, count=64):
+def jordan_sample_pairs(A):
     """Deterministic sample for the quadratic identity: the first four basis
-    elements combined as (b0+b1+b2, b3), then seeded small random vectors."""
+    elements combined as (b0+b1+b2, b3), then 32 pairs of small random
+    vectors drawn with the fixed seed 1729."""
     f = A.field
     pairs = []
     if A.dim >= 4:
@@ -210,16 +204,16 @@ def jordan_sample_pairs(A, seed=1729, count=64):
         for i in range(3):
             x[i] = f.one
         pairs.append((x, unit_vector(f, A.dim, 3)))
-    rng = random.Random(seed)
+    rng = random.Random(1729)
     vecs = [
         [f.from_int(rng.randint(-2, 2)) for _ in range(A.dim)]
-        for _ in range(count)
+        for _ in range(64)
     ]
     pairs.extend(zip(vecs[0::2], vecs[1::2]))
     return pairs
 
 
-def jordan_check(A, seed=1729):
+def jordan_check(A):
     """Decide whether the table satisfies the Jordan identity.
 
     The quadratic identity is first evaluated on a deterministic sample of
@@ -232,10 +226,14 @@ def jordan_check(A, seed=1729):
     a Matsuo algebra the Miyamoto involutions y -> y^x).  A failure there is
     reported as the first failing quadruple (i, j, y, k) in i <= j <= k,
     all-y order; ``_quadruple_scan`` says why the reduction keeps it.
+
+    Over characteristic 3 the linearization is 3 times the identity on the
+    diagonal quadruples (i, i, y, i), so the scan does not see the cubic
+    terms x_i^3 of the identity there; only the sample tests them, until an
+    exact test of those terms replaces it (an open item in ROADMAP.md).
     """
-    f = A.field
-    for x, y in jordan_sample_pairs(A, seed=seed):
-        if not vec_is_zero(f, _defining_identity_gap(A, x, y)):
+    for x, y in jordan_sample_pairs(A):
+        if any(_defining_identity_gap(A, x, y)):
             return JordanCheck(False, "pair", (x, y))
     witness = _quadruple_scan(A, _table_automorphisms(A))
     if witness is None:
@@ -439,25 +437,19 @@ def check_axis(A, e, rules):
     scaling turns a nonzero vector into zero.  As the table is commutative,
     a pair within one eigenspace is tested once, which keeps the first
     failing pair, and with it the witness, that the full scan would find."""
-    return _axis_check(A, e, rules)[0]
-
-
-def _axis_check(A, e, rules):
-    """``check_axis``'s verdict and the eigen decomposition it rests on (None
-    when e is not an idempotent)."""
     try:
         dec = eigen_decomposition(A, e, candidates=list(rules.eigenvalues))
     except AlgebraError as err:
-        return AxisCheck(False, reason=str(err)), None
+        return AxisCheck(False, reason=str(err))
     present = tuple(dec.eigenvalues)
     if not dec.diagonalizable:
         return AxisCheck(False, dec.dims(), present,
-                         "eigenspaces do not span the algebra"), dec
+                         "eigenspaces do not span the algebra")
     witness = _fusion_violation(A, e, rules, dec)
     if witness:
         return AxisCheck(False, dec.dims(), present, "fusion rule violated",
-                         witness), dec
-    return AxisCheck(True, dec.dims(), present), dec
+                         witness)
+    return AxisCheck(True, dec.dims(), present)
 
 
 def _fusion_violation(A, e, rules, dec):
@@ -543,23 +535,25 @@ def _reduced(w, p):
 
 def miyamoto(A, e, rules):
     """The involution fixing the 1- and 0-eigenspaces of an axis and negating
-    the alpha-eigenspace; verified to be an algebra automorphism of order <= 2."""
-    axis, dec = _axis_check(A, e, rules)
+    the alpha-eigenspace; verified to be an algebra automorphism of order <= 2.
+
+    It is 1 - 2P for the projection P onto the alpha-eigenspace along the
+    others.  As ad(e) is diagonalizable over ``rules.eigenvalues``, P is the
+    Lagrange polynomial in ad(e): the product of (ad(e) - mu) / (alpha - mu)
+    over the eigenvalues mu other than alpha, so no eigenbasis is inverted."""
+    axis = check_axis(A, e, rules)
     if not axis.ok:
         raise AlgebraError("miyamoto map needs an axis: %s" % axis.reason)
     f = A.field
-    cols = []
-    signs = []
-    for lam, spc in zip(dec.eigenvalues, dec.spaces):
-        for row in spc.rows:
-            cols.append(list(row))
-            signs.append(f.neg(f.one) if lam == rules.alpha else f.one)
-    basis = Matrix(f, [list(r) for r in zip(*cols)])
-    diag = Matrix.zeros(f, A.dim, A.dim)
-    for i, s in enumerate(signs):
-        diag.rows[i][i] = s
-    tau = basis * diag * basis.inverse()
-    if not (tau * tau == Matrix.identity(f, A.dim)):
+    ident = Matrix.identity(f, A.dim)
+    ad_e = A.ad(e)
+    proj = ident
+    for mu in rules.eigenvalues:
+        if mu != rules.alpha:
+            factor = f.inv(f.sub(rules.alpha, mu))
+            proj = proj * (ad_e - ident.scale(mu)).scale(factor)
+    tau = ident - proj.scale(f.from_int(2))
+    if not (tau * tau == ident):
         raise AlgebraError("miyamoto map does not square to the identity")
     if not is_multiplicative(A, A, tau):
         raise AlgebraError("miyamoto map is not an algebra automorphism")
@@ -589,7 +583,7 @@ def is_absolute_zero_divisor(A, a):
 
 
 def is_trivial_element(A, a):
-    return is_absolute_zero_divisor(A, a) and vec_is_zero(A.field, A.mul(a, a))
+    return is_absolute_zero_divisor(A, a) and not any(A.mul(a, a))
 
 
 def subspace_product(A, s, t):

@@ -17,6 +17,7 @@ from .fischer import (
     P3_PARALLEL_CLASSES,
 )
 from .groups import (
+    _perm_mul,
     build_wk_affine_a,
     hall_quotient_presentation,
     su32_quotient_presentation,
@@ -81,10 +82,10 @@ def _chk(checks, description, expected, computed):
     checks.append(Check(description, e, c, e == c))
 
 
-def _fields_for(field_name, default=("Q", "F5")):
+def _fields_for(field_name):
     if field_name:
         return [field_from_name(field_name)]
-    return [field_from_name(n) for n in default]
+    return [field_from_name("Q"), field_from_name("F5")]
 
 
 def _half(f):
@@ -432,15 +433,7 @@ def _claim_miyamoto(claim_id, n, field_name, context):
             rules = phi_alpha(f, alpha)
             taus = [miyamoto(A, unit_vector(f, A.dim, i), rules)
                     for i in range(A.dim)]
-            ident = Matrix.identity(f, A.dim)
-            involutions = all(t * t == ident for t in taus)
-            distinct = len(set(taus)) == len(taus)
-            orders = True
-            for i in range(len(taus)):
-                for j in range(i + 1, len(taus)):
-                    m = taus[i] * taus[j]
-                    if not (m == ident or m * m == ident or m * m * m == ident):
-                        orders = False
+            involutions, orders, distinct = _miyamoto_verdicts(taus)
             _chk(checks, "%s at alpha=%s: involutive automorphisms" %
                  (name, alpha_str), True, involutions)
             _chk(checks, "%s at alpha=%s: pairwise orders at most 3" %
@@ -448,6 +441,38 @@ def _claim_miyamoto(claim_id, n, field_name, context):
             _chk(checks, "%s at alpha=%s: point map injective" %
                  (name, alpha_str), True, distinct)
     return anchors, checks
+
+
+def _miyamoto_verdicts(taus):
+    """(involutive, pairwise orders at most 3, distinct) for a list of
+    matrices, each read as the permutation of the basis it applies; all three
+    are False unless every matrix is a permutation matrix."""
+    perms = [_column_permutation(t) for t in taus]
+    if None in perms:
+        return False, False, False
+    ident = tuple(range(len(perms[0])))
+
+    def order_at_most_3(m):
+        m2 = _perm_mul(m, m)
+        return ident in (m, m2, _perm_mul(m2, m))
+
+    return (all(_perm_mul(p, p) == ident for p in perms),
+            all(order_at_most_3(_perm_mul(p, q))
+                for i, p in enumerate(perms) for q in perms[i + 1:]),
+            len(set(perms)) == len(perms))
+
+
+def _column_permutation(m):
+    """The tuple p with column j of m the unit vector at p[j], or None when m
+    is not a permutation matrix."""
+    one = m.field.one
+    perm = []
+    for col in zip(*m.rows):
+        support = [k for k, c in enumerate(col) if c]
+        if len(support) != 1 or col[support[0]] != one:
+            return None
+        perm.append(support[0])
+    return tuple(perm) if len(set(perm)) == len(perm) else None
 
 
 def _claim_root_projections(claim_id, n, field_name, context):

@@ -14,12 +14,20 @@ from . import claims
 from . import constructions as cons
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a usage error as one line on stderr,
+    without the usage block, and exits with code 2."""
+
+    def error(self, message):
+        self.exit(2, "error: %s\n" % message)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="matsuo",
         description="exact workbench for Matsuo algebras and their Jordan forms",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     b = sub.add_parser("build", help="emit an algebra table as JSON")
     b.add_argument("--space", help="named triple system: P3 or P2dual")

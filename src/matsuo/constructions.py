@@ -5,7 +5,6 @@ isomorphisms between them, the characteristic-3 ideal chain, and the rank-4
 counterexample coefficients.
 """
 
-import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -340,12 +339,10 @@ class PeirceDecomposition:
     direct_sum_ok: bool
 
 
-def p3_peirce(field, parallel_class=None):
+def p3_peirce(field, parallel_class):
     """The six-piece decomposition of the order-3 plane algebra attached to a
     parallel class of lines: spans of the three line idempotents, plus the
     pairwise intersections of their half-eigenspaces."""
-    if parallel_class is None:
-        parallel_class = P3_PARALLEL_CLASSES[0]
     lines = tuple(tuple(sorted(l)) for l in parallel_class)
     if sorted(p for l in lines for p in l) != list(range(9)):
         raise AlgebraError("lines do not form a parallel class")
@@ -662,21 +659,21 @@ class CharThreeChain:
     algebra_not_solvable: bool
     r_solvable: bool
 
-    def all_ok(self):
-        return (
-            self.dims == (1, 6, 8)
-            and self.ideals_ok
-            and self.squares_ok
-            and self.z_trivial
-            and self.t_zero_divisors
-            and self.quotient_dim == 1
-            and self.quotient_unital
-            and self.algebra_not_solvable
-            and self.r_solvable
-        )
+
+def _all_absolute_zero_divisors(A, s):
+    """Whether every element of the subspace s is an absolute zero divisor.
+
+    U_a is quadratic in a: U_(a+b) = U_a + U_b + V(a, b) with V bilinear.
+    So U_(sum c_i t_i) = sum c_i^2 U_(t_i) + sum_(i<j) c_i c_j V(t_i, t_j)
+    over a basis t of s, and U vanishes on s exactly when it vanishes on the
+    basis rows and on each sum of two of them."""
+    rows = s.rows
+    sums = [[A.field.add(a, b) for a, b in zip(u, v)]
+            for i, u in enumerate(rows) for v in rows[i + 1:]]
+    return all(is_absolute_zero_divisor(A, v) for v in rows + sums)
 
 
-def p3_char3_chain(field, seed=1729):
+def p3_char3_chain(field):
     """Over characteristic 3, the chain 0 < Z < T < R < J inside the plane
     algebra: the point sum, the line sums, and the zero-sum hyperplane."""
     if field.characteristic != 3:
@@ -709,16 +706,7 @@ def p3_char3_chain(field, seed=1729):
     )
     z_trivial = is_trivial_element(A, z_vec)
 
-    rng = random.Random(seed)
-    combos = list(t_space.rows)
-    for _ in range(8):
-        v = [f.zero] * 9
-        for row in t_space.rows:
-            c = f.from_int(rng.randint(0, 2))
-            for i, a in enumerate(row):
-                v[i] = f.add(v[i], f.mul(c, a))
-        combos.append(v)
-    t_zero_divisors = all(is_absolute_zero_divisor(A, v) for v in combos)
+    t_zero_divisors = _all_absolute_zero_divisors(A, t_space)
 
     q = quotient(A, r_space)
     qa = q.algebra
@@ -773,7 +761,6 @@ class Rank4Report:
     coeff_a_right: Fraction
     coeff_acdb_left: Fraction
     coeff_acdb_right: Fraction
-    points_touched: int
 
     def jordan_violated(self):
         return (self.coeff_a_left != self.coeff_a_right
@@ -807,7 +794,6 @@ def rank4_check(group):
         right.get(a, Fraction(0)),
         left.get(acdb, Fraction(0)),
         right.get(acdb, Fraction(0)),
-        len(set(left) | set(right)),
     )
 
 
@@ -839,7 +825,7 @@ class EmbeddingReport:
         )
 
 
-def embedding_check(k, r=5):
+def embedding_check(k, r):
     """The four block matrices inside the larger affine group replay the small
     affine group: the generated subgroup maps onto it generator-by-generator
     with central kernel (trivial for odd k, order 2 for k = 2, where the

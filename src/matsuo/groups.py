@@ -27,8 +27,9 @@ class GroupError(ValueError):
     pass
 
 
-def mulclose(gens, mul, identity, cap=ELEMENT_CAP):
-    """Breadth-first closure of generators; deterministic discovery order."""
+def mulclose(gens, mul, identity):
+    """Breadth-first closure of generators; deterministic discovery order.
+    Raises GroupError past ``ELEMENT_CAP`` elements."""
     seen = {identity: None}
     queue = [identity]
     head = 0
@@ -38,15 +39,16 @@ def mulclose(gens, mul, identity, cap=ELEMENT_CAP):
         for g in gens:
             y = mul(x, g)
             if y not in seen:
-                if len(seen) >= cap:
-                    raise GroupError("element closure exceeded cap %d" % cap)
+                if len(seen) >= ELEMENT_CAP:
+                    raise GroupError("element closure exceeded cap %d" % ELEMENT_CAP)
                 seen[y] = None
                 queue.append(y)
     return queue
 
 
-def conjugacy_closure(seeds, gens, mul, inv, cap=ELEMENT_CAP):
-    """Closure of seed elements under conjugation by the given generators."""
+def conjugacy_closure(seeds, gens, mul, inv):
+    """Closure of seed elements under conjugation by the given generators,
+    within ``ELEMENT_CAP`` elements."""
     seen = dict.fromkeys(seeds)
     queue = list(seen)
     head = 0
@@ -57,8 +59,8 @@ def conjugacy_closure(seeds, gens, mul, inv, cap=ELEMENT_CAP):
         for g, gi in zip(gens, inv_gens):
             y = mul(mul(gi, x), g)
             if y not in seen:
-                if len(seen) >= cap:
-                    raise GroupError("conjugacy closure exceeded cap %d" % cap)
+                if len(seen) >= ELEMENT_CAP:
+                    raise GroupError("conjugacy closure exceeded cap %d" % ELEMENT_CAP)
                 seen[y] = None
                 queue.append(y)
     return queue
@@ -68,71 +70,51 @@ class GroupRealization:
     """A finite group given by explicit element values and callables."""
 
     def __init__(self, name, identity, mul, inv, generators, gen_names,
-                 d_seeds=None, explicit_d=None, label_fn=None, elements=None):
+                 d_seeds, label_fn=None, elements=None):
         self.name = name
         self.identity = identity
         self.mul = mul
         self.inv = inv
         self.generators = list(generators)
         self.gen_names = list(gen_names)
-        self._d_seeds = list(d_seeds) if d_seeds is not None else None
-        self._d = list(explicit_d) if explicit_d is not None else None
+        self._d_seeds = list(d_seeds)
+        self._d = None
         self._label_fn = label_fn
         self._elements = list(elements) if elements is not None else None
 
     @property
     def D(self):
         if self._d is None:
-            if self._d_seeds is None:
-                raise GroupError("no distinguished involutions configured")
             self._d = conjugacy_closure(
                 self._d_seeds, self.generators, self.mul, self.inv
             )
         return self._d
 
-    def with_involutions(self, d_list):
-        """Same group, explicit involution set (no conjugacy closure)."""
-        return GroupRealization(
-            self.name, self.identity, self.mul, self.inv,
-            self.generators, self.gen_names,
-            explicit_d=d_list, label_fn=self._label_fn,
-            elements=self._elements,
-        )
-
-    def elements(self, cap=ELEMENT_CAP):
+    def elements(self):
         if self._elements is None:
-            self._elements = mulclose(self.generators, self.mul, self.identity, cap)
+            self._elements = mulclose(self.generators, self.mul, self.identity)
         return self._elements
 
-    def order(self, cap=ELEMENT_CAP):
-        return len(self.elements(cap))
+    def order(self):
+        return len(self.elements())
 
     def conjugate(self, x, g):
         return self.mul(self.mul(self.inv(g), x), g)
 
-    def order_of_product(self, c, d, cap=64):
+    def order_of_product(self, c, d):
+        """The order of cd, when it is at most 64."""
         x = self.mul(c, d)
         acc = x
-        for k in range(1, cap + 1):
+        for k in range(1, 65):
             if acc == self.identity:
                 return k
             acc = self.mul(acc, x)
-        raise GroupError("product order exceeds cap %d" % cap)
-
-    def conj_class(self, g, cap=ELEMENT_CAP):
-        return conjugacy_closure([g], self.generators, self.mul, self.inv, cap)
+        raise GroupError("product order exceeds cap 64")
 
     def point_labels(self):
         if self._label_fn is None:
             return [str(i) for i in range(len(self.D))]
         return [self._label_fn(d) for d in self.D]
-
-    def center(self, cap=ELEMENT_CAP):
-        els = self.elements(cap)
-        return [
-            z for z in els
-            if all(self.mul(z, g) == self.mul(g, z) for g in self.generators)
-        ]
 
     def __repr__(self):
         return "GroupRealization(%s)" % self.name
@@ -148,7 +130,7 @@ class TranspositionCheck:
         return self.ok
 
 
-def is_3transposition(group, cap=ELEMENT_CAP):
+def is_3transposition(group):
     """Whether (G, D) is a 3-transposition group: D consists of involutions,
     is closed under conjugation, generates G, and |cd| <= 3 for c, d in D."""
     d_list = group.D
@@ -164,8 +146,8 @@ def is_3transposition(group, cap=ELEMENT_CAP):
                 return TranspositionCheck(
                     False, "involution set not closed under conjugation", (d, g)
                 )
-    full = set(group.elements(cap))
-    span = set(mulclose(d_list, group.mul, group.identity, cap))
+    full = set(group.elements())
+    span = set(mulclose(d_list, group.mul, group.identity))
     if span != full:
         return TranspositionCheck(False, "involutions do not generate the group")
     for i, c in enumerate(d_list):
@@ -384,7 +366,7 @@ def wk_embedding_subgroup(k, r):
                          swaps + [d], ["a", "b", "c", "d"])
 
 
-def generator_homomorphism(g1, g2, cap=ELEMENT_CAP):
+def generator_homomorphism(g1, g2):
     """Extend the generator pairing g1 -> g2 to a homomorphism on all of g1,
     or return None if the extension is inconsistent (some relation of g1
     fails in g2)."""
@@ -403,7 +385,7 @@ def generator_homomorphism(g1, g2, cap=ELEMENT_CAP):
                 if hom[y] != img:
                     return None
             else:
-                if len(hom) >= cap:
+                if len(hom) >= ELEMENT_CAP:
                     raise GroupError("homomorphism search exceeded cap")
                 hom[y] = img
                 queue.append(y)
@@ -583,17 +565,6 @@ def parse_presentation(text):
     return pres
 
 
-def presentation_to_text(pres):
-    out = ["gens " + " ".join(pres.generator_names)]
-    for w in pres.relators:
-        parts = []
-        for letter in w:
-            name = pres.generator_names[letter >> 1]
-            parts.append(name if letter % 2 == 0 else name + "^-1")
-        out.append(" ".join(parts))
-    return "\n".join(out) + "\n"
-
-
 def coxeter_presentation(names, edges):
     """Coxeter-type presentation on a graph: generators are involutions,
     products have order 3 across an edge and order 2 otherwise."""
@@ -703,19 +674,6 @@ class CosetTable:
             if acc != 0:
                 return False
         return True
-
-    def to_csv(self):
-        names = self.presentation.generator_names
-        if self.involution_mode:
-            header = ["coset"] + list(names)
-        else:
-            header = ["coset"]
-            for nm in names:
-                header += [nm, nm + "^-1"]
-        lines = [",".join(header)]
-        for i, row in enumerate(self.table):
-            lines.append(",".join([str(i + 1)] + [str(x + 1) for x in row]))
-        return "\n".join(lines) + "\n"
 
     def group(self):
         """The regular realization: cosets over the trivial subgroup are the

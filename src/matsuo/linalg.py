@@ -30,11 +30,6 @@ class Matrix:
             m.rows[i][i] = field.one
         return m
 
-    @classmethod
-    def from_int_rows(cls, field, rows):
-        f = field.from_int
-        return cls(field, [[f(x) for x in r] for r in rows])
-
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
@@ -125,10 +120,6 @@ class Matrix:
         if pivots != list(range(n)):
             raise ValueError("matrix is singular")
         return Matrix(f, [r[n:] for r in red])
-
-    def to_strings(self):
-        fmt = self.field.fmt
-        return [[fmt(a) for a in r] for r in self.rows]
 
     def __repr__(self):
         return "Matrix(%s, %dx%d)" % (self.field.name, self.nrows, self.ncols)
@@ -258,7 +249,7 @@ class Subspace:
         return v
 
     def contains(self, v):
-        return vec_is_zero(self.field, self.reduce(v))
+        return not any(self.reduce(v))
 
     def coordinates(self, v):
         """Coefficients of v against the echelon basis, or None if v is outside.
@@ -320,9 +311,6 @@ class Subspace:
     def __repr__(self):
         return "Subspace(dim=%d, ambient=%d)" % (self.dim, self.ambient)
 
-
-def vec_is_zero(field, v):
-    return not any(v)
 
 def unit_vector(field, n, i):
     v = [field.zero] * n

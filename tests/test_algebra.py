@@ -36,11 +36,14 @@ from matsuo.algebra import (
     _quadruple_scan,
     _table_automorphisms,
 )
+from matsuo import claims
 from matsuo.claims import count_linearized_quadruples
 from matsuo.constructions import h3_algebra, matsuo_algebra, p3_unit, zero_sum_sym_algebra
 
 Q = Rationals()
 F3 = PrimeField(3)
+F5 = PrimeField(5)
+F7 = PrimeField(7)
 HALF = Q.parse("1/2")
 
 
@@ -426,7 +429,7 @@ def test_quadruple_scan_agrees_with_the_plain_scan(build, monkeypatch):
     if res.is_jordan or res.kind == "quadruple":
         assert res.witness == (expected or ())
     # past the pair pre-pass, the reported witness is the plain scan's
-    monkeypatch.setattr(algebra, "jordan_sample_pairs", lambda A, seed: [])
+    monkeypatch.setattr(algebra, "jordan_sample_pairs", lambda A: [])
     res = jordan_check(A)
     assert (res.is_jordan, res.witness) == (
         (True, ()) if expected is None else (False, expected))
@@ -772,6 +775,102 @@ def test_miyamoto_injective_on_points():
     assert len({hash(t) for t in taus}) == 9
 
 
+def test_miyamoto_needs_an_axis():
+    A = p3_algebra()
+    rules = phi_alpha(Q, HALF)
+    with pytest.raises(AlgebraError, match="needs an axis"):
+        miyamoto(A, [Q.from_int(2)] + [Q.zero] * 8, rules)
+
+
+def _miyamoto_reference(A, e, rules):
+    """Oracle: the Miyamoto map written in an eigenbasis of ad(e), -1 on the
+    alpha-eigenspace and 1 on the others, and changed back to the basis."""
+    f = A.field
+    dec = eigen_decomposition(A, e, candidates=list(rules.eigenvalues))
+    cols = []
+    signs = []
+    for lam, spc in zip(dec.eigenvalues, dec.spaces):
+        for row in spc.rows:
+            cols.append(list(row))
+            signs.append(f.neg(f.one) if lam == rules.alpha else f.one)
+    basis = Matrix(f, [list(r) for r in zip(*cols)])
+    diag = Matrix.zeros(f, A.dim, A.dim)
+    for i, s in enumerate(signs):
+        diag.rows[i][i] = s
+    return basis * diag * basis.inverse()
+
+
+def _miyamoto_fixtures(f):
+    for name, sp in claims._axis_fixture_spaces():
+        for d in (2, 3):
+            alpha = f.div(f.one, f.from_int(d))
+            yield name, matsuo_algebra(sp, alpha, f), phi_alpha(f, alpha)
+
+
+@pytest.mark.parametrize("f", [Q, F5, F7], ids=["Q", "F5", "F7"])
+def test_miyamoto_matches_the_eigenbasis_reference(f):
+    seen = set()
+    for name, A, rules in _miyamoto_fixtures(f):
+        seen.add(name)
+        # an eigenvalue that no point has adds one more factor to the
+        # projection, which must not change it
+        absent = next(v for v in map(f.from_int, range(2, 6))
+                      if v not in rules.eigenvalues)
+        extra = FusionRules(rules.eigenvalues + (absent,), rules.table, rules.alpha)
+        for i in range(A.dim):
+            e = unit_vector(f, A.dim, i)
+            tau = _miyamoto_reference(A, e, rules)
+            assert miyamoto(A, e, rules) == tau
+            assert miyamoto(A, e, extra) == tau
+    assert seen == {"P2dual", "P3", "A4", "D4"}
+
+
+def _dense_miyamoto_verdicts(taus):
+    """Oracle: the claim's three verdicts from dense matrix products."""
+    ident = Matrix.identity(taus[0].field, taus[0].nrows)
+    involutions = all(t * t == ident for t in taus)
+    orders = True
+    for i in range(len(taus)):
+        for j in range(i + 1, len(taus)):
+            m = taus[i] * taus[j]
+            if not (m == ident or m * m == ident or m * m * m == ident):
+                orders = False
+    return involutions, orders, len(set(taus)) == len(taus)
+
+
+def _permutation_matrix(f, perm):
+    return Matrix(f, [[f.one if perm[j] == i else f.zero for j in range(len(perm))]
+                      for i in range(len(perm))])
+
+
+def test_miyamoto_verdicts_match_the_dense_products():
+    for f in (Q, F5):
+        for _, A, rules in _miyamoto_fixtures(f):
+            taus = [miyamoto(A, unit_vector(f, A.dim, i), rules)
+                    for i in range(A.dim)]
+            assert claims._miyamoto_verdicts(taus) == (True, True, True)
+            assert claims._miyamoto_verdicts(taus) == _dense_miyamoto_verdicts(taus)
+            repeated = taus + taus[:1]
+            assert claims._miyamoto_verdicts(repeated) == (True, True, False)
+            assert _dense_miyamoto_verdicts(repeated) == (True, True, False)
+    # (0 1)(2 3) times (0 2) is a 4-cycle; (0 1 2) is not an involution
+    for perms, expected in (
+            ([(1, 0, 3, 2), (2, 1, 0, 3)], (True, False, True)),
+            ([(1, 2, 0, 3), (1, 0, 2, 3)], (False, True, True)),
+            ([(1, 0, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3)], (True, True, True))):
+        taus = [_permutation_matrix(F5, p) for p in perms]
+        assert claims._miyamoto_verdicts(taus) == expected
+        assert _dense_miyamoto_verdicts(taus) == expected
+
+
+def test_miyamoto_verdicts_fail_on_a_matrix_that_permutes_no_basis():
+    ident = Matrix.identity(Q, 4)
+    swap = _permutation_matrix(Q, (1, 0, 2, 3))
+    merge = _permutation_matrix(Q, (0, 0, 2, 3))  # two equal unit columns
+    for odd in (ident.scale(Q.from_int(-1)), ident.scale(Q.zero), ident + swap, merge):
+        assert claims._miyamoto_verdicts([swap, odd]) == (False, False, False)
+
+
 def test_u_operator_on_idempotent():
     A = p3_algebra()
     e = unit_vector(Q, 9, 0)
@@ -875,7 +974,8 @@ def test_json_round_trip():
     assert back.dim == A.dim
     assert back.labels == A.labels
     assert back.table == A.table
-    assert back.check_commutative()
+    assert all(back.table[i][j] == back.table[j][i]
+               for i in range(back.dim) for j in range(i))
     assert algebra_to_json(back) == text
 
 

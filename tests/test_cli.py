@@ -320,6 +320,12 @@ def test_verify_root_projections_golden(capsys):
     assert out == (GOLDEN / "verify-root-projections.json").read_text()
 
 
+def test_verify_miyamoto_golden(capsys):
+    rc, out, _ = run_cli(capsys, "verify", "miyamoto", "--mask-runtime")
+    assert rc == 0
+    assert out == (GOLDEN / "verify-miyamoto.json").read_text()
+
+
 def test_verify_with_field_restriction(capsys):
     rc, out, _ = run_cli(capsys, "verify", "sym-zero-sum", "--n", "4",
                          "--field", "Q")
@@ -451,6 +457,28 @@ def test_axes_on_any_json_value_exits_cleanly(data):
     if rc == 2:
         assert not out.getvalue()
         assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "sym-zero-sum", "--n", "abc"], "invalid int value: 'abc'"),
+    (["verify", "--bogus"], "unrecognized arguments: --bogus"),
+    ([], "the following arguments are required: command"),
+])
+def test_argument_errors_are_one_line(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert message in captured.err
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: matsuo verify")
 
 
 def test_axes_missing_file(capsys):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -15,8 +16,10 @@ from matsuo.fischer import (
 from matsuo.groups import build_wk_affine_a
 from matsuo.algebra import (
     AlgebraError,
+    AlgebraTable,
     algebra_to_json,
     eigen_decomposition,
+    is_absolute_zero_divisor,
     is_multiplicative,
     iso_check,
     jordan_check,
@@ -102,9 +105,9 @@ def test_proj_matrices_for_the_triangle_system():
 def test_proj_matrices_match_printed_rank_two_cases():
     b2 = root_system_from_name("B2")
     m_a = cons.proj_matrix(Q, (1, 0))
-    assert m_a == Matrix.from_int_rows(Q, [[1, 0], [0, 0]])
+    assert m_a == Matrix(Q, [[Q.one, Q.zero], [Q.zero, Q.zero]])
     m_ab = cons.proj_matrix(Q, (0, 1))
-    assert m_ab == Matrix.from_int_rows(Q, [[0, 0], [0, 1]])
+    assert m_ab == Matrix(Q, [[Q.zero, Q.zero], [Q.zero, Q.one]])
     half = Q.parse("1/2")
     m_b = cons.proj_matrix(Q, (-1, 1))
     assert m_b.rows == [[half, Q.neg(half)], [Q.neg(half), half]]
@@ -360,8 +363,11 @@ def test_beta_model_translation_and_printed_factor_two():
 
 def test_char3_chain_full_report():
     ch = cons.p3_char3_chain(F3)
-    assert ch.all_ok()
     assert ch.dims == (1, 6, 8)
+    assert ch.ideals_ok and ch.squares_ok
+    assert ch.z_trivial and ch.t_zero_divisors
+    assert (ch.quotient_dim, ch.quotient_unital) == (1, True)
+    assert ch.algebra_not_solvable and ch.r_solvable
 
 
 def test_char3_chain_dim_t_is_six_despite_twelve_lines():
@@ -384,6 +390,46 @@ def test_char3_line_sum_annihilates_parallel_differences():
         diff = [f.sub(a, b) for a, b in zip(line_sum(lp), line_sum(lpp))]
         for m in plane.lines:
             assert A.mul(line_sum(m), diff) == [f.zero] * 9
+
+
+def _every_element_an_absolute_zero_divisor(A, s):
+    """Oracle: U_v = 0 for every v in the subspace s, over F_3."""
+    f = A.field
+    for coeffs in product(range(3), repeat=s.dim):
+        v = [f.zero] * A.dim
+        for c, row in zip(coeffs, s.rows):
+            v = [f.add(a, f.mul(f.from_int(c), b)) for a, b in zip(v, row)]
+        if not is_absolute_zero_divisor(A, v):
+            return False
+    return True
+
+
+def _nilpotent_pair_algebra(f):
+    """x^2 = y^2 = 0, xy = z, z^2 = z: U_x = U_y = 0, but U_(x+y) z = -2z."""
+    zero, one = f.zero, f.one
+    return AlgebraTable.from_pairs(f, ["x", "y", "z"], {
+        (0, 1): [zero, zero, one], (2, 2): [zero, zero, one]})
+
+
+def test_zero_divisor_span_check_is_the_exhaustive_one():
+    ch = cons.p3_char3_chain(F3)
+    A = ch.algebra
+    B = _nilpotent_pair_algebra(F3)
+    cases = [
+        (A, ch.t_space, True),
+        (A, ch.z_space, True),
+        (A, Subspace.from_vectors(F3, 9, [unit_vector(F3, 9, 0)]), False),
+        (A, Subspace.from_vectors(F3, 9, ch.t_space.rows[:2] + [unit_vector(F3, 9, 0)]),
+         False),
+        (B, Subspace.from_vectors(F3, 3, [unit_vector(F3, 3, 0)]), True),
+        # both basis rows pass, their sum does not
+        (B, Subspace.from_vectors(F3, 3, [unit_vector(F3, 3, 0),
+                                          unit_vector(F3, 3, 1)]), False),
+    ]
+    for algebra, space, expected in cases:
+        assert _every_element_an_absolute_zero_divisor(algebra, space) == expected
+        assert cons._all_absolute_zero_divisors(algebra, space) == expected
+    assert ch.t_space.dim == 6 and ch.t_zero_divisors
 
 
 def test_char3_chain_wrong_characteristic():
@@ -467,7 +513,7 @@ def test_rank4_rejects_degenerate_generators():
     grp = build_wk_affine_a(2, 3)
     broken = type(grp)(
         grp.name, grp.identity, grp.mul, grp.inv,
-        [grp.generators[0]] * 4, ["a", "b", "c", "d"],
+        [grp.generators[0]] * 4, ["a", "b", "c", "d"], d_seeds=grp.generators[:1],
     )
     with pytest.raises(AlgebraError):
         cons.rank4_check(broken)

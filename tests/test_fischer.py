@@ -1,3 +1,4 @@
+import copy
 from itertools import combinations
 
 import pytest
@@ -193,7 +194,8 @@ def test_gamma_of_sym4_is_p2_dual():
 def test_gamma_of_group_rejects_large_product_orders():
     g = build_sym(4)
     # (12) against (13)(24): both involutions, product of order 4
-    fake = g.with_involutions([(1, 0, 2, 3), (2, 3, 0, 1)])
+    fake = copy.copy(g)
+    fake._d = [(1, 0, 2, 3), (2, 3, 0, 1)]
     with pytest.raises(GeometryError):
         gamma_of_group(fake)
 

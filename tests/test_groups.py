@@ -1,9 +1,11 @@
+import copy
 import random
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from matsuo.constructions import embedding_check
+from matsuo import groups
 from matsuo.groups import (
     MAX_NESTING,
     MAX_WORD_LENGTH,
@@ -13,6 +15,7 @@ from matsuo.groups import (
     build_3sq2,
     build_sym,
     build_wk_affine_a,
+    conjugacy_closure,
     coxeter_presentation,
     generator_homomorphism,
     hall_quotient_presentation,
@@ -20,7 +23,6 @@ from matsuo.groups import (
     mulclose,
     parse_presentation,
     parse_word,
-    presentation_to_text,
     su32_quotient_presentation,
     todd_coxeter,
     wk_embedding_subgroup,
@@ -28,6 +30,23 @@ from matsuo.groups import (
     _canonicalize_mod_diagonal,
     _free_reduce,
 )
+
+
+def presentation_to_text(pres):
+    """The text format that `parse_presentation` reads, one relator a line
+    with inverse letters written x^-1."""
+    out = ["gens " + " ".join(pres.generator_names)]
+    for w in pres.relators:
+        parts = []
+        for letter in w:
+            name = pres.generator_names[letter >> 1]
+            parts.append(name if letter % 2 == 0 else name + "^-1")
+        out.append(" ".join(parts))
+    return "\n".join(out) + "\n"
+
+
+def conj_class(group, g):
+    return conjugacy_closure([g], group.generators, group.mul, group.inv)
 
 
 # --- symmetric groups -------------------------------------------------------
@@ -45,7 +64,8 @@ def test_sym4_is_3transposition():
 
 def test_single_transposition_is_not_closed():
     g = build_sym(4)
-    broken = g.with_involutions([g.generators[0]])
+    broken = copy.copy(g)
+    broken._d = [g.generators[0]]  # D given outright, not closed under conjugation
     res = is_3transposition(broken)
     assert not res.ok
     assert "closed" in res.reason
@@ -85,7 +105,11 @@ def test_conjugation_kernel_is_center():
             x for x in g.elements()
             if all(g.conjugate(d, x) == d for d in d_list)
         ]
-        assert sorted(map(hash, kernel)) == sorted(map(hash, g.center()))
+        center = [
+            z for z in g.elements()
+            if all(g.mul(z, h) == g.mul(h, z) for h in g.generators)
+        ]
+        assert sorted(map(hash, kernel)) == sorted(map(hash, center))
 
 
 # --- affine W_k groups ------------------------------------------------------
@@ -101,7 +125,7 @@ def test_wk_generators_conjugate_and_involutive():
     for k in (2, 3):
         g = build_wk_affine_a(k, 3)
         a, b, c, d = g.generators
-        cls = set(g.conj_class(a))
+        cls = set(conj_class(g, a))
         assert {b, c, d} <= cls
         for x in g.generators:
             assert g.mul(x, x) == g.identity
@@ -647,13 +671,10 @@ def test_hall_quotient_variant_order_agrees(hall_table):
     assert other.total_defined == 371756
 
 
-def test_coset_table_csv():
+def test_coset_table_of_an_involution():
     tab = todd_coxeter(parse_presentation("gens a\na^2"))
-    csv = tab.to_csv()
-    lines = csv.strip().splitlines()
-    assert lines[0] == "coset,a"
-    assert lines[1] == "1,2"
-    assert lines[2] == "2,1"
+    assert tab.involution_mode and tab.complete
+    assert tab.table == [[1], [0]]
 
 
 def test_regular_realization_group_laws(su32_group):
@@ -667,13 +688,16 @@ def test_regular_realization_group_laws(su32_group):
 
 
 def test_su32_class_size(su32_group):
-    assert len(su32_group.conj_class(su32_group.generators[0])) == 36
+    assert len(conj_class(su32_group, su32_group.generators[0])) == 36
 
 
-def test_mulclose_cap():
+def test_mulclose_cap(monkeypatch):
     g = build_sym(5)
-    with pytest.raises(GroupError):
-        mulclose(g.generators, g.mul, g.identity, cap=10)
+    monkeypatch.setattr(groups, "ELEMENT_CAP", 10)
+    with pytest.raises(GroupError, match="cap 10"):
+        mulclose(g.generators, g.mul, g.identity)
+    with pytest.raises(GroupError, match="cap 10"):
+        g.order()
 
 
 # --- embedding block matrices -------------------------------------------------

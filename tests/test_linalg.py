@@ -28,7 +28,7 @@ F7 = PrimeField(7)
 
 
 def _m(field, rows):
-    return Matrix.from_int_rows(field, rows)
+    return Matrix(field, [[field.from_int(x) for x in r] for r in rows])
 
 
 def test_rref_identity_fixed_point():
@@ -124,13 +124,6 @@ def test_subspace_field_mismatch():
     t = Subspace.from_vectors(F3, 2, [[F3.one, F3.zero]])
     with pytest.raises(ValueError):
         s.add(t)
-
-
-def test_matrix_serialization_strings():
-    m = _m(Q, [[1, -2]])
-    assert m.to_strings() == [["1/1", "-2/1"]]
-    m3 = _m(F3, [[1, 2]])
-    assert m3.to_strings() == [["1 mod 3", "2 mod 3"]]
 
 
 # ---------------------------------------------------------------------------
