@@ -2,10 +2,11 @@
 products, adjoints, eigen decompositions, fusion-rule and Jordan-identity
 verification, Miyamoto maps, U-operators, ideals and quotients.
 
-Vectors are coordinate lists over the algebra's field; the multiplication
-table is stored densely, but every product of algebra elements (``mul``,
+Vectors are coordinate lists over the algebra's field.  The multiplication
+table is stored sparsely, each product b_i b_j once for both orders, as the
+dict of its nonzero coordinates; every product of algebra elements (``mul``,
 ``ad``, the Jordan scan, the fusion test of ``check_axis``) runs on one
-sparse integer view of it (``AlgebraTable.int_view``): over Q every structure
+integer view of it (``AlgebraTable.int_view``): over Q every structure
 constant is scaled by the lcm of the table's denominators, over F_p the
 constants are their residues and reduction waits until the end.
 """
@@ -26,37 +27,31 @@ class AlgebraError(ValueError):
 
 
 class AlgebraTable:
-    """A commutative algebra over an exact field, as a symmetric table of
-    basis products."""
+    """A commutative algebra over an exact field, given by its structure
+    constants: ``table[i][j]``, one dict shared with ``table[j][i]``, maps k
+    to the coordinate k of b_i b_j and holds only the nonzero ones.
 
-    def __init__(self, field, labels, table):
+    ``products`` gives b_i b_j for i <= j, as a coordinate list or as a dict
+    {k: c}; a pair left out is zero."""
+
+    def __init__(self, field, labels, products):
         self.field = field
         self.labels = list(labels)
-        self.dim = len(self.labels)
-        self.table = table  # table[i][j] = coordinate list of b_i b_j
-        if len(table) != self.dim or any(len(row) != self.dim for row in table):
-            raise AlgebraError("table shape does not match basis size")
-        self._sparse = None
+        dim = self.dim = len(self.labels)
+        self.table = [[None] * dim for _ in range(dim)]
+        for i in range(dim):
+            for j in range(i, dim):
+                self.table[i][j] = self.table[j][i] = {}
+        for (i, j), vec in products.items():
+            if not 0 <= i <= j < dim:
+                raise AlgebraError("product (%r, %r) is not a basis pair i <= j"
+                                   % (i, j))
+            items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+            self.table[i][j].update((k, c) for k, c in items if c)
         self._int_view = None
 
-    @classmethod
-    def from_pairs(cls, field, labels, pair_products):
-        """Build from products given for i <= j only."""
-        dim = len(labels)
-        zero_row = [field.zero] * dim
-        table = [[list(zero_row) for _ in range(dim)] for _ in range(dim)]
-        for (i, j), vec in pair_products.items():
-            table[i][j] = list(vec)
-            table[j][i] = list(vec)
-        return cls(field, labels, table)
-
     def sparse_row(self, i, j):
-        if self._sparse is None:
-            self._sparse = [
-                [{k: c for k, c in enumerate(row) if c} for row in rows]
-                for rows in self.table
-            ]
-        return self._sparse[i][j]
+        return self.table[i][j]
 
     def int_view(self):
         """The table as integer sparse rows, built once and cached."""
@@ -65,7 +60,10 @@ class AlgebraTable:
         return self._int_view
 
     def mul_basis(self, i, j):
-        return list(self.table[i][j])
+        out = [self.field.zero] * self.dim
+        for k, c in self.sparse_row(i, j).items():
+            out[k] = c
+        return out
 
     def mul(self, x, y):
         """Bilinear extension of the table to coordinate vectors, on the
@@ -122,17 +120,15 @@ class IntTable:
     @classmethod
     def of(cls, A):
         p = A.field.characteristic
-        sparse = [[A.sparse_row(a, b) for b in range(A.dim)] for a in range(A.dim)]
-        if p:
-            return cls(sparse, 1, p)
-        scale = math.lcm(*(c.denominator for rows in sparse for row in rows
-                           for c in row.values()))
-        rows = [
-            [{k: c.numerator * (scale // c.denominator) for k, c in row.items()}
-             for row in rows]
-            for rows in sparse
-        ]
-        return cls(rows, scale, 0)
+        pairs = [(a, b, A.sparse_row(a, b))
+                 for a in range(A.dim) for b in range(a, A.dim)]
+        scale = 1 if p else math.lcm(*(c.denominator for _, _, row in pairs
+                                       for c in row.values()))
+        rows = [[None] * A.dim for _ in range(A.dim)]
+        for a, b, row in pairs:
+            rows[a][b] = rows[b][a] = row if p else {
+                k: c.numerator * (scale // c.denominator) for k, c in row.items()}
+        return cls(rows, scale, p)
 
 
 # ---------------------------------------------------------------------------
@@ -278,13 +274,9 @@ def _table_automorphisms(A):
     index; in a Matsuo algebra that is the Miyamoto involution y -> y^x.  A
     candidate is kept only when it is a permutation other than the identity
     and maps the integer view onto itself, rows[sigma i][sigma j] being
-    rows[i][j] with indices moved by sigma for every pair.  A table that is
-    not symmetric keeps none, since the scan's slot symmetry needs a
-    commutative product."""
+    rows[i][j] with indices moved by sigma for every pair."""
     rows = A.int_view().rows
     dim = A.dim
-    if any(rows[i][j] != rows[j][i] for i in range(dim) for j in range(i)):
-        return ()
     identity = tuple(range(dim))
     kept = {}
     for x in range(dim):
@@ -634,7 +626,7 @@ def quotient(A, s):
             j = comp[b]
             w = s.reduce(A.mul_basis(i, j))
             products[(a, b)] = [w[t] for t in comp]
-    return QuotientResult(AlgebraTable.from_pairs(f, labels, products), comp)
+    return QuotientResult(AlgebraTable(f, labels, products), comp)
 
 
 # ---------------------------------------------------------------------------
@@ -672,17 +664,15 @@ def direct_sum(A, B):
     """Orthogonal direct sum: concatenated bases, zero cross products."""
     if A.field != B.field:
         raise AlgebraError("direct sum needs a common field")
-    f = A.field
-    dim = A.dim + B.dim
     labels = list(A.labels) + list(B.labels)
-    products = {}
-    for i in range(A.dim):
-        for j in range(i, A.dim):
-            products[(i, j)] = list(A.mul_basis(i, j)) + [f.zero] * B.dim
+    products = {(i, j): A.sparse_row(i, j)
+                for i in range(A.dim) for j in range(i, A.dim)}
+    shift = A.dim
     for i in range(B.dim):
         for j in range(i, B.dim):
-            products[(A.dim + i, A.dim + j)] = [f.zero] * A.dim + list(B.mul_basis(i, j))
-    return AlgebraTable.from_pairs(f, labels, products)
+            products[(shift + i, shift + j)] = {
+                shift + k: c for k, c in B.sparse_row(i, j).items()}
+    return AlgebraTable(A.field, labels, products)
 
 
 # ---------------------------------------------------------------------------
@@ -700,9 +690,16 @@ def _is_product_triangle(rows, dim):
 
 def algebra_to_json_dict(A):
     fmt = A.field.fmt
+    zero = fmt(A.field.zero)
     products = []
     for i in range(A.dim):
-        products.append([[fmt(c) for c in A.table[i][j]] for j in range(i, A.dim)])
+        row = []
+        for j in range(i, A.dim):
+            vec = [zero] * A.dim
+            for k, c in A.sparse_row(i, j).items():
+                vec[k] = fmt(c)
+            row.append(vec)
+        products.append(row)
     return {
         "field": A.field.name,
         "dim": A.dim,
@@ -741,7 +738,7 @@ def algebra_from_json_dict(data):
     for i, row in enumerate(data["products"]):
         for off, vec in enumerate(row):
             products[(i, i + off)] = [scalars[s] for s in vec]
-    return AlgebraTable.from_pairs(field, labels, products)
+    return AlgebraTable(field, labels, products)
 
 
 def algebra_to_json(A):

@@ -9,7 +9,6 @@ from itertools import product
 from .fields import Rationals, field_from_name
 from .linalg import Matrix, Subspace, rref, unit_vector
 from .fischer import (
-    build_p2_dual,
     build_p3,
     gamma_of_group,
     gamma_of_rootsystem,
@@ -381,19 +380,24 @@ def _claim_rank4_presented(claim_id, n, field_name, context):
     return anchors, checks
 
 
-_AXIS_FIXTURES = ("P2dual", "P3", "A4", "D4")
+# The fixture triple systems, named as on the command line.
+_AXIS_FIXTURES = (("space", "P2dual"), ("space", "P3"), ("roots", "A4"),
+                  ("roots", "D4"))
 
 
 def _axis_fixture_spaces():
-    out = []
-    for name in _AXIS_FIXTURES:
-        if name == "P2dual":
-            out.append((name, build_p2_dual()))
-        elif name == "P3":
-            out.append((name, build_p3()))
-        else:
-            out.append((name, gamma_of_rootsystem(root_system_from_name(name))))
-    return out
+    return [(name, cons.triple_system_from_cli(**{flag: name}))
+            for flag, name in _AXIS_FIXTURES]
+
+
+def _axis_fixtures(f):
+    """(name, alpha_str, A, rules) for the Matsuo algebra over f of each
+    fixture triple system at alpha = 1/2 and 1/3, with its fusion rules."""
+    for name, sp in _axis_fixture_spaces():
+        for d in (2, 3):
+            alpha = f.div(f.one, f.from_int(d))
+            yield (name, "1/%d" % d, cons.matsuo_algebra(sp, alpha, f),
+                   phi_alpha(f, alpha))
 
 
 def _claim_fusion_axes(claim_id, n, field_name, context):
@@ -403,17 +407,13 @@ def _claim_fusion_axes(claim_id, n, field_name, context):
     ]
     f = field_from_name(field_name or "Q")
     checks = []
-    for name, sp in _axis_fixture_spaces():
-        for alpha_str in ("1/2", "1/3"):
-            alpha = f.div(f.one, f.from_int(int(alpha_str[2])))
-            A = cons.matsuo_algebra(sp, alpha, f)
-            rules = phi_alpha(f, alpha)
-            good = sum(
-                1 for i in range(A.dim)
-                if check_axis(A, unit_vector(f, A.dim, i), rules).ok
-            )
-            _chk(checks, "axes among points of %s at alpha=%s" % (name, alpha_str),
-                 A.dim, good)
+    for name, alpha_str, A, rules in _axis_fixtures(f):
+        good = sum(
+            1 for i in range(A.dim)
+            if check_axis(A, unit_vector(f, A.dim, i), rules).ok
+        )
+        _chk(checks, "axes among points of %s at alpha=%s" % (name, alpha_str),
+             A.dim, good)
     return anchors, checks
 
 
@@ -426,20 +426,16 @@ def _claim_miyamoto(claim_id, n, field_name, context):
     ]
     f = field_from_name(field_name or "Q")
     checks = []
-    for name, sp in _axis_fixture_spaces():
-        for alpha_str in ("1/2", "1/3"):
-            alpha = f.div(f.one, f.from_int(int(alpha_str[2])))
-            A = cons.matsuo_algebra(sp, alpha, f)
-            rules = phi_alpha(f, alpha)
-            taus = [miyamoto(A, unit_vector(f, A.dim, i), rules)
-                    for i in range(A.dim)]
-            involutions, orders, distinct = _miyamoto_verdicts(taus)
-            _chk(checks, "%s at alpha=%s: involutive automorphisms" %
-                 (name, alpha_str), True, involutions)
-            _chk(checks, "%s at alpha=%s: pairwise orders at most 3" %
-                 (name, alpha_str), True, orders)
-            _chk(checks, "%s at alpha=%s: point map injective" %
-                 (name, alpha_str), True, distinct)
+    for name, alpha_str, A, rules in _axis_fixtures(f):
+        taus = [miyamoto(A, unit_vector(f, A.dim, i), rules)
+                for i in range(A.dim)]
+        involutions, orders, distinct = _miyamoto_verdicts(taus)
+        _chk(checks, "%s at alpha=%s: involutive automorphisms" %
+             (name, alpha_str), True, involutions)
+        _chk(checks, "%s at alpha=%s: pairwise orders at most 3" %
+             (name, alpha_str), True, orders)
+        _chk(checks, "%s at alpha=%s: point map injective" %
+             (name, alpha_str), True, distinct)
     return anchors, checks
 
 

@@ -57,17 +57,15 @@ def matsuo_algebra(space, alpha, field):
     f = field
     half_alpha = f.div(alpha, f.from_int(2))
     n = space.n_points
+    minus_half_alpha = f.neg(half_alpha)
     products = {}
     for i in range(n):
-        products[(i, i)] = unit_vector(f, n, i)
+        products[(i, i)] = {i: f.one}
         for j in range(i + 1, n):
-            v = [f.zero] * n
             if space.collinear(i, j):
-                v[i] = half_alpha
-                v[j] = half_alpha
-                v[space.wedge(i, j)] = f.neg(half_alpha)
-            products[(i, j)] = v
-    return AlgebraTable.from_pairs(f, list(space.labels), products)
+                products[(i, j)] = {i: half_alpha, j: half_alpha,
+                                    space.wedge(i, j): minus_half_alpha}
+    return AlgebraTable(f, list(space.labels), products)
 
 
 def matsuo_eigenbasis(space, alpha, field, x):
@@ -141,7 +139,7 @@ def jordan_from_roots(field, rs):
     products, _ = _product_table(f, [mats[r] for r in basis_roots])
     labels = ["m(%s)" % ",".join(str(a) for a in r) for r in basis_roots]
     return RootProjectionAlgebra(
-        AlgebraTable.from_pairs(f, labels, products), basis_roots,
+        AlgebraTable(f, labels, products), basis_roots,
         dict(zip(rs.positive, coords)), mats
     )
 
@@ -278,7 +276,7 @@ def zero_sum_sym_algebra(field, n):
                            for i in range(n)])]
     products, unit_coords = _product_table(f, mats, unit)
     labels = ["m%d%d" % (i + 1, j + 1) for i, j in pairs]
-    alg = AlgebraTable.from_pairs(f, labels, products)
+    alg = AlgebraTable(f, labels, products)
     out = ZeroSumSymAlgebra(alg, n, pairs, mats)
     if unit:
         out.unit, out.unit_matrix = unit_coords[0], unit[0]
@@ -476,7 +474,7 @@ def h3_algebra(field, model=None):
     structure-constant algebra under the symmetrized product."""
     model = model or zeta_model(field)
     products, _ = _product_table(field, h3_basis_matrices(model))
-    return AlgebraTable.from_pairs(field, h3_labels(model), products)
+    return AlgebraTable(field, h3_labels(model), products)
 
 
 def h3_rule_check(field, model=None):
@@ -803,26 +801,11 @@ class EmbeddingReport:
     r: int
     small_order: int
     embedded_order: int
-    exact_bijection: bool
     central_quotient: bool     # embedded maps onto small with central kernel
-    kernel_size: int
+    kernel_size: int           # 0 when the generators define no homomorphism
     spaces_isomorphic: bool
     small_rank4: Rank4Report
     embedded_rank4: Rank4Report
-
-    def coefficients_match(self):
-        return (
-            self.small_rank4.coeff_a_left == self.embedded_rank4.coeff_a_left
-            and self.small_rank4.coeff_a_right == self.embedded_rank4.coeff_a_right
-        )
-
-    def ok(self):
-        return (
-            self.central_quotient
-            and self.kernel_size * self.small_order == self.embedded_order
-            and self.spaces_isomorphic
-            and self.coefficients_match()
-        )
 
 
 def embedding_check(k, r):
@@ -852,9 +835,6 @@ def embedding_check(k, r):
     spaces_iso = pts_isomorphic(gamma_of_group(small), gamma_of_group(sub)) is not None
     return EmbeddingReport(
         k, r, small_order, sub_order,
-        # the generator homomorphism is onto, so it is a bijection exactly
-        # when its kernel is trivial
-        hom is not None and kernel_size == 1,
         hom is not None and central,
         kernel_size,
         spaces_iso,

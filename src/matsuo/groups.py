@@ -350,9 +350,7 @@ def build_wk_affine_a(k, n):
         names = ["a", "b", "c", "d"]
     else:
         names = ["s%d" % (i + 1) for i in range(n)] + ["d"]
-    group = _affine_group("W%d(affA%d)" % (k, n), k, n + 2, raw_gens, names)
-    group.printed_generators = dict(zip(names, raw_gens))
-    return group
+    return _affine_group("W%d(affA%d)" % (k, n), k, n + 2, raw_gens, names)
 
 
 def wk_embedding_subgroup(k, r):

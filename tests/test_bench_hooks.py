@@ -1,10 +1,14 @@
 """The benchmark's tracer wraps named functions and methods of the package
-(`perfbench/tracer.py`, SPANS).  It looks each one up by name, so deleting or
-renaming one of them breaks the benchmark; this test catches that in the fast
-suite.  It only reads `perfbench/`."""
+(`perfbench/tracer.py`, SPANS), and its workloads (`perfbench/workloads.py`)
+call and read more of them.  Both look them up by name, so deleting or
+renaming one of them breaks the benchmark; these tests catch that in the fast
+suite.  They only read `perfbench/`."""
 
 import importlib
+import random
 from pathlib import Path
+
+from matsuo import groups
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -26,3 +30,20 @@ def test_tracer_finds_every_span_and_restores_the_package(monkeypatch):
              for _, _, owner, attributes, _ in tracer.SPANS
              for attribute in attributes}
     assert after == before
+
+
+def test_workload_jobs_reach_their_expected_verdicts(monkeypatch, tmp_path):
+    """One job of each workload kind, run as the benchmark runs it.  Besides
+    the traced names, the jobs read ``AlgebraTable.table``,
+    ``fields.scalar_from_string`` and ``CosetTable.status``."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    rng = random.Random(7)
+    jobs = [
+        workloads.round_trip_job("D4", 12, str(tmp_path), rng),
+        workloads.axes_job({"roots": "D4"}, "Q", "1/3", 12, str(tmp_path), rng),
+        workloads.rank4_coset_job("su32", groups.su32_quotient_presentation(), 0, 6912),
+        workloads.verify_job(("p3-unit",)),
+    ]
+    for job in jobs:
+        assert job.run() == job.expected, job.name

@@ -407,7 +407,7 @@ def _every_element_an_absolute_zero_divisor(A, s):
 def _nilpotent_pair_algebra(f):
     """x^2 = y^2 = 0, xy = z, z^2 = z: U_x = U_y = 0, but U_(x+y) z = -2z."""
     zero, one = f.zero, f.one
-    return AlgebraTable.from_pairs(f, ["x", "y", "z"], {
+    return AlgebraTable(f, ["x", "y", "z"], {
         (0, 1): [zero, zero, one], (2, 2): [zero, zero, one]})
 
 
@@ -523,12 +523,14 @@ def test_rank4_rejects_degenerate_generators():
 
 def test_embedding_reports():
     rep2 = cons.embedding_check(2, 5)
-    assert rep2.ok()
-    assert not rep2.exact_bijection      # central kernel of order 2
-    assert rep2.kernel_size == 2
     rep3 = cons.embedding_check(3, 5)
-    assert rep3.ok()
-    assert rep3.exact_bijection
+    for rep in (rep2, rep3):
+        assert rep.central_quotient and rep.spaces_isomorphic
+        assert rep.kernel_size * rep.small_order == rep.embedded_order
+        assert rep.embedded_rank4.coeff_a_left == rep.small_rank4.coeff_a_left
+        assert rep.embedded_rank4.coeff_a_right == rep.small_rank4.coeff_a_right
+    assert rep2.kernel_size == 2         # central kernel of order 2
+    assert rep3.kernel_size == 1         # an exact generator bijection
     assert rep3.embedded_rank4.coeff_a_left == Fraction(13, 32)
     assert rep2.embedded_rank4.coeff_a_left == Fraction(3, 8)
     assert rep2.embedded_rank4.coeff_a_right == Fraction(7, 16)
