@@ -428,7 +428,12 @@ def check_axis(A, e, rules):
     step is homogeneous in w and only multiplies by nonzero scales, so no
     scaling turns a nonzero vector into zero.  As the table is commutative,
     a pair within one eigenspace is tested once, which keeps the first
-    failing pair, and with it the witness, that the full scan would find."""
+    failing pair, and with it the witness, that the full scan would find.
+
+    On basis elements it runs once per orbit of verified automorphisms
+    (``basis_axis_checks``): an automorphism sigma conjugates ad(b_i) to
+    ad(b_sigma(i)) and so carries eigenspaces and their products to those of
+    b_sigma(i), which keeps the verdict, the dims and the eigenvalues."""
     try:
         dec = eigen_decomposition(A, e, candidates=list(rules.eigenvalues))
     except AlgebraError as err:
@@ -442,6 +447,19 @@ def check_axis(A, e, rules):
         return AxisCheck(False, dec.dims(), present, "fusion rule violated",
                          witness)
     return AxisCheck(True, dec.dims(), present)
+
+
+def basis_axis_checks(A, rules):
+    """For every basis index i, ``check_axis(A, b_i, rules)``, or None when
+    b_i is not idempotent, decided at the least point r of i's orbit under
+    ``_table_automorphisms(A)`` and shared by the orbit (a witness, if any,
+    is b_r's).  A table with no kept automorphism has one orbit a point."""
+    rep = _orbit_minima(A.dim, _table_automorphisms(A))
+    checks = {}
+    for r in sorted(set(rep)):
+        e = unit_vector(A.field, A.dim, r)
+        checks[r] = check_axis(A, e, rules) if A.is_idempotent(e) else None
+    return [checks[r] for r in rep]
 
 
 def _fusion_violation(A, e, rules, dec):
@@ -730,14 +748,17 @@ def algebra_from_json_dict(data):
                            "vectors of length dim, each entry a scalar string")
     field = field_from_name(data["field"])
     # a table repeats a few scalars many times: parse each distinct string
-    # once, in the order of the file, so the first bad one is still reported
+    # once, in the order of the file, so the first bad one is still reported;
+    # a product keeps only the strings whose value is nonzero, however spelt
     scalars = dict.fromkeys(s for row in data["products"] for vec in row for s in vec)
     for s in scalars:
         scalars[s] = field.parse(s)
+    nonzero = {s: c for s, c in scalars.items() if c}
     products = {}
     for i, row in enumerate(data["products"]):
         for off, vec in enumerate(row):
-            products[(i, i + off)] = [scalars[s] for s in vec]
+            products[(i, i + off)] = {k: nonzero[s] for k, s in enumerate(vec)
+                                      if s in nonzero}
     return AlgebraTable(field, labels, products)
 
 

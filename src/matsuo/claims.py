@@ -23,7 +23,7 @@ from .groups import (
     todd_coxeter,
 )
 from .algebra import (
-    check_axis,
+    basis_axis_checks,
     eigen_decomposition,
     iso_check,
     is_multiplicative,
@@ -408,10 +408,7 @@ def _claim_fusion_axes(claim_id, n, field_name, context):
     f = field_from_name(field_name or "Q")
     checks = []
     for name, alpha_str, A, rules in _axis_fixtures(f):
-        good = sum(
-            1 for i in range(A.dim)
-            if check_axis(A, unit_vector(f, A.dim, i), rules).ok
-        )
+        good = sum(map(bool, basis_axis_checks(A, rules)))
         _chk(checks, "axes among points of %s at alpha=%s" % (name, alpha_str),
              A.dim, good)
     return anchors, checks
@@ -583,25 +580,15 @@ def run_claim(claim_id, n=None, field_name=None, context=None):
 
 
 def axes_report(A, alpha):
-    """Per-basis-element axis verdicts with eigenspace dimensions."""
-    rules = phi_alpha(A.field, alpha)
-    rows = []
-    n_axes = 0
-    for i in range(A.dim):
-        e = unit_vector(A.field, A.dim, i)
-        if not A.is_idempotent(e):
-            rows.append({"label": A.labels[i], "idempotent": False,
-                         "axis": False, "dims": []})
-            continue
-        res = check_axis(A, e, rules)
-        if res.ok:
-            n_axes += 1
-        rows.append({
-            "label": A.labels[i],
-            "idempotent": True,
-            "axis": res.ok,
-            "dims": list(res.dims),
-        })
+    """Per-basis-element axis verdicts with eigenspace dimensions, decided
+    once per orbit of the table's verified automorphisms by
+    ``basis_axis_checks``: an automorphism moves b_i, its eigenspaces and
+    their products to those of its image, so the row is the same on an orbit."""
+    checks = basis_axis_checks(A, phi_alpha(A.field, alpha))
+    rows = [{"label": label, "idempotent": res is not None, "axis": bool(res),
+             "dims": [] if res is None else list(res.dims)}
+            for label, res in zip(A.labels, checks)]
+    n_axes = sum(row["axis"] for row in rows)
     return {
         "dim": A.dim,
         "alpha": A.field.fmt(alpha),

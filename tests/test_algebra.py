@@ -6,9 +6,10 @@ from itertools import combinations, product
 
 import pytest
 
-from matsuo.fields import PrimeField, Rationals
+from matsuo.fields import PrimeField, Rationals, field_from_name, scalar_from_string
 from matsuo.linalg import Matrix, Subspace, unit_vector
-from matsuo.fischer import build_p3, gamma_of_group, gamma_of_rootsystem, root_system_from_name
+from matsuo.fischer import (PartialTripleSystem, build_p3, gamma_of_group,
+                            gamma_of_rootsystem, root_system_from_name)
 from matsuo import algebra
 from matsuo.groups import _perm_mul, build_wk_affine_a, mulclose
 from matsuo.algebra import (
@@ -18,6 +19,7 @@ from matsuo.algebra import (
     FusionRules,
     algebra_from_json,
     algebra_to_json,
+    basis_axis_checks,
     check_axis,
     direct_sum,
     eigen_decomposition,
@@ -39,7 +41,8 @@ from matsuo.algebra import (
 )
 from matsuo import claims
 from matsuo.claims import count_linearized_quadruples
-from matsuo.constructions import h3_algebra, matsuo_algebra, p3_unit, zero_sum_sym_algebra
+from matsuo.constructions import (h3_algebra, matsuo_algebra, p3_unit,
+                                  triple_system_from_cli, zero_sum_sym_algebra)
 
 Q = Rationals()
 F3 = PrimeField(3)
@@ -779,6 +782,108 @@ def test_check_axis_matches_dense_oracle_on_idempotents(p):
     assert cross
 
 
+def _axes_report_reference(A, alpha):
+    """``claims.axes_report`` by the plain loop: ``check_axis`` at every
+    idempotent basis element, no automorphism used."""
+    rules = phi_alpha(A.field, alpha)
+    rows = []
+    n_axes = 0
+    for i in range(A.dim):
+        e = unit_vector(A.field, A.dim, i)
+        if not A.is_idempotent(e):
+            rows.append({"label": A.labels[i], "idempotent": False,
+                         "axis": False, "dims": []})
+            continue
+        res = check_axis(A, e, rules)
+        n_axes += res.ok
+        rows.append({"label": A.labels[i], "idempotent": True,
+                     "axis": res.ok, "dims": list(res.dims)})
+    return {"dim": A.dim, "alpha": A.field.fmt(alpha), "basis": rows,
+            "axes": n_axes, "all_axes": n_axes == A.dim}
+
+
+def _relabelled(space, seed):
+    """The triple system with its points renumbered by a seeded permutation,
+    labels travelling with their points."""
+    n = space.n_points
+    perm = random.Random(seed).sample(range(n), n)
+    labels = [None] * n
+    for old, new in enumerate(perm):
+        labels[new] = space.labels[old]
+    return PartialTripleSystem(n, [tuple(perm[p] for p in line) for line in space.lines],
+                               labels=labels)
+
+
+def _z_algebra(f):
+    """<z : z^2 = 2z>, whose basis element is not idempotent."""
+    return AlgebraTable(f, ["z"], {(0, 0): [f.from_int(2)]})
+
+
+def _three_orbit_sum():
+    """M_{1/3}(D4) + M_{1/2}(A3) + <z : z^2 = 2z> over Q."""
+    return direct_sum(direct_sum(_root_matsuo("D4", Q.parse("1/3"), Q),
+                                 _root_matsuo("A3", HALF, Q)), _z_algebra(Q))
+
+
+_AXES_INPUTS = [({"roots": "D4"}, "Q", "1/3"), ({"group": "sym:6"}, "Q", "1/3"),
+                ({"group": "W2A3"}, "Q", "1/3"), ({"roots": "D5"}, "F5", "1/2")]
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+@pytest.mark.parametrize("source, field_name, alpha", _AXES_INPUTS,
+                         ids=["D4-Q", "sym6-Q", "W2A3-Q", "D5-F5"])
+def test_axes_report_matches_the_all_points_loop(source, field_name, alpha, seed):
+    f = field_from_name(field_name)
+    a = scalar_from_string(f, alpha)
+    A = matsuo_algebra(_relabelled(triple_system_from_cli(**source), seed), a, f)
+    report = claims.axes_report(A, a)
+    assert report == _axes_report_reference(A, a)
+    assert report["all_axes"]
+
+
+def test_axes_report_matches_the_all_points_loop_off_matsuo_tables():
+    third = Q.parse("1/3")
+    S = _three_orbit_sum()
+    assert len(set(algebra._orbit_minima(S.dim, _table_automorphisms(S)))) == 3
+    report = claims.axes_report(S, third)
+    assert report == _axes_report_reference(S, third)
+    assert [row["axis"] for row in report["basis"]] == [True] * 12 + [False] * 7
+    assert report["axes"] == 12 and not report["all_axes"]
+    assert not report["basis"][-1]["idempotent"]
+    H = h3_algebra(Q)
+    assert _table_automorphisms(H) == ()
+    T = _tampered(_root_matsuo("A4", HALF, Q), 2, 5, 9, Q.one)
+    assert 0 < len(_table_automorphisms(T)) < T.dim
+    for A, alpha in ((H, HALF), (H, third), (T, HALF),
+                     (_tampered(_root_matsuo("A3", HALF, Q), 0, 0, 0, Q.from_int(2)), HALF)):
+        assert claims.axes_report(A, alpha) == _axes_report_reference(A, alpha)
+
+
+def test_basis_axis_checks_run_check_axis_once_per_idempotent_orbit(monkeypatch):
+    calls = []
+    real = algebra.check_axis
+    monkeypatch.setattr(algebra, "check_axis",
+                        lambda A, e, rules: calls.append(e) or real(A, e, rules))
+    third = Q.parse("1/3")
+    checks = basis_axis_checks(_three_orbit_sum(), phi_alpha(Q, third))
+    assert [e.index(Q.one) for e in calls] == [0, 12]
+    assert checks[:12] == [checks[0]] * 12 and checks[12:18] == [checks[12]] * 6
+    assert checks[18] is None
+    calls.clear()
+    basis_axis_checks(h3_algebra(Q), phi_alpha(Q, HALF))
+    assert len(calls) == 3  # the three idempotents e_ii, each its own orbit
+
+
+@pytest.mark.parametrize("field", [Q, F5], ids=["Q", "F5"])
+def test_fusion_axes_counts_match_the_all_points_loop(field):
+    expected = [str(sum(check_axis(A, unit_vector(field, A.dim, i), rules).ok
+                        for i in range(A.dim)))
+                for _, _, A, rules in claims._axis_fixtures(field)]
+    report = claims.run_claim("fusion-axes", field_name=field.name)
+    assert [c.computed for c in report.checks] == expected
+    assert report.passed
+
+
 def test_miyamoto_squares_to_identity_and_is_automorphism():
     A = p3_algebra()
     rules = phi_alpha(Q, HALF)
@@ -1030,6 +1135,25 @@ def test_json_read_reports_the_first_bad_scalar():
     data["products"][2][0][0] = "1e1"
     with pytest.raises(ValueError, match="'0.5'"):
         algebra_from_json(json.dumps(data))
+
+
+@pytest.mark.parametrize("field, zeros",
+                         [(Q, ("0/3", "-0", "+0", "00")),
+                          (F5, ("5", "-5", "10", "5 mod 5"))], ids=["Q", "F5"])
+def test_json_read_keeps_no_key_for_a_zero_however_spelt(field, zeros):
+    A = p3_algebra(field)
+    data = json.loads(algebra_to_json(A))
+    spelt = []
+    for i, row in enumerate(data["products"]):
+        for off, vec in enumerate(row):
+            for k, s in enumerate(vec):
+                if s == field.fmt(field.zero):
+                    vec[k] = zeros[len(spelt) % len(zeros)]
+                    spelt.append((i, i + off, k))
+    back = algebra_from_json(json.dumps(data))
+    assert len(spelt) > len(zeros)
+    assert all(k not in back.table[i][j] for i, j, k in spelt)
+    assert back.table == A.table
 
 
 def find_idempotents(A, max_support=2, numerators=range(-3, 4), denominators=(1, 2, 3)):

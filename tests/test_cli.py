@@ -349,6 +349,23 @@ def test_axes_report_on_plane(capsys, tmp_path):
     assert all(row["dims"] == [1, 4, 4] for row in report["basis"])
 
 
+@pytest.mark.parametrize("flag, name, alpha, field, golden", [
+    ("--roots", "D4", "1/3", "Q", "axes-d4-q.json"),
+    ("--group", "sym:6", "1/3", "Q", "axes-sym6-q.json"),
+    ("--group", "W2A3", "1/3", "Q", "axes-w2a3-q.json"),
+    ("--roots", "D5", "1/2", "F5", "axes-d5-f5.json"),
+])
+def test_axes_matches_golden(capsys, tmp_path, flag, name, alpha, field, golden):
+    rc, out, _ = run_cli(capsys, "build", flag, name, "--alpha", alpha,
+                         "--field", field)
+    assert rc == 0
+    path = tmp_path / "algebra.json"
+    path.write_text(out)
+    rc, out2, err = run_cli(capsys, "axes", str(path), "--alpha", alpha)
+    assert rc == 0 and not err
+    assert out2 == (GOLDEN / golden).read_text()
+
+
 def test_axes_on_small_matsuo(capsys, tmp_path):
     rc, out, _ = run_cli(capsys, "build", "--roots", "A3",
                          "--alpha", "1/2", "--field", "Q")
