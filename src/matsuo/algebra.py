@@ -9,11 +9,14 @@ dict of its nonzero coordinates; every product of algebra elements (``mul``,
 integer view of it (``AlgebraTable.int_view``): over Q every structure
 constant is scaled by the lcm of the table's denominators, over F_p the
 constants are their residues and reduction waits until the end.
+
+The Jordan verdict is exact: the linearized identity on basis quadruples,
+then the identity itself on the diagonal pairs (b_i, b_y), which test the
+x_i^3 terms that the linearization holds only times 3 (so not over F_3).
 """
 
 import json
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -174,7 +177,6 @@ def phi_alpha(field, alpha):
 @dataclass
 class JordanCheck:
     is_jordan: bool
-    kind: str = ""
     witness: tuple = ()
 
     def __bool__(self):
@@ -189,52 +191,38 @@ def _defining_identity_gap(A, x, y):
     return [A.field.sub(a, b) for a, b in zip(lhs, rhs)]
 
 
-def jordan_sample_pairs(A):
-    """Deterministic sample for the quadratic identity: the first four basis
-    elements combined as (b0+b1+b2, b3), then 32 pairs of small random
-    vectors drawn with the fixed seed 1729."""
-    f = A.field
-    pairs = []
-    if A.dim >= 4:
-        x = [f.zero] * A.dim
-        for i in range(3):
-            x[i] = f.one
-        pairs.append((x, unit_vector(f, A.dim, 3)))
-    rng = random.Random(1729)
-    vecs = [
-        [f.from_int(rng.randint(-2, 2)) for _ in range(A.dim)]
-        for _ in range(64)
-    ]
-    pairs.extend(zip(vecs[0::2], vecs[1::2]))
-    return pairs
-
-
 def jordan_check(A):
-    """Decide whether the table satisfies the Jordan identity.
+    """Decide whether (xy)(xx) = x(y(xx)) for all x, y in the table's algebra;
+    a failure comes with the basis quadruple (i, j, y, k) that shows it.
 
-    The quadratic identity is first evaluated on a deterministic sample of
-    non-basis elements, so a failure is reported with a small witness pair
-    when one exists there.  Then the four-variable linearization is checked
-    on basis quadruples, which is exact and complete by multilinearity, up to
-    the symmetry of the identity in its three repeated slots and up to
-    verified automorphisms: one quadruple per orbit of the basis permutations
-    that ``_table_automorphisms`` proves to be automorphisms of the table (for
-    a Matsuo algebra the Miyamoto involutions y -> y^x).  A failure there is
-    reported as the first failing quadruple (i, j, y, k) in i <= j <= k,
-    all-y order; ``_quadruple_scan`` says why the reduction keeps it.
+    The gap is linear in y and a cubic form in x, so the identity holds
+    exactly when every coefficient of that form vanishes at every b_y.  The
+    coefficient of x_i x_j x_k (i, j, k distinct) is twice
+    ``linearized_gap(i, j, y, k)`` and that of x_i^2 x_k is
+    ``linearized_gap(i, i, y, k)``: ``_quadruple_scan`` tests these and its
+    first failure is the witness.  The coefficient of x_i^3 is the gap at the
+    diagonal pair (b_i, b_y), which ``linearized_gap(i, i, y, i)`` holds only
+    times 3; it is evaluated next, and a failure there is reported as
+    (i, i, y, i).  Outside characteristic 3 the scan has already tested it.
+    Over F_3 "for all x" agrees with "as an identity": reducing x_i^3 to x_i
+    leaves distinct monomials, so a cubic form that vanishes on F_3^n is zero.
 
-    Over characteristic 3 the linearization is 3 times the identity on the
-    diagonal quadruples (i, i, y, i), so the scan does not see the cubic
-    terms x_i^3 of the identity there; only the sample tests them, until an
-    exact test of those terms replaces it (an open item in ROADMAP.md).
+    Both steps run up to verified automorphisms, one quadruple and one
+    diagonal index per orbit of the basis permutations that
+    ``_table_automorphisms`` proves (for a Matsuo algebra the Miyamoto
+    involutions y -> y^x): such a permutation carries the gap at a quadruple
+    or pair to the gap at its image.
     """
-    for x, y in jordan_sample_pairs(A):
-        if any(_defining_identity_gap(A, x, y)):
-            return JordanCheck(False, "pair", (x, y))
-    witness = _quadruple_scan(A, _table_automorphisms(A))
-    if witness is None:
-        return JordanCheck(True)
-    return JordanCheck(False, "quadruple", witness)
+    gens = _table_automorphisms(A)
+    witness = _quadruple_scan(A, gens)
+    if witness is not None:
+        return JordanCheck(False, witness)
+    for r in sorted(set(_orbit_minima(A.dim, gens))):
+        b_r = unit_vector(A.field, A.dim, r)
+        for y in range(A.dim):
+            if any(_defining_identity_gap(A, b_r, unit_vector(A.field, A.dim, y))):
+                return JordanCheck(False, (r, r, y, r))
+    return JordanCheck(True)
 
 
 def _quadruple_scan(A, gens):

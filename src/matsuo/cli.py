@@ -76,15 +76,15 @@ def _cmd_verify(args):
         sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return 0 if all(r.passed for r in reports) else 1
     if not args.claim:
-        sys.stderr.write("verify: give a claim id or --all; known ids:\n  %s\n"
-                         % "\n  ".join(claims.claim_ids()))
+        sys.stderr.write("error: give a claim id or --all"
+                         " (see matsuo verify --list)\n")
         return 2
     try:
         report = claims.run_claim(args.claim, n=args.n, field_name=args.field,
                                   context=context)
     except KeyError:
-        sys.stderr.write("unknown claim %r; known ids:\n  %s\n"
-                         % (args.claim, "\n  ".join(claims.claim_ids())))
+        sys.stderr.write("error: unknown claim %r (see matsuo verify --list)\n"
+                         % args.claim)
         return 2
     sys.stdout.write(report.to_json(mask_runtime=args.mask_runtime))
     return 0 if report.passed else 1

@@ -264,15 +264,13 @@ def test_jordan_check_p3_mod_3():
 def test_jordan_counterexample_witness_is_generator_sum():
     grp = build_wk_affine_a(2, 3)
     A = matsuo_algebra(gamma_of_group(grp), HALF, Q)
+    x = [Q.one] * 3 + [Q.zero] * (A.dim - 3)
+    y = unit_vector(Q, A.dim, 3)
+    xx = ref_mul(A, x, x)
+    assert ref_mul(A, ref_mul(A, x, y), xx) != ref_mul(A, x, ref_mul(A, y, xx))
     res = jordan_check(A)
     assert not res
-    assert res.kind == "pair"
-    x, y = res.witness
-    expected_x = [Q.zero] * A.dim
-    for i in range(3):
-        expected_x[i] = Q.one
-    assert x == expected_x
-    assert y == unit_vector(Q, A.dim, 3)
+    assert res.witness == _jordan_scan_reference(A) == (0, 1, 3, 2)
 
 
 def brute_force_jordan(A, coefficients=(-1, 0, 1, 2)):
@@ -406,15 +404,13 @@ def test_integer_gap_matches_dense_oracle_over_prime_fields():
 def test_jordan_check_frozen_verdicts():
     F3_half = F3.div(F3.one, F3.from_int(2))
     w2a3 = matsuo_algebra(gamma_of_group(build_wk_affine_a(2, 3)), HALF, Q)
-    x = [Q.one] * 3 + [Q.zero] * 9
-    y = unit_vector(Q, 12, 3)
     for A, expected in (
-        (_root_matsuo("A3", HALF, Q), (True, "", ())),
-        (matsuo_algebra(build_p3(), F3_half, F3), (True, "", ())),
-        (w2a3, (False, "pair", (x, y))),
+        (_root_matsuo("A3", HALF, Q), (True, ())),
+        (matsuo_algebra(build_p3(), F3_half, F3), (True, ())),
+        (w2a3, (False, (0, 1, 3, 2))),
     ):
         res = jordan_check(A)
-        assert (res.is_jordan, res.kind, res.witness) == expected
+        assert (res.is_jordan, res.witness) == expected
 
 
 def _jordan_scan_reference(A):
@@ -478,7 +474,7 @@ def _scan_fixtures():
 
 @pytest.mark.parametrize("build", [b for _, b in _scan_fixtures()],
                          ids=[name for name, _ in _scan_fixtures()])
-def test_quadruple_scan_agrees_with_the_plain_scan(build, monkeypatch):
+def test_quadruple_scan_agrees_with_the_plain_scan(build):
     A = build()
     expected = _jordan_scan_reference(A)
     assert _quadruple_scan(A, _table_automorphisms(A)) == expected
@@ -486,13 +482,52 @@ def test_quadruple_scan_agrees_with_the_plain_scan(build, monkeypatch):
     if expected is not None:
         assert not linearized_identity_holds(A, *expected)
     res = jordan_check(A)
-    if res.is_jordan or res.kind == "quadruple":
-        assert res.witness == (expected or ())
-    # past the pair pre-pass, the reported witness is the plain scan's
-    monkeypatch.setattr(algebra, "jordan_sample_pairs", lambda A: [])
-    res = jordan_check(A)
     assert (res.is_jordan, res.witness) == (
         (True, ()) if expected is None else (False, expected))
+
+
+def _two_dim_tables(field, values):
+    """Every commutative 2-dim table over field whose structure constants
+    are drawn from values, through the pair constructor."""
+    vectors = list(product(values, repeat=2))
+    return [AlgebraTable(field, ["a", "b"],
+                         {(0, 0): list(u), (0, 1): list(v), (1, 1): list(w)})
+            for u, v, w in product(vectors, repeat=3)]
+
+
+def test_jordan_check_is_exact_over_f3():
+    # over F3 the scan cannot see the x_i^3 terms: the 64 tables it passes
+    # that still fail the identity must fail on a diagonal pair
+    diagonal = 0
+    for A in _two_dim_tables(F3, range(3)):
+        res = jordan_check(A)
+        assert res.is_jordan == brute_force_jordan(A, (0, 1, 2))
+        if _quadruple_scan(A, ()) is None and not res.is_jordan:
+            r, r2, _, r3 = res.witness
+            assert r == r2 == r3
+            diagonal += 1
+    assert diagonal == 64
+
+
+@pytest.mark.parametrize("field, dim", [(F5, 2), (F7, 2), (F3, 3)],
+                         ids=["F5-dim2", "F7-dim2", "F3-dim3"])
+def test_jordan_check_matches_brute_force_on_seeded_tables(field, dim):
+    # a cubic form over F_p that vanishes on all of F_p^dim is zero, so the
+    # brute force over the whole space decides the identity; outside
+    # characteristic 3 the diagonal never fails alone
+    rng = random.Random(field.p * 10 + dim)
+    values = [0] * (2 * field.p) + list(range(1, field.p))
+    seen = set()
+    for _ in range(100):
+        A = AlgebraTable(field, ["b%d" % i for i in range(dim)],
+                         _random_pairs(rng, field, values, dim))
+        res = jordan_check(A)
+        assert res.is_jordan == brute_force_jordan(A, range(field.p))
+        seen.add((res.is_jordan, _quadruple_scan(A, ()) is None))
+    if field.p == 3:
+        assert seen == {(True, True), (False, True), (False, False)}
+    else:
+        assert seen == {(True, True), (False, False)}
 
 
 def test_scan_fixtures_reach_both_verdicts_and_orbit_counts():

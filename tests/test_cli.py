@@ -273,13 +273,15 @@ def test_verify_list(capsys):
 
 def test_verify_unknown_claim(capsys):
     rc, out, err = run_cli(capsys, "verify", "no-such-claim")
-    assert rc == 2
+    assert (rc, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
     assert "unknown claim" in err
 
 
 def test_verify_requires_claim_or_all(capsys):
-    rc, _, err = run_cli(capsys, "verify")
-    assert rc == 2
+    rc, out, err = run_cli(capsys, "verify")
+    assert (rc, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
     assert "claim id" in err
 
 
