@@ -283,27 +283,18 @@ def _table_automorphisms(A):
 
 def _orbit_minima(n, gens):
     """For each point of range(n), the least point of its orbit under the
-    group the permutations gens generate, by union-find."""
-    parent = list(range(n))
-
-    def root(p):
-        while parent[p] != p:
-            parent[p] = parent[parent[p]]
-            p = parent[p]
-        return p
-
-    for g in gens:
-        for p, q in enumerate(g):
-            a, b = root(p), root(q)
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    return [root(p) for p in range(n)]
+    group the permutations gens generate."""
+    rep = [None] * n
+    for r in range(n):
+        if rep[r] is None:
+            for p in _transversal(n, r, gens):
+                rep[p] = r
+    return rep
 
 
-def _stabiliser_generators(n, r, gens):
-    """Schreier generators of the stabiliser of the point r in <gens>: u_p g
-    u_{p^g}^-1 for every generator g and every point p of r's orbit, where
-    u_p, from a breadth-first transversal, sends r to p."""
+def _transversal(n, r, gens):
+    """{p: u_p} over the orbit of the point r in <gens>, u_p a word in gens
+    that sends r to p, found breadth first (u_r is the identity)."""
     transversal = {r: tuple(range(n))}
     orbit = [r]
     for p in orbit:
@@ -311,6 +302,14 @@ def _stabiliser_generators(n, r, gens):
             if g[p] not in transversal:
                 transversal[g[p]] = _perm_mul(transversal[p], g)
                 orbit.append(g[p])
+    return transversal
+
+
+def _stabiliser_generators(n, r, gens):
+    """Schreier generators of the stabiliser of the point r in <gens>: u_p g
+    u_{p^g}^-1 for every generator g and every point p of r's orbit, where
+    u_p, from ``_transversal``, sends r to p."""
+    transversal = _transversal(n, r, gens)
     inverse = {p: _perm_inv(u) for p, u in transversal.items()}
     return {_perm_mul(_perm_mul(u, g), inverse[g[p]])
             for p, u in transversal.items() for g in gens}
@@ -448,6 +447,35 @@ def basis_axis_checks(A, rules):
         e = unit_vector(A.field, A.dim, r)
         checks[r] = check_axis(A, e, rules) if A.is_idempotent(e) else None
     return [checks[r] for r in rep]
+
+
+def basis_miyamoto_permutations(A, rules):
+    """For every basis index p, ``miyamoto(A, b_p, rules)`` as a basis
+    permutation (``_column_permutation``) or None, run only at the least
+    point r of each orbit of ``_table_automorphisms(A)``: p gets g tau_r g^-1
+    for g from ``_transversal``, g(r) = p, which maps ad(b_r) to ad(b_p)."""
+    gens = _table_automorphisms(A)
+    perms = [None] * A.dim
+    for r in sorted(set(_orbit_minima(A.dim, gens))):
+        e = unit_vector(A.field, A.dim, r)
+        tau = _column_permutation(miyamoto(A, e, rules))
+        if tau is not None:
+            for p, g in _transversal(A.dim, r, gens).items():
+                perms[p] = _perm_mul(_perm_mul(_perm_inv(g), tau), g)
+    return perms
+
+
+def _column_permutation(m):
+    """The tuple p with column j of m the unit vector at p[j], or None when m
+    is not a permutation matrix."""
+    one = m.field.one
+    perm = []
+    for col in zip(*m.rows):
+        support = [k for k, c in enumerate(col) if c]
+        if len(support) != 1 or col[support[0]] != one:
+            return None
+        perm.append(support[0])
+    return tuple(perm) if len(set(perm)) == len(perm) else None
 
 
 def _fusion_violation(A, e, rules, dec):

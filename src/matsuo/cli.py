@@ -42,7 +42,8 @@ def _build_parser():
     v.add_argument("--list", action="store_true", help="list claim ids")
     v.add_argument("--n", type=int,
                    help="size parameter; only sym-zero-sum takes one")
-    v.add_argument("--field", help="restrict to one field (Q or F<p>)")
+    v.add_argument("--field", help="restrict to one field (Q or F<p>); the "
+                   "rank4-* and embed-* claims take none")
     v.add_argument("--mask-runtime", action="store_true",
                    help="print 'masked' instead of the runtime")
 
@@ -68,8 +69,10 @@ def _cmd_verify(args):
     context = {}
     if args.all:
         reports = [
-            claims.run_claim(cid, n=args.n if cid in claims.SIZED_CLAIMS else None,
-                             field_name=args.field, context=context)
+            claims.run_claim(
+                cid, n=args.n if cid in claims.SIZED_CLAIMS else None,
+                field_name=args.field if cid in claims.FIELD_CLAIMS else None,
+                context=context)
             for cid in claims.claim_ids()
         ]
         payload = [r.to_json_dict(mask_runtime=args.mask_runtime) for r in reports]

@@ -20,6 +20,7 @@ from matsuo.algebra import (
     algebra_from_json,
     algebra_to_json,
     basis_axis_checks,
+    basis_miyamoto_permutations,
     check_axis,
     direct_sum,
     eigen_decomposition,
@@ -318,6 +319,40 @@ def test_linearized_gap_matches_dense_oracle_on_failing_algebras():
             assert bool(linearized_gap(B, *quad)) == (
                 not linearized_identity_holds(B, *quad)), quad
     assert count_linearized_quadruples(A) == (81, 54)
+
+
+def _count_linearized_quadruples_reference(A):
+    """Oracle: the plain ordered count, ``linearized_gap`` at every one of the
+    dim**4 quadruples (i, j, y, k)."""
+    quads = product(range(A.dim), repeat=4)
+    return A.dim ** 4, sum(1 for q in quads if linearized_gap(A, *q))
+
+
+def _failing_multiplicities(A):
+    """The numbers of distinct indices among i, j, k over the failing
+    quadruples (i, j, y, k)."""
+    return {len({i, j, k}) for i, j, y, k in product(range(A.dim), repeat=4)
+            if linearized_gap(A, i, j, y, k)}
+
+
+def test_linearized_count_matches_the_ordered_count():
+    for A, expected in ((p3_algebra(F3), (6561, 0)),
+                        (_root_matsuo("D4", HALF, Q), (20736, 5184)),
+                        (_root_matsuo("A2", Q.parse("1/3"), Q), (81, 54))):
+        assert count_linearized_quadruples(A) == expected
+        assert _count_linearized_quadruples_reference(A) == expected
+    # seeded tables on which every class of triples (i, j, k) has a failure
+    rng = random.Random(14)
+    for field, entries in ((F3, [0, 0, 1, 2]), (F5, [0, 0, 1, 2, 3, 4]),
+                           (Q, [Q.parse(s) for s in ("0", "0", "1", "-1/2", "2/3")])):
+        for dim in (2, 3, 4):
+            A = _random_table(rng, field, entries, dim)
+            assert (count_linearized_quadruples(A)
+                    == _count_linearized_quadruples_reference(A))
+            # a gap at i = j = k is three times the defining identity's, so
+            # over F_3 that class never fails
+            classes = {2, 3} if field == F3 else {1, 2, 3}
+            assert _failing_multiplicities(A) == {m for m in classes if m <= dim}
 
 
 def _root_matsuo(name, alpha, field):
@@ -986,8 +1021,12 @@ def _miyamoto_reference(A, e, rules):
     return basis * diag * basis.inverse()
 
 
-def _miyamoto_fixtures(f):
+def _miyamoto_fixtures(f, seed=None):
+    """``claims._axis_fixtures`` without the names of alpha, each triple
+    system relabelled by ``_relabelled`` when a seed is given."""
     for name, sp in claims._axis_fixture_spaces():
+        if seed is not None:
+            sp = _relabelled(sp, seed)
         for d in (2, 3):
             alpha = f.div(f.one, f.from_int(d))
             yield name, matsuo_algebra(sp, alpha, f), phi_alpha(f, alpha)
@@ -1029,23 +1068,75 @@ def _permutation_matrix(f, perm):
                       for i in range(len(perm))])
 
 
+def _miyamoto_permutations_reference(A, rules):
+    """Oracle: the all-points loop, ``miyamoto`` at every basis element read
+    as a basis permutation."""
+    return [algebra._column_permutation(
+                miyamoto(A, unit_vector(A.field, A.dim, i), rules))
+            for i in range(A.dim)]
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+@pytest.mark.parametrize("f", [Q, F5, F7], ids=["Q", "F5", "F7"])
+def test_miyamoto_permutations_match_the_all_points_loop(f, seed):
+    for _, A, rules in _miyamoto_fixtures(f, seed):
+        perms = basis_miyamoto_permutations(A, rules)
+        assert None not in perms
+        assert perms == _miyamoto_permutations_reference(A, rules)
+
+
+def test_miyamoto_permutations_hold_for_other_automorphism_generators(monkeypatch):
+    # on the kept reflections every transversal word g has g(r) = g^-1(r), so
+    # the side of the conjugation g tau_r g^-1 only shows with other
+    # generators: the products of two reflections, verified as the tables are
+    real = algebra._table_automorphisms
+
+    def rotations(A):
+        gens = real(A)
+        return tuple(sorted({_perm_mul(s, t) for s in gens for t in gens}
+                            - {tuple(range(A.dim))}))
+
+    monkeypatch.setattr(algebra, "_table_automorphisms", rotations)
+    for _, A, rules in _miyamoto_fixtures(F5, 3):
+        assert (basis_miyamoto_permutations(A, rules)
+                == _miyamoto_permutations_reference(A, rules))
+
+
+def test_miyamoto_permutations_run_miyamoto_once_per_orbit(monkeypatch):
+    calls = []
+    real = algebra.miyamoto
+    monkeypatch.setattr(algebra, "miyamoto",
+                        lambda A, e, rules: calls.append(e.index(1)) or real(A, e, rules))
+    # two orbits at the same alpha: the nine points of P3, then the six of A3
+    S = direct_sum(p3_algebra(), _root_matsuo("A3", HALF, Q))
+    rules = phi_alpha(Q, HALF)
+    perms = basis_miyamoto_permutations(S, rules)
+    assert calls == [0, 9]
+    assert perms == _miyamoto_permutations_reference(S, rules)
+    assert len(set(perms)) == S.dim
+    calls.clear()
+    assert claims.run_claim("miyamoto", field_name="F5").passed
+    assert len(calls) == 8  # every fixture table is one orbit
+
+
 def test_miyamoto_verdicts_match_the_dense_products():
     for f in (Q, F5):
         for _, A, rules in _miyamoto_fixtures(f):
             taus = [miyamoto(A, unit_vector(f, A.dim, i), rules)
                     for i in range(A.dim)]
-            assert claims._miyamoto_verdicts(taus) == (True, True, True)
-            assert claims._miyamoto_verdicts(taus) == _dense_miyamoto_verdicts(taus)
-            repeated = taus + taus[:1]
-            assert claims._miyamoto_verdicts(repeated) == (True, True, False)
-            assert _dense_miyamoto_verdicts(repeated) == (True, True, False)
+            perms = [algebra._column_permutation(t) for t in taus]
+            assert claims._miyamoto_verdicts(perms) == (True, True, True)
+            assert claims._miyamoto_verdicts(perms) == _dense_miyamoto_verdicts(taus)
+            assert claims._miyamoto_verdicts(perms + perms[:1]) == (True, True, False)
+            assert _dense_miyamoto_verdicts(taus + taus[:1]) == (True, True, False)
     # (0 1)(2 3) times (0 2) is a 4-cycle; (0 1 2) is not an involution
     for perms, expected in (
             ([(1, 0, 3, 2), (2, 1, 0, 3)], (True, False, True)),
             ([(1, 2, 0, 3), (1, 0, 2, 3)], (False, True, True)),
             ([(1, 0, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3)], (True, True, True))):
         taus = [_permutation_matrix(F5, p) for p in perms]
-        assert claims._miyamoto_verdicts(taus) == expected
+        assert [algebra._column_permutation(t) for t in taus] == perms
+        assert claims._miyamoto_verdicts(perms) == expected
         assert _dense_miyamoto_verdicts(taus) == expected
 
 
@@ -1054,7 +1145,9 @@ def test_miyamoto_verdicts_fail_on_a_matrix_that_permutes_no_basis():
     swap = _permutation_matrix(Q, (1, 0, 2, 3))
     merge = _permutation_matrix(Q, (0, 0, 2, 3))  # two equal unit columns
     for odd in (ident.scale(Q.from_int(-1)), ident.scale(Q.zero), ident + swap, merge):
-        assert claims._miyamoto_verdicts([swap, odd]) == (False, False, False)
+        perms = [algebra._column_permutation(m) for m in (swap, odd)]
+        assert perms == [(1, 0, 2, 3), None]
+        assert claims._miyamoto_verdicts(perms) == (False, False, False)
 
 
 def test_u_operator_on_idempotent():

@@ -44,6 +44,8 @@ def test_workload_jobs_reach_their_expected_verdicts(monkeypatch, tmp_path):
         workloads.axes_job({"roots": "D4"}, "Q", "1/3", 12, str(tmp_path), rng),
         workloads.rank4_coset_job("su32", groups.su32_quotient_presentation(), 0, 6912),
         workloads.verify_job(("p3-unit",)),
+        workloads.verify_job(("miyamoto", "--field", "F5")),
+        workloads.verify_job(("p3-char3-chain",)),
     ]
     for job in jobs:
         assert job.run() == job.expected, job.name

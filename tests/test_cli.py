@@ -94,6 +94,26 @@ def test_verify_rejects_n_on_claims_without_size(capsys, claim):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("claim", ["rank4-W2A3", "rank4-W3A3", "rank4-su32",
+                                   "rank4-hall", "embed-W2A3-r5", "embed-W3A3-r5"])
+def test_verify_rejects_field_on_claims_without_field(capsys, claim):
+    rc, out, err = run_cli(capsys, "verify", claim, "--field", "F5")
+    assert rc == 2
+    assert not out
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_verify_all_passes_field_to_field_claims_only(capsys, monkeypatch):
+    monkeypatch.setattr(claims, "claim_ids", lambda: ["p3-unit", "rank4-W2A3"])
+    rc, out, err = run_cli(capsys, "verify", "--all", "--field", "F5",
+                           "--mask-runtime")
+    assert rc == 0 and not err
+    unit, rank4 = json.loads(out)
+    assert unit["pass"] and [c["description"] for c in unit["checks"]] == [
+        "unit fixes all nine points (F5)"]
+    assert rank4["claim_id"] == "rank4-W2A3" and rank4["pass"]
+
+
 def test_verify_all_passes_n_to_sym_zero_sum_only(capsys, monkeypatch):
     monkeypatch.setattr(claims, "claim_ids", lambda: ["p3-unit", "sym-zero-sum"])
     rc, out, err = run_cli(capsys, "verify", "--all", "--n", "3", "--mask-runtime")
