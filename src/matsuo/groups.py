@@ -731,20 +731,22 @@ def _shortest_period(word):
             return word[:p], n // p
 
 
-def _closing_segments(word, icol):
-    """The closed walk of a column word cut at the positions from which it
-    reads the word again: forwards where rotating the word gives it back,
-    backwards where the reversed inverse columns do.  Returns the pieces
-    from the start up to the last such position, empty when there is none."""
+def _cut_positions(word, icol):
+    """The positions k, 0 < k < len(word), from which the closed walk of a
+    column word reads the word again: forwards where rotating the word by k
+    gives it back, backwards where the reversed inverse columns do."""
     n = len(word)
     back = [icol[c] for c in reversed(word)]
-    cuts = [k for k in range(1, n)
+    return [k for k in range(1, n)
             if word[k:] + word[:k] == word or back[n - k:] + back[:n - k] == word]
-    return [word[i:k] for i, k in zip([0] + cuts, cuts)]
 
 
 def _coset_budget():
     return int(os.environ.get("MATSUO_MAX_COSETS", str(DEFAULT_MAX_COSETS)))
+
+
+class _Overflow(Exception):
+    pass
 
 
 def todd_coxeter(pres, subgroup=(), max_cosets=None, variant=0):
@@ -753,8 +755,9 @@ def todd_coxeter(pres, subgroup=(), max_cosets=None, variant=0):
     Relator-driven filling with first-touch coset numbering; coincidences are
     processed through a union-find with path compression.  Once a relator
     closes at a coset, it also closes at the cosets where its cycle reads it
-    again; those are marked and not rescanned, because a scan there would
-    change nothing, so the table is the one rescanning everything gives.
+    again; the scan records the cosets it walks through, and those at the
+    word's cut positions are marked and not rescanned, because a scan there
+    would change nothing, so the table is the one rescanning everything gives.
     ``variant`` selects an alternative deterministic processing order
     (rotated relators, reversed relator list) so that coset counts can be
     cross-checked between two independent runs.  Returns an incomplete table
@@ -762,44 +765,39 @@ def todd_coxeter(pres, subgroup=(), max_cosets=None, variant=0):
     """
     if max_cosets is None:
         max_cosets = _coset_budget()
+    subgroup = subgroup or ()
     ngens = pres.ngens
     relators = [_free_reduce(w) for w in pres.relator_words()]
     squares = {w[0] >> 1 for w in relators if len(w) == 2 and w[0] == w[1]}
     involution_mode = all(i in squares for i in range(ngens))
-
     if involution_mode:
-        ncols = ngens
-        def col_of(letter):
-            return letter >> 1
-        def icol_of(col):
-            return col
-        scan_relators = [w for w in relators if not (len(w) == 2 and w[0] == w[1])]
-    else:
-        ncols = 2 * ngens
-        def col_of(letter):
-            return letter
-        def icol_of(col):
-            return col ^ 1
-        scan_relators = list(relators)
-
-    rel_cols = [[col_of(l) for l in w] for w in scan_relators if w]
-    sub_cols = [[col_of(l) for l in w] for w in (subgroup or ())]
+        # one column per generator, its own inverse, so the squares hold
+        relators = [w for w in relators if not (len(w) == 2 and w[0] == w[1])]
+    shift = 1 if involution_mode else 0  # a letter's column is letter >> shift
+    ncols = 2 * ngens >> shift
+    icol = [c if involution_mode else c ^ 1 for c in range(ncols)]
+    rel_cols = [[l >> shift for l in w] for w in relators if w]
+    sub_cols = [[l >> shift for l in w] for w in subgroup]
     if variant:
         rel_cols = [w[1:] + w[:1] if len(w) > 1 else w for w in rel_cols]
         rel_cols = list(reversed(rel_cols))
 
-    icol = [icol_of(c) for c in range(ncols)]
     table = [[-1] * ncols]
     parent = [0]
     ndead = 0
-    total_defined = 1
     # Bit r of marks[c] says relator r is known to close at coset c, so a scan
     # of it from c would change nothing.  Only the first 64 relators are
     # tracked, and only those whose cycle reads them again from another coset;
     # two bytes a coset hold the marks while there are at most 16 relators.
-    segments = [_closing_segments(w, icol) if r < 64 else ()
-                for r, w in enumerate(rel_cols)]
     marks = array("H" if len(rel_cols) <= 16 else "Q", [0])
+    # A scan is (word, its inverse columns, mark bit, cut positions).  Coset 0
+    # first scans the subgroup words, which carry no marks.
+    scans = [(w, [icol[c] for c in w], 1 << r if r < 64 else 0,
+              _cut_positions(w, icol) if r < 64 else ())
+             for r, w in enumerate(rel_cols)]
+    first_scans = [(w, [icol[c] for c in w], 0, ()) for w in sub_cols] + scans
+    # path[k] is the coset alpha w[:k] that a scan of w from alpha visits
+    path = [0] * (max(map(len, rel_cols + sub_cols), default=0) + 1)
 
     def rep(c):
         r = c
@@ -809,130 +807,133 @@ def todd_coxeter(pres, subgroup=(), max_cosets=None, variant=0):
             parent[c], c = r, parent[c]
         return r
 
-    def merge(a, b, queue):
-        nonlocal ndead
-        a, b = rep(a), rep(b)
-        if a == b:
-            return
+    def coincidence(a, b):
+        """Merge the live cosets a != b and every coincidence that follows.
+        Returns the number of cosets that died."""
         if a > b:
             a, b = b, a
         parent[b] = a
         marks[a] |= marks[b]  # a coincidence maps closed walks to closed walks
-        ndead += 1
-        queue.append(b)
-
-    def coincidence(a, b):
-        queue = []
-        merge(a, b, queue)
-        head = 0
-        while head < len(queue):
-            gamma = queue[head]
-            head += 1
+        queue = [b]
+        for gamma in queue:
             row = table[gamma]
             for x in range(ncols):
                 delta = row[x]
                 if delta < 0:
                     continue
-                table[delta][icol[x]] = -1
+                ix = icol[x]
+                table[delta][ix] = -1
                 mu = rep(gamma)
                 nu = rep(delta)
                 t = table[mu][x]
                 if t >= 0:
-                    merge(nu, t, queue)
+                    a, b = nu, rep(t)
                 else:
-                    t2 = table[nu][icol[x]]
-                    if t2 >= 0:
-                        merge(mu, t2, queue)
-                    else:
+                    t = table[nu][ix]
+                    if t < 0:
                         table[mu][x] = nu
-                        table[nu][icol[x]] = mu
+                        table[nu][ix] = mu
+                        continue
+                    a, b = mu, rep(t)
+                if a != b:
+                    if a > b:
+                        a, b = b, a
+                    parent[b] = a
+                    marks[a] |= marks[b]
+                    queue.append(b)
             table[gamma] = None
-
-    class _Overflow(Exception):
-        pass
-
-    def define(c, x):
-        nonlocal total_defined
-        n = len(table)
-        if n - ndead >= max_cosets:
-            raise _Overflow
-        table.append([-1] * ncols)
-        parent.append(n)
-        marks.append(0)
-        table[c][x] = n
-        table[n][icol[x]] = c
-        total_defined += 1
-        return n
-
-    def scan_and_fill(alpha, word):
-        f = alpha
-        i = 0
-        b = alpha
-        j = len(word) - 1
-        while True:
-            while i <= j:
-                nxt = table[f][word[i]]
-                if nxt < 0:
-                    break
-                f = nxt
-                i += 1
-            if i > j:
-                if f != b:
-                    coincidence(f, b)
-                return
-            while j >= i:
-                prv = table[b][icol[word[j]]]
-                if prv < 0:
-                    break
-                b = prv
-                j -= 1
-            if j < i:
-                coincidence(f, b)
-                return
-            if i == j:
-                table[f][word[i]] = b
-                table[b][icol[word[i]]] = f
-                return
-            f = define(f, word[i])
-            i += 1
+        return len(queue)
 
     try:
-        for w in sub_cols:
-            scan_and_fill(0, w)
         alpha = 0
         while alpha < len(table):
-            if parent[alpha] != alpha or table[alpha] is None:
+            if table[alpha] is None:
                 alpha += 1
                 continue
-            for r, w in enumerate(rel_cols):
-                if marks[alpha] >> r & 1:
+            # only a coincidence that alpha survives changes the marks that
+            # its later scans read
+            closed = marks[alpha]
+            for w, iw, bit, cuts in first_scans if alpha == 0 else scans:
+                if closed & bit:
                     continue
-                scan_and_fill(alpha, w)
-                if parent[alpha] != alpha:
-                    break
-                c = alpha
-                for seg in segments[r]:
-                    for col in seg:
-                        c = table[c][col]
-                    marks[c] |= 1 << r
-            if parent[alpha] == alpha:
-                row = table[alpha]
+                # HLT scan: walk w forwards and backwards from alpha, keeping
+                # the cosets visited in path; deduce a gap of one letter, else
+                # define a coset at the forward end and walk on
+                f = b = alpha
+                i = 0
+                j = len(w) - 1
+                while True:
+                    while i <= j:
+                        nxt = table[f][w[i]]
+                        if nxt < 0:
+                            break
+                        f = nxt
+                        i += 1
+                        path[i] = f
+                    while j >= i:
+                        prv = table[b][iw[j]]
+                        if prv < 0:
+                            break
+                        b = path[j] = prv
+                        j -= 1
+                    if j < i:
+                        break
+                    if i == j:
+                        table[f][w[i]] = b
+                        table[b][iw[i]] = f
+                        break
+                    n = len(table)
+                    if n - ndead >= max_cosets:
+                        raise _Overflow
+                    row = [-1] * ncols
+                    row[iw[i]] = f
+                    table.append(row)
+                    parent.append(n)
+                    marks.append(0)
+                    table[f][w[i]] = n
+                    f = n
+                    i += 1
+                    path[i] = f
+                if j < i and f != b:
+                    ndead += coincidence(f, b)
+                    if table[alpha] is None:
+                        break
+                    closed = marks[alpha]
+                    # the merge may have killed cosets on the walk; walk the
+                    # merged table so that their survivors get the marks
+                    c = alpha
+                    for k in range(1, len(w)):
+                        c = path[k] = table[c][w[k - 1]]
+                # the relator closes at alpha, so it reads again at each cut
+                for k in cuts:
+                    marks[path[k]] |= bit
+            row = table[alpha]
+            if row is not None:
                 for x in range(ncols):
                     if row[x] < 0:
-                        define(alpha, x)
+                        n = len(table)
+                        if n - ndead >= max_cosets:
+                            raise _Overflow
+                        new = [-1] * ncols
+                        new[icol[x]] = alpha
+                        table.append(new)
+                        parent.append(n)
+                        marks.append(0)
+                        row[x] = n
             alpha += 1
     except _Overflow:
-        return CosetTable(pres, subgroup or (), [], ncols, involution_mode,
-                          False, total_defined, variant)
+        return CosetTable(pres, subgroup, [], ncols, involution_mode,
+                          False, len(table), variant)
 
-    # compact live cosets in place, preserving first-touch order
-    remap = {}
+    # compact live cosets in place, preserving first-touch order; a live
+    # row holds live cosets only, as each coincidence moves every entry
+    remap = [-1] * len(table)
     live = []
-    for c in range(len(table)):
-        if parent[c] == c and table[c] is not None:
+    for c, row in enumerate(table):
+        if row is not None:
             remap[c] = len(live)
-            live.append(table[c])
+            live.append(row)
     for row in live:
-        row[:] = [remap[rep(entry)] for entry in row]
-    return CosetTable(pres, subgroup or (), live, ncols, involution_mode,
-                      True, total_defined, variant)
+        row[:] = map(remap.__getitem__, row)
+    return CosetTable(pres, subgroup, live, ncols, involution_mode,
+                      True, len(table), variant)

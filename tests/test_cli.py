@@ -114,6 +114,51 @@ def test_verify_all_passes_field_to_field_claims_only(capsys, monkeypatch):
     assert rank4["claim_id"] == "rank4-W2A3" and rank4["pass"]
 
 
+_REFUSE_F3 = {"fusion-axes", "h3-jordan", "miyamoto", "p3-eigendims", "p3-h3-iso",
+              "p3-line-idempotents", "p3-peirce", "p3-unit", "root-projections"}
+
+
+@pytest.mark.parametrize("field, without_field", [
+    ("Q", {"p3-char3-chain"}),
+    ("F3", _REFUSE_F3),
+    ("F5", {"p3-char3-chain"}),
+    ("F7", {"p3-char3-chain"}),
+])
+def test_verify_all_runs_claims_that_refuse_the_field_without_it(
+        capsys, monkeypatch, field, without_field):
+    fields = {}
+    run_claim = claims.run_claim
+
+    def recording(cid, **kwargs):
+        fields[cid] = kwargs["field_name"]
+        return run_claim(cid, **kwargs)
+
+    monkeypatch.setattr(claims, "run_claim", recording)
+    monkeypatch.setattr(claims, "claim_ids",
+                        lambda: sorted(claims.FIELD_CLAIMS) + ["rank4-W2A3"])
+    rc, out, err = run_cli(capsys, "verify", "--all", "--field", field,
+                           "--mask-runtime")
+    assert rc == 0 and not err
+    assert all(report["pass"] for report in json.loads(out))
+    assert {cid for cid, f in fields.items() if f is None} == without_field | {
+        "rank4-W2A3"}
+    assert set(fields.values()) == {None, field}
+
+
+@pytest.mark.parametrize("claim, field, message", [
+    ("p3-char3-chain", "Q", "the chain lives in characteristic 3"),
+    ("p3-char3-chain", "F5", "the chain lives in characteristic 3"),
+    ("p3-unit", "F3", "no unit in characteristic 3: the point sum annihilates"),
+])
+def test_verify_one_claim_refuses_a_field_it_does_not_admit(
+        capsys, monkeypatch, claim, field, message):
+    scans = []
+    monkeypatch.setattr(claims, "count_linearized_quadruples", scans.append)
+    rc, out, err = run_cli(capsys, "verify", claim, "--field", field)
+    assert (rc, out, err) == (2, "", "error: %s\n" % message)
+    assert not scans  # the chain refuses the field before its 9-dim scan
+
+
 def test_verify_all_passes_n_to_sym_zero_sum_only(capsys, monkeypatch):
     monkeypatch.setattr(claims, "claim_ids", lambda: ["p3-unit", "sym-zero-sum"])
     rc, out, err = run_cli(capsys, "verify", "--all", "--n", "3", "--mask-runtime")
