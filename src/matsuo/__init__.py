@@ -15,7 +15,6 @@ from .fischer import (
     root_system_from_name,
     roots_of,
     subspace_closure,
-    validate_pts,
 )
 from .groups import (
     CosetTable,

@@ -19,6 +19,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .linalg import Matrix, Subspace, kernel, rref, unit_vector
 from .fields import field_from_name
@@ -713,35 +714,6 @@ def direct_sum(A, B):
 # JSON interchange
 
 
-def _is_product_triangle(rows, dim):
-    return isinstance(rows, list) and len(rows) == dim and all(
-        isinstance(row, list) and len(row) == dim - i
-        and all(isinstance(vec, list) and len(vec) == dim
-                and all(isinstance(c, str) for c in vec) for vec in row)
-        for i, row in enumerate(rows)
-    )
-
-
-def algebra_to_json_dict(A):
-    fmt = A.field.fmt
-    zero = fmt(A.field.zero)
-    products = []
-    for i in range(A.dim):
-        row = []
-        for j in range(i, A.dim):
-            vec = [zero] * A.dim
-            for k, c in A.sparse_row(i, j).items():
-                vec[k] = fmt(c)
-            row.append(vec)
-        products.append(row)
-    return {
-        "field": A.field.name,
-        "dim": A.dim,
-        "labels": list(A.labels),
-        "products": products,
-    }
-
-
 def algebra_from_json_dict(data):
     if not isinstance(data, dict):
         raise AlgebraError("algebra JSON must be an object")
@@ -759,19 +731,32 @@ def algebra_from_json_dict(data):
         raise AlgebraError("labels must be a list of strings")
     if len(labels) != dim:
         raise AlgebraError("label count does not match dim")
-    if not _is_product_triangle(data["products"], dim):
+    # one pass checks the triangle's shape and collects its distinct entries
+    # in the order of the file
+    rows, scalars = data["products"], {}
+    shaped = isinstance(rows, list) and len(rows) == dim
+    try:
+        for i, row in enumerate(rows if shaped else ()):
+            shaped = isinstance(row, list) and len(row) == dim - i and all(
+                isinstance(vec, list) and len(vec) == dim for vec in row)
+            if not shaped:
+                break
+            for vec in row:
+                scalars.update(dict.fromkeys(vec))
+    except TypeError:  # an unhashable entry: a list or an object
+        shaped = False
+    if not (shaped and all(isinstance(s, str) for s in scalars)):
         raise AlgebraError("products must have dim rows, row i holding dim - i "
                            "vectors of length dim, each entry a scalar string")
     field = field_from_name(data["field"])
     # a table repeats a few scalars many times: parse each distinct string
     # once, in the order of the file, so the first bad one is still reported;
     # a product keeps only the strings whose value is nonzero, however spelt
-    scalars = dict.fromkeys(s for row in data["products"] for vec in row for s in vec)
     for s in scalars:
         scalars[s] = field.parse(s)
     nonzero = {s: c for s, c in scalars.items() if c}
     products = {}
-    for i, row in enumerate(data["products"]):
+    for i, row in enumerate(rows):
         for off, vec in enumerate(row):
             products[(i, i + off)] = {k: nonzero[s] for k, s in enumerate(vec)
                                       if s in nonzero}
@@ -779,7 +764,31 @@ def algebra_from_json_dict(data):
 
 
 def algebra_to_json(A):
-    return json.dumps(algebra_to_json_dict(A), indent=2, sort_keys=True) + "\n"
+    """Byte for byte what ``json.dumps(indent=2, sort_keys=True)`` writes for
+    {dim, field, labels, products}; the products, which ``indent`` would send
+    through the pure-Python encoder, are joined here, each scalar encoded once."""
+    head = json.dumps({"dim": A.dim, "field": A.field.name,
+                       "labels": list(A.labels)}, indent=2, sort_keys=True)
+    if not A.dim:
+        return head[:-2] + ',\n  "products": []\n}\n'
+    # json.dumps puts each scalar on its own line at depth 4 (8 spaces), and
+    # closes and opens vectors at depth 3 and rows at depth 2; the parts are
+    # the encoded scalars and these separators, so no vector is a new string
+    fmt, encoded = A.field.fmt, {}
+    blank = [encode_basestring_ascii(fmt(A.field.zero)), ",\n        "] * A.dim
+    blank[-1] = "\n      ],\n      [\n        "
+    parts = [head[:-2], ',\n  "products": [\n    [\n      [\n        ']
+    for i in range(A.dim):
+        for j in range(i, A.dim):
+            vec = blank[:]
+            for k, c in A.sparse_row(i, j).items():
+                if c not in encoded:
+                    encoded[c] = encode_basestring_ascii(fmt(c))
+                vec[2 * k] = encoded[c]
+            parts += vec
+        parts[-1] = "\n      ]\n    ],\n    [\n      [\n        "
+    parts[-1] = "\n      ]\n    ]\n  ]\n}\n"
+    return "".join(parts)
 
 
 def algebra_from_json(text):

@@ -575,6 +575,14 @@ def admits_field(claim_id, field_name):
             and admits(field_from_name(field_name).characteristic))
 
 
+# A refused field gets one message, which names the claim and the field,
+# before any work; these two claims keep the reason their constructions give.
+_REFUSALS = {
+    "p3-char3-chain": "the chain lives in characteristic 3",
+    "p3-unit": "no unit in characteristic 3: the point sum annihilates",
+}
+
+
 def claim_ids():
     return sorted(CLAIMS)
 
@@ -586,6 +594,9 @@ def run_claim(claim_id, n=None, field_name=None, context=None):
         raise ValueError("claim %s takes no size parameter n" % claim_id)
     if field_name is not None and claim_id not in FIELD_CLAIMS:
         raise ValueError("claim %s takes no field parameter" % claim_id)
+    if field_name and not admits_field(claim_id, field_name):
+        raise ValueError(_REFUSALS.get(claim_id) or "claim %s does not admit "
+                         "the field %s" % (claim_id, field_name))
     start = time.monotonic()
     anchors, checks = CLAIMS[claim_id](claim_id, n, field_name, context)
     ms = int((time.monotonic() - start) * 1000)

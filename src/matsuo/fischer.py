@@ -50,26 +50,25 @@ class PartialTripleSystem:
             if line in seen:
                 return ValidationResult(False, "line %r repeated" % (line,))
             seen.add(line)
-        for l1, l2 in combinations(self.lines, 2):
-            common = set(l1) & set(l2)
-            if len(common) > 1:
-                return ValidationResult(
-                    False,
-                    "lines %r and %r share %d points" % (l1, l2, len(common)),
-                )
+        # two lines share two points exactly when a point pair comes round
+        # again; the least such pair of lines, which a pairwise scan reports,
+        # holds the first line through its point pair, the one the wedge names
         wedge = {}
         adj = [set() for _ in range(self.n_points)]
         through = [[] for _ in range(self.n_points)]
+        clashes = []
         for line in self.lines:
             a, b, c = line
-            wedge[(a, b)] = wedge[(b, a)] = c
-            wedge[(a, c)] = wedge[(c, a)] = b
-            wedge[(b, c)] = wedge[(c, b)] = a
-            for p in line:
-                through[p].append(line)
-            adj[a] |= {b, c}
-            adj[b] |= {a, c}
-            adj[c] |= {a, b}
+            for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
+                through[z].append(line)
+                adj[z].update((x, y))
+                if (x, y) in wedge:
+                    clashes.append((tuple(sorted((x, y, wedge[x, y]))), line))
+                else:
+                    wedge[x, y] = wedge[y, x] = z
+        if clashes:
+            return ValidationResult(False, "lines %r and %r share 2 points"
+                                    % min(clashes))
         self._wedge = wedge
         self._adj = adj
         self._lines_through = through
@@ -109,10 +108,6 @@ class PartialTripleSystem:
             self.n_points,
             len(self.lines),
         )
-
-
-def validate_pts(space):
-    return space.validate()
 
 
 def subspace_closure(space, points):

@@ -42,8 +42,9 @@ from matsuo.algebra import (
 )
 from matsuo import claims
 from matsuo.claims import count_linearized_quadruples
-from matsuo.constructions import (h3_algebra, matsuo_algebra, p3_unit,
-                                  triple_system_from_cli, zero_sum_sym_algebra)
+from matsuo.constructions import (beta_model, h3_algebra, matsuo_algebra, p3_unit,
+                                  triple_system_from_cli, zeta_model,
+                                  zero_sum_sym_algebra)
 
 Q = Rationals()
 F3 = PrimeField(3)
@@ -1282,6 +1283,54 @@ def test_json_read_keeps_no_key_for_a_zero_however_spelt(field, zeros):
     assert len(spelt) > len(zeros)
     assert all(k not in back.table[i][j] for i, j, k in spelt)
     assert back.table == A.table
+
+
+def _algebra_to_json_dict(A):
+    """The dict form of a table that ``algebra_to_json`` once passed to
+    ``json.dumps(indent=2, sort_keys=True)``: the writer's oracle."""
+    fmt = A.field.fmt
+    zero = fmt(A.field.zero)
+    products = []
+    for i in range(A.dim):
+        row = []
+        for j in range(i, A.dim):
+            vec = [zero] * A.dim
+            for k, c in A.sparse_row(i, j).items():
+                vec[k] = fmt(c)
+            row.append(vec)
+        products.append(row)
+    return {"field": A.field.name, "dim": A.dim, "labels": list(A.labels),
+            "products": products}
+
+
+def _half_matsuo(f, **source):
+    return matsuo_algebra(triple_system_from_cli(**source),
+                          f.div(f.one, f.from_int(2)), f)
+
+
+_WRITER_CASES = {
+    "P3/Q": lambda: _half_matsuo(Q, space="P3"),
+    "E7/Q": lambda: _half_matsuo(Q, roots="E7"),
+    "D5/F5": lambda: _half_matsuo(F5, roots="D5"),
+    "sym6/Q": lambda: _half_matsuo(Q, group="sym:6"),
+    "h3-q-zeta": lambda: h3_algebra(Q, zeta_model(Q)),
+    "h3-q-beta": lambda: h3_algebra(Q, beta_model(Q)),
+    "h3-f5-zeta": lambda: h3_algebra(F5, zeta_model(F5)),
+    "h3-f7-beta": lambda: h3_algebra(F7, beta_model(F7)),
+    "dim0-from-json": lambda: algebra_from_json(
+        '{"dim": 0, "field": "F7", "labels": [], "products": []}'),
+    "dim1": lambda: AlgebraTable(Q, ["e"], {(0, 0): [HALF]}),
+    "escaped-labels": lambda: AlgebraTable(
+        F5, ["\u00e9t\u00e9", 'say "x"', "back\\slash", "\u03b1\u2032\n"],
+        {(0, 1): {2: 3}, (3, 3): [1, 0, 4, 0]}),
+}
+
+
+@pytest.mark.parametrize("name", list(_WRITER_CASES))
+def test_json_writer_matches_json_dumps_of_the_dict_form(name):
+    A = _WRITER_CASES[name]()
+    expected = json.dumps(_algebra_to_json_dict(A), indent=2, sort_keys=True) + "\n"
+    assert algebra_to_json(A) == expected
 
 
 def find_idempotents(A, max_support=2, numerators=range(-3, 4), denominators=(1, 2, 3)):

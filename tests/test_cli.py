@@ -159,6 +159,19 @@ def test_verify_one_claim_refuses_a_field_it_does_not_admit(
     assert not scans  # the chain refuses the field before its 9-dim scan
 
 
+@pytest.mark.parametrize("claim", sorted(
+    cid for cid, admits in claims.FIELD_CLAIMS.items()
+    if admits is claims._away_from_3))
+def test_verify_claim_refuses_characteristic_3_before_it_runs(
+        capsys, monkeypatch, claim):
+    monkeypatch.setitem(claims.CLAIMS, claim, pytest.fail)
+    rc, out, err = run_cli(capsys, "verify", claim, "--field", "F3")
+    message = ("no unit in characteristic 3: the point sum annihilates"
+               if claim == "p3-unit"
+               else "claim %s does not admit the field F3" % claim)
+    assert (rc, out, err) == (2, "", "error: %s\n" % message)
+
+
 def test_verify_all_passes_n_to_sym_zero_sum_only(capsys, monkeypatch):
     monkeypatch.setattr(claims, "claim_ids", lambda: ["p3-unit", "sym-zero-sum"])
     rc, out, err = run_cli(capsys, "verify", "--all", "--n", "3", "--mask-runtime")
@@ -494,6 +507,32 @@ def test_axes_rejects_wrongly_typed_algebra_json(capsys, tmp_path, payload):
     assert rc == 2
     assert not out
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+_SHAPE_ERROR = ("error: products must have dim rows, row i holding dim - i "
+                "vectors of length dim, each entry a scalar string\n")
+
+
+@pytest.mark.parametrize("products", [
+    [[["1", "0"], ["0", "1"]]],                          # a row missing
+    [[["1", "0"], ["0", "1"]], []],                      # a short row
+    [[["1", "0"], ["0"]], [["1", "1/2"]]],               # a short vector
+    [[["1", "0"], "01"], [["1", "1/2"]]],                # a string as a vector
+    [[["1", 0], ["0", "1"]], [["1", "1/2"]]],            # a number as an entry
+    [[["1", "0"], ["0", "1"]], [["1", None]]],           # null as an entry
+    [[["1", ["0"]], ["0", "1"]], [["1", "1/2"]]],        # a nested list
+    [[["1", "0"], ["0", {"0": "1"}]], [["1", "1/2"]]],   # an object
+    [[["1", "0"], ["0", "1"]], "a"],                     # a row not a list
+    {"0": [["1", "0"], ["0", "1"]]},                     # products not a list
+], ids=["row-missing", "short-row", "short-vector", "string-vector", "number",
+        "null", "nested-list", "object", "string-row", "object-products"])
+def test_axes_reports_a_misshapen_product_triangle_in_one_line(
+        capsys, tmp_path, products):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"field": "Q", "dim": 2, "labels": ["a", "b"],
+                                "products": products}))
+    rc, out, err = run_cli(capsys, "axes", str(path))
+    assert (rc, out, err) == (2, "", _SHAPE_ERROR)
 
 
 _JSON_SCALARS = (st.none() | st.booleans() | st.integers(-3, 3)

@@ -1,4 +1,5 @@
 import copy
+import random
 from itertools import combinations
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from matsuo.fischer import (
     GeometryError,
     PartialTripleSystem,
+    ValidationResult,
     build_p2_dual,
     build_p3,
     gamma_of_group,
@@ -20,27 +22,98 @@ from matsuo.fischer import (
     space_to_json_dict,
     space_to_text,
     subspace_closure,
-    validate_pts,
 )
 from matsuo.groups import build_3sq2, build_sym
+
+from test_properties import _constructed_spaces
 
 
 def test_single_line_valid():
     sp = PartialTripleSystem(3, [(0, 1, 2)])
-    assert validate_pts(sp).ok
+    assert sp.validate().ok
     assert sp.wedge(0, 1) == 2
 
 
 def test_two_lines_sharing_two_points_invalid():
     sp = PartialTripleSystem(4, [(0, 1, 2), (0, 1, 3)])
-    res = validate_pts(sp)
+    res = sp.validate()
     assert not res.ok
     assert "share" in res.error
 
 
+def _validate_reference(space):
+    """The axioms checked over every pair of lines: the oracle for the
+    one-pass ``validate``."""
+    seen = set()
+    for line in space.lines:
+        if len(set(line)) != 3:
+            return ValidationResult(False, "line %r does not have 3 distinct points" % (line,))
+        if any(p < 0 or p >= space.n_points for p in line):
+            return ValidationResult(False, "line %r uses an unknown point" % (line,))
+        if line in seen:
+            return ValidationResult(False, "line %r repeated" % (line,))
+        seen.add(line)
+    for l1, l2 in combinations(space.lines, 2):
+        common = set(l1) & set(l2)
+        if len(common) > 1:
+            return ValidationResult(
+                False, "lines %r and %r share %d points" % (l1, l2, len(common)))
+    return ValidationResult(True)
+
+
+@pytest.mark.parametrize("n, lines, error", [
+    # several lines through one point pair
+    (6, [(0, 1, 2), (0, 1, 3), (0, 1, 4), (1, 0, 5)],
+     "lines (0, 1, 2) and (0, 1, 3) share 2 points"),
+    # (0,2,3)/(0,2,4) meet first in the pass, but (0,1,9)/(1,5,9) come first
+    # among all pairs of lines
+    (10, [(0, 1, 9), (0, 2, 3), (0, 2, 4), (9, 5, 1)],
+     "lines (0, 1, 9) and (1, 5, 9) share 2 points"),
+    # a repeated line wins over a shared pair met before it
+    (5, [(0, 1, 2), (0, 1, 3), (0, 1, 3)], "line (0, 1, 3) repeated"),
+    (5, [(0, 1, 2), (0, 1, 3), (0, 1, 5)], "line (0, 1, 5) uses an unknown point"),
+    (5, [(0, 1, 2), (0, 1, 3), (3, 4, 3)],
+     "line (3, 3, 4) does not have 3 distinct points"),
+])
+def test_validate_reports_what_the_pairwise_check_reports(n, lines, error):
+    space = PartialTripleSystem(n, lines)
+    assert space.validate() == _validate_reference(space) == ValidationResult(
+        False, error)
+
+
+def _random_line(rng, n):
+    """Three points of range(n), now and then -1 or n in place of one."""
+    return tuple(rng.choice((-1, n)) if rng.random() < 0.03 else rng.randrange(n)
+                 for _ in range(3))
+
+
+def test_validate_agrees_with_the_pairwise_check_on_random_line_sets():
+    rng = random.Random(1729)
+    kinds = set()
+    for _ in range(3000):
+        n = rng.randint(3, 9)
+        lines = []
+        for _ in range(rng.randint(0, 8)):
+            repeat = lines and rng.random() < 0.05
+            lines.append(rng.choice(lines) if repeat else _random_line(rng, n))
+        space = PartialTripleSystem(n, lines)
+        expected = _validate_reference(space)
+        assert space.validate() == expected, lines
+        kinds.update(word for word in ("share", "repeated", "unknown", "distinct")
+                     if word in expected.error)
+        kinds.add(expected.ok)
+    assert kinds == {True, False, "share", "repeated", "unknown", "distinct"}
+
+
+def test_validate_accepts_every_constructed_space():
+    for name, space in _constructed_spaces():
+        assert space.validate() == _validate_reference(space) == ValidationResult(
+            True), name
+
+
 def test_p3_counts_and_degrees():
     p3 = build_p3()
-    assert validate_pts(p3).ok
+    assert p3.validate().ok
     assert p3.n_points == 9
     assert len(p3.lines) == 12
     for x in range(9):
@@ -310,7 +383,7 @@ def _assert_valid_or_refused(parse, data):
     except ValueError:
         return
     assert isinstance(space, PartialTripleSystem)
-    assert validate_pts(space).ok
+    assert space.validate().ok
 
 
 _SPACES = [build_p3(), build_p2_dual()]
