@@ -209,10 +209,12 @@ def jordan_check(A):
     leaves distinct monomials, so a cubic form that vanishes on F_3^n is zero.
 
     Both steps run up to verified automorphisms, one quadruple and one
-    diagonal index per orbit of the basis permutations that
-    ``_table_automorphisms`` proves (for a Matsuo algebra the Miyamoto
-    involutions y -> y^x): such a permutation carries the gap at a quadruple
-    or pair to the gap at its image.
+    diagonal index per orbit of the group that the basis permutations
+    ``_table_automorphisms`` proves generate (for a Matsuo algebra a
+    generating set of Miyamoto involutions y -> y^x): such a permutation
+    carries the gap at a quadruple or pair to the gap at its image.  Only the
+    group matters, so proving a generating set instead of every candidate
+    changes no witness.
     """
     gens = _table_automorphisms(A)
     witness = _quadruple_scan(A, gens)
@@ -256,19 +258,32 @@ def _quadruple_scan(A, gens):
 
 
 def _table_automorphisms(A):
-    """Basis permutations proved to be automorphisms of A's table.
+    """Basis permutations proved to be automorphisms of A's table, which
+    generate the group that every candidate below that passes the proof
+    generates.
 
     For each basis index x the candidate sigma_x sends y to the one index of
     supp(b_x b_y) outside {x, y}, and y to itself when there is no such single
     index; in a Matsuo algebra that is the Miyamoto involution y -> y^x.  A
     candidate is kept only when it is a permutation other than the identity
     and maps the integer view onto itself, rows[sigma i][sigma j] being
-    rows[i][j] with indices moved by sigma for every pair."""
+    rows[i][j] with indices moved by sigma for every pair.
+
+    Only a generating set is proved: x is skipped when a map kept so far
+    takes a smaller index to it.  The candidate is read off the table alone,
+    so an automorphism g with g(x') = x has sigma_x = g sigma_x' g^-1, and
+    conjugation by g preserves being a permutation, the identity and an
+    automorphism: a skipped sigma_x fails as sigma_x' did, or lies in the
+    group the kept maps generate.  For A_n and E_n that is rank many proofs
+    instead of one per point."""
     rows = A.int_view().rows
     dim = A.dim
     identity = tuple(range(dim))
     kept = {}
+    rep = identity
     for x in range(dim):
+        if rep[x] < x:
+            continue
         sigma = []
         for y in range(dim):
             outside = [k for k in rows[x][y] if k != x and k != y]
@@ -279,6 +294,7 @@ def _table_automorphisms(A):
                         == {sigma[k]: c for k, c in rows[i][j].items()}
                         for i in range(dim) for j in range(i, dim))):
             kept[sigma] = None
+            rep = _orbit_minima(dim, kept)
     return tuple(kept)
 
 
@@ -440,8 +456,10 @@ def check_axis(A, e, rules):
 def basis_axis_checks(A, rules):
     """For every basis index i, ``check_axis(A, b_i, rules)``, or None when
     b_i is not idempotent, decided at the least point r of i's orbit under
-    ``_table_automorphisms(A)`` and shared by the orbit (a witness, if any,
-    is b_r's).  A table with no kept automorphism has one orbit a point."""
+    the group that ``_table_automorphisms(A)`` generates and shared by the
+    orbit (a witness, if any, is b_r's).  The orbits are those of every
+    candidate that passes the proof, though only a generating set of them is
+    proved.  A table with no kept automorphism has one orbit a point."""
     rep = _orbit_minima(A.dim, _table_automorphisms(A))
     checks = {}
     for r in sorted(set(rep)):

@@ -26,6 +26,11 @@ _PRIME_FIELD = re.compile(r"F([1-9][0-9]*)")
 MAX_DIGITS = 4300
 
 
+class ZeroDenominatorError(ValueError, ZeroDivisionError):
+    """A scalar n/d whose d is zero in its field: malformed input, so a
+    ValueError, and the division by zero it writes."""
+
+
 def check_digits(text, what):
     """Raise ValueError ("input too large") when text holds a run of more than
     MAX_DIGITS decimal digits, before anything converts it to a number."""
@@ -107,6 +112,9 @@ class Rationals:
         check_digits(s, "scalar")
         if not _RATIONAL.fullmatch(s):
             raise ValueError("scalar %r is not an integer or a fraction n/d" % (s,))
+        den = s.partition("/")[2]
+        if den and int(den) == 0:
+            raise ZeroDenominatorError("scalar %r has a zero denominator" % (s,))
         return Fraction(s)
 
     def __eq__(self, other):
@@ -175,7 +183,12 @@ class PrimeField:
                              "a residue 'r mod %d'" % (s, self.p))
         num, _, den = s.partition("/")
         num = int(num) % self.p
-        return self.div(num, int(den) % self.p) if den else num
+        if not den:
+            return num
+        if int(den) % self.p == 0:
+            raise ZeroDenominatorError("scalar %r has a zero denominator in %s"
+                                       % (s, self.name))
+        return self.div(num, int(den))
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -340,7 +340,8 @@ _TYPE_AND_RANK = re.compile(r"([A-Z])([1-9][0-9]*)")
 def root_system_from_name(name):
     """Parse names like A4, D5, E6, B2, G2, in either case: a type letter and
     an ASCII rank without sign or leading zero.  A<n> and D<n> with more than
-    MAX_NAMED_POINTS positive roots are refused before any root is built."""
+    MAX_NAMED_POINTS positive roots are refused before any root is built, and
+    a well-formed name of another system with the list of supported ones."""
     name = name.strip().upper()
     if name in ("E6", "E7", "E8", "B2", "G2"):
         return roots_of(name)
@@ -350,7 +351,10 @@ def root_system_from_name(name):
                             "A4, D5 or E6)" % (name,))
     check_digits(name, "root system")
     label, rank = parts[1], int(parts[2])
-    points = {"A": rank * (rank + 1) // 2, "D": rank * (rank - 1)}.get(label, 0)
+    if label not in ("A", "D"):
+        raise GeometryError("unsupported root system %r (supported: A<n>, D<n>, "
+                            "E6, E7, E8, B2, G2)" % (name,))
+    points = rank * (rank + 1) // 2 if label == "A" else rank * (rank - 1)
     if points > MAX_NAMED_POINTS:
         raise GeometryError("input too large: %s has %d positive roots, more than "
                             "the budget of %d" % (name, points, MAX_NAMED_POINTS))

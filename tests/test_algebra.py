@@ -463,6 +463,29 @@ def _jordan_scan_reference(A):
     return None
 
 
+def _table_automorphisms_reference(A):
+    """Every candidate sigma_x, proved on every pair: sigma_x sends y to the
+    one index of supp(b_x b_y) outside {x, y}, and y to itself when there is
+    no such single index; it is kept when it is a permutation other than the
+    identity that maps the integer view onto itself."""
+    rows = A.int_view().rows
+    dim = A.dim
+    identity = tuple(range(dim))
+    kept = {}
+    for x in range(dim):
+        sigma = []
+        for y in range(dim):
+            outside = [k for k in rows[x][y] if k != x and k != y]
+            sigma.append(outside[0] if len(outside) == 1 else y)
+        sigma = tuple(sigma)
+        if (sigma != identity and len(set(sigma)) == dim
+                and all(rows[sigma[i]][sigma[j]]
+                        == {sigma[k]: c for k, c in rows[i][j].items()}
+                        for i in range(dim) for j in range(i, dim))):
+            kept[sigma] = None
+    return tuple(kept)
+
+
 def _tampered(A, i, j, k, value):
     """A copy of A's table with the coordinate k of b_i b_j = b_j b_i, i <= j,
     set to value."""
@@ -568,7 +591,7 @@ def test_jordan_check_matches_brute_force_on_seeded_tables(field, dim):
 
 def test_scan_fixtures_reach_both_verdicts_and_orbit_counts():
     fixtures = dict(_scan_fixtures())
-    kept = {name: len(_table_automorphisms(fixtures[name]()))
+    kept = {name: len(_table_automorphisms_reference(fixtures[name]()))
             for name in ("A4-1/2-Q", "P3-F3", "h3-Q", "A3+1-half", "A3-half-b0b0")}
     assert kept == {"A4-1/2-Q": 10, "P3-F3": 9, "h3-Q": 0, "A3+1-half": 6,
                     "A3-half-b0b0": 2}
@@ -617,9 +640,11 @@ def test_quadruple_scan_meets_every_orbit(monkeypatch):
 def test_quadruple_scan_counts_on_sym7(monkeypatch):
     # Sym(7) has one orbit on its 21 transpositions and three on ordered pairs
     A = _root_matsuo("A6", PrimeField(5).div(1, 2), PrimeField(5))
+    assert len(_table_automorphisms_reference(A)) == 21
     gens = _table_automorphisms(A)
-    assert len(gens) == 21
-    assert len(_visited_quadruples(A, gens, monkeypatch)) == 1071
+    visited = _visited_quadruples(A, gens, monkeypatch)
+    assert len(visited) == 1071
+    assert visited == _visited_quadruples(A, _table_automorphisms_reference(A), monkeypatch)
     assert len(_visited_quadruples(A, (), monkeypatch)) == 21 * 23 * 22 * 21 // 6
 
 
@@ -641,6 +666,27 @@ def test_stabiliser_generators_generate_the_point_stabiliser():
                 g for g in group if g[r] == r}
 
 
+_WITNESS_SOURCES = ([{"roots": n} for n in ("D4", "D5", "D6", "D7", "E6", "E7", "E8")]
+                    + [{"group": "W2A3"}, {"group": "W3A3"}])
+
+
+def test_jordan_check_witnesses_match_the_reference_automorphisms(monkeypatch):
+    # the paper's list at 1/2 over Q: the failures keep the verdict and the
+    # witness that every candidate automorphism gives, and Sym(n) and 3^2:2
+    # stay Jordan
+    for source in _WITNESS_SOURCES:
+        A = matsuo_algebra(triple_system_from_cli(**source), HALF, Q)
+        res = jordan_check(A)
+        with monkeypatch.context() as m:
+            m.setattr(algebra, "_table_automorphisms", _table_automorphisms_reference)
+            expected = jordan_check(A)
+        assert not expected.is_jordan
+        assert (res.is_jordan, res.witness) == (expected.is_jordan, expected.witness)
+    for source in [{"roots": "A%d" % n} for n in range(2, 12)] + [{"group": "3sq2"}]:
+        A = matsuo_algebra(triple_system_from_cli(**source), HALF, Q)
+        assert jordan_check(A).is_jordan
+
+
 def _reflection(space, x):
     n = space.n_points
     return tuple(space.wedge(x, y) if y != x and space.collinear(x, y) else y
@@ -651,16 +697,88 @@ def test_table_automorphisms_are_the_geometric_reflections():
     for space in (gamma_of_rootsystem(root_system_from_name("A3")),
                   gamma_of_rootsystem(root_system_from_name("A4")), build_p3()):
         A = matsuo_algebra(space, HALF, Q)
-        kept = _table_automorphisms(A)
+        kept = _table_automorphisms_reference(A)
         assert len(kept) == A.dim
         assert set(kept) == {_reflection(space, x) for x in range(A.dim)}
 
 
+def _relabelled_table(A, seed):
+    """A's table with its basis renumbered by a seeded permutation, labels
+    travelling with their basis elements."""
+    dim = A.dim
+    perm = random.Random(seed).sample(range(dim), dim)
+    labels = [None] * dim
+    for old, new in enumerate(perm):
+        labels[new] = A.labels[old]
+    products = {}
+    for i in range(dim):
+        for j in range(i, dim):
+            pair = tuple(sorted((perm[i], perm[j])))
+            products[pair] = {perm[k]: c for k, c in A.table[i][j].items()}
+    return AlgebraTable(A.field, labels, products)
+
+
+def _automorphism_fixtures():
+    """(id, table) pairs: Matsuo algebras of A3, A4, P3 over F3, D4, W2A3,
+    sym:6 and E6, A3 plus a non-idempotent <z>, the four tampered tables of
+    ``_tampered_tables`` and the hermitian algebra (no map kept)."""
+    w2a3 = gamma_of_group(build_wk_affine_a(2, 3))
+    return [
+        ("A3", _root_matsuo("A3", HALF, Q)),
+        ("A4", _root_matsuo("A4", HALF, Q)),
+        ("P3-F3", p3_algebra(F3)),
+        ("D4", _root_matsuo("D4", HALF, Q)),
+        ("W2A3", matsuo_algebra(w2a3, HALF, Q)),
+        ("sym6", matsuo_algebra(triple_system_from_cli(group="sym:6"), HALF, Q)),
+        ("E6", _root_matsuo("E6", HALF, Q)),
+        ("A3+z", direct_sum(_root_matsuo("A3", HALF, Q), _z_algebra(Q))),
+    ] + _tampered_tables() + [("h3", h3_algebra(Q))]
+
+
+@pytest.mark.parametrize("seed", [None, 5, 6])
+def test_table_automorphisms_generate_the_reference_group(seed):
+    for name, A in _automorphism_fixtures():
+        if seed is not None:
+            A = _relabelled_table(A, seed)
+        kept = _table_automorphisms(A)
+        reference = _table_automorphisms_reference(A)
+        assert set(kept) <= set(reference), name
+        assert (algebra._orbit_minima(A.dim, kept)
+                == algebra._orbit_minima(A.dim, reference)), name
+        for r in range(A.dim):
+            assert (set(algebra._transversal(A.dim, r, kept))
+                    == set(algebra._transversal(A.dim, r, reference))), name
+        if name != "E6":  # W(E6) has 51840 elements
+            identity = tuple(range(A.dim))
+            group = set(mulclose(kept, _perm_mul, identity))
+            assert len(group) <= 5040
+            assert group == set(mulclose(reference, _perm_mul, identity)), name
+
+
+def test_table_automorphisms_keep_one_map_per_rank():
+    # the walk keeps rank many reflections of a Weyl group (sym:6 is A5),
+    # and three points off a line for P3's 3^2:2
+    tables = [("A4", _root_matsuo("A4", HALF, Q)), ("A6", _root_matsuo("A6", HALF, Q)),
+              ("E6", _root_matsuo("E6", HALF, Q)), ("E7", _root_matsuo("E7", HALF, Q)),
+              ("sym6", matsuo_algebra(triple_system_from_cli(group="sym:6"), HALF, Q)),
+              ("P3", p3_algebra())]
+    kept = {name: len(_table_automorphisms(A)) for name, A in tables}
+    assert kept == {"A4": 4, "A6": 6, "E6": 6, "E7": 7, "sym6": 5, "P3": 3}
+
+
+def _tampered_tables():
+    """(id, table) pairs: Matsuo tables with one entry changed that keep
+    some automorphisms but not all."""
+    return [
+        ("A3-b0b0", _tampered(_root_matsuo("A3", HALF, Q), 0, 0, 0, Q.from_int(2))),
+        ("A4-b0b0", _tampered(_root_matsuo("A4", HALF, Q), 0, 0, 0, Q.from_int(3))),
+        ("A4-b2b5", _tampered(_root_matsuo("A4", HALF, Q), 2, 5, 9, Q.one)),
+        ("P3-F3-b3b3", _tampered(p3_algebra(F3), 3, 3, 3, F3.from_int(2))),
+    ]
+
+
 def test_kept_automorphisms_of_a_tampered_table_pass_the_dense_oracle():
-    for A in (_tampered(_root_matsuo("A3", HALF, Q), 0, 0, 0, Q.from_int(2)),
-              _tampered(_root_matsuo("A4", HALF, Q), 0, 0, 0, Q.from_int(3)),
-              _tampered(_root_matsuo("A4", HALF, Q), 2, 5, 9, Q.one),
-              _tampered(p3_algebra(F3), 3, 3, 3, F3.from_int(2))):
+    for _, A in _tampered_tables():
         f = A.field
         kept = _table_automorphisms(A)
         assert 0 < len(kept) < A.dim
@@ -1087,9 +1205,10 @@ def test_miyamoto_permutations_match_the_all_points_loop(f, seed):
 
 
 def test_miyamoto_permutations_hold_for_other_automorphism_generators(monkeypatch):
-    # on the kept reflections every transversal word g has g(r) = g^-1(r), so
-    # the side of the conjugation g tau_r g^-1 only shows with other
-    # generators: the products of two reflections, verified as the tables are
+    # the side of the conjugation g tau_r g^-1 shows on a transversal word g
+    # with g(r) != g^-1(r), which the kept reflections give as products of
+    # several; here the generators are the products of two kept reflections,
+    # verified as the tables are
     real = algebra._table_automorphisms
 
     def rotations(A):

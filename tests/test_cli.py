@@ -76,6 +76,21 @@ def test_build_rejects_division_by_zero_in_alpha(capsys, argv):
     assert rc == 2
     assert not out
     assert err.startswith("error:") and err.count("\n") == 1
+    assert "scalar %r has a zero denominator" % argv[3] in err
+
+
+@pytest.mark.parametrize("field, scalar", [("Q", "1/0"), ("Q", "-3/00"), ("F5", "1/5"),
+                                           ("F5", "2/10")])
+def test_axes_rejects_a_json_scalar_with_a_zero_denominator(capsys, tmp_path, field,
+                                                            scalar):
+    payload = {"field": field, "dim": 1, "labels": ["e"], "products": [[[scalar]]]}
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(payload))
+    rc, out, err = run_cli(capsys, "axes", str(path))
+    assert rc == 2
+    assert not out
+    assert err.startswith("error: scalar %r has a zero denominator" % scalar)
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("n", ["0", "1"])
@@ -205,6 +220,15 @@ def test_build_rejects_malformed_roots(capsys, roots):
     assert not out
     assert err.startswith("error:") and err.count("\n") == 1
     assert "too large" not in err
+
+
+@pytest.mark.parametrize("roots", ["E9", "F4", "B3", "g3", "C2", "E10"])
+def test_build_names_an_unsupported_root_system(capsys, roots):
+    rc, out, err = run_cli(capsys, "build", "--roots", roots)
+    assert rc == 2
+    assert not out
+    assert err == ("error: unsupported root system %r (supported: A<n>, D<n>, "
+                   "E6, E7, E8, B2, G2)\n" % roots.upper())
 
 
 _MALFORMED_SYM = ["sym:+4", "sym:05", "sym:1_0", "sym:\u0665", "sym:abc", "sym:",

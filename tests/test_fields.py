@@ -152,6 +152,17 @@ def test_prime_field_parse_only_what_fmt_writes():
         f5.parse("1/5")
 
 
+def test_parse_names_a_scalar_with_a_zero_denominator():
+    q, f5 = Rationals(), PrimeField(5)
+    for field, text, where in ((q, "1/0", ""), (q, " -7/000 ", ""),
+                               (f5, "1/5", " in F5"), (f5, "3/10", " in F5")):
+        with pytest.raises(ValueError) as err:
+            field.parse(text)
+        assert str(err.value) == "scalar %r has a zero denominator%s" % (text.strip(), where)
+        assert isinstance(err.value, ZeroDivisionError)
+    assert q.parse("0/7") == 0 and f5.parse("0/7") == 0 and f5.parse("1/6") == 1
+
+
 def test_parse_admits_numbers_up_to_the_digit_limit():
     q, f5 = Rationals(), PrimeField(5)
     limit = "9" * MAX_DIGITS

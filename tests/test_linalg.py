@@ -66,6 +66,16 @@ def test_kernel_zero_and_identity():
     assert kernel(Matrix.identity(Q, 3)).dim == 0
 
 
+def test_kernel_basis_is_reduced_after_it_is_built():
+    # the free column gets 1 and the pivot -row[free], so (1, 1) yields
+    # (-1, 1); the Subspace holds its reduced form, which a second
+    # elimination gives
+    for f in (Q, F5):
+        k = kernel(_m(f, [[1, 1]]))
+        assert (k.rows, k.pivots) == ([[f.one, f.neg(f.one)]], [0])
+        assert k == Subspace.from_vectors(f, 2, [[f.neg(f.one), f.one]])
+
+
 def test_rank_nullity_random():
     rng = random.Random(11)
     for _ in range(50):
