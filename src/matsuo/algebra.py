@@ -304,8 +304,13 @@ def _orbit_minima(n, gens):
     rep = [None] * n
     for r in range(n):
         if rep[r] is None:
-            for p in _transversal(n, r, gens):
-                rep[p] = r
+            rep[r] = r
+            orbit = [r]
+            for p in orbit:
+                for g in gens:
+                    if rep[g[p]] is None:
+                        rep[g[p]] = r
+                        orbit.append(g[p])
     return rep
 
 
@@ -390,7 +395,9 @@ def eigen_decomposition(A, e, candidates=None):
     ad_e = A.ad(e)
     values, spaces = [], []
     for lam in candidates:
-        m = ad_e - Matrix.identity(f, A.dim).scale(lam)
+        m = Matrix(f, ad_e.rows)
+        for i, row in enumerate(m.rows):
+            row[i] = f.sub(row[i], lam)
         spc = kernel(m)
         if spc.dim > 0:
             values.append(lam)

@@ -2,8 +2,12 @@
 and subspaces stored canonically as reduced row-echelon bases.
 
 Everything is deterministic and exact; there is no pivoting heuristic beyond
-"first nonzero entry", which is all an exact field needs.
+"first nonzero entry", which is all an exact field needs.  The elimination runs
+on integer rows, over Q primitive ones made Fractions once at the end.
 """
+
+from fractions import Fraction
+from math import gcd, lcm
 
 
 class Matrix:
@@ -41,28 +45,14 @@ class Matrix:
         return hash((self.field, tuple(tuple(r) for r in self.rows)))
 
     def __add__(self, other):
-        add = self.field.add
-        return Matrix(
-            self.field,
-            [
-                [add(a, b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-        )
+        return self._entrywise(self.field.add, other)
 
     def __sub__(self, other):
-        sub = self.field.sub
-        return Matrix(
-            self.field,
-            [
-                [sub(a, b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-        )
+        return self._entrywise(self.field.sub, other)
 
-    def __neg__(self):
-        neg = self.field.neg
-        return Matrix(self.field, [[neg(a) for a in r] for r in self.rows])
+    def _entrywise(self, op, other):
+        return Matrix(self.field, [[op(a, b) for a, b in zip(ra, rb)]
+                                   for ra, rb in zip(self.rows, other.rows)])
 
     def scale(self, c):
         mul = self.field.mul
@@ -128,38 +118,54 @@ class Matrix:
 def _rref_rows(field, rows):
     """In-place reduced row echelon form on a list of row lists; returns
     (rows, pivots), where pivots[r] is the column of row r's leading one and
-    the rows from len(pivots) on are zero."""
-    sub, mul, div = field.sub, field.mul, field.div
+    the rows from len(pivots) on are zero.
+
+    One loop on plain ints serves both fields: over Q on primitive integer
+    rows (lifted by the lcm of their denominators, divided by the gcd of their
+    entries), over F_p on rows reduced mod p.  A row is cleared at the pivot
+    row as a*row - b*pivot_row, a, b = lead/g, factor/g, g = gcd(lead, factor).
+    At the end each pivot row is divided by its lead once, over Q in the one
+    conversion to Fraction per entry."""
+    p = field.characteristic
+
+    def tidy(row):
+        if p:
+            return [x % p for x in row]
+        g = gcd(*row)
+        return [x // g for x in row] if g > 1 else row
+
+    if not p:
+        for r, row in enumerate(rows):
+            scale = lcm(*(x.denominator for x in row))
+            rows[r] = tidy([x.numerator * (scale // x.denominator) for x in row])
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots = []
-    piv_r = 0
     for col in range(ncols):
-        src = -1
-        for r in range(piv_r, nrows):
-            if rows[r][col]:
-                src = r
-                break
-        if src < 0:
+        piv_r = len(pivots)
+        src = next((r for r in range(piv_r, nrows) if rows[r][col]), None)
+        if src is None:
             continue
         rows[piv_r], rows[src] = rows[src], rows[piv_r]
         pr = rows[piv_r]
         lead = pr[col]
-        if lead != field.one:
-            for c in range(col, ncols):
-                pr[c] = div(pr[c], lead)
-        for r in range(nrows):
-            if r == piv_r:
-                continue
-            factor = rows[r][col]
-            if factor:
-                rr = rows[r]
-                for c in range(col, ncols):
-                    rr[c] = sub(rr[c], mul(factor, pr[c]))
+        for r, row in enumerate(rows):
+            factor = row[col]
+            if factor and r != piv_r:
+                g = gcd(lead, factor)
+                a, b = lead // g, factor // g
+                rows[r] = tidy([a * x - b * y for x, y in zip(row, pr)])
         pivots.append(col)
-        piv_r += 1
-        if piv_r == nrows:
+        if len(pivots) == nrows:
             break
+    for r, col in enumerate(pivots):
+        lead = rows[r][col]
+        if p:
+            inv = pow(lead, p - 2, p)
+            rows[r] = [x * inv % p for x in rows[r]]
+        else:
+            rows[r] = [Fraction(x, lead) if x else field.zero for x in rows[r]]
+    rows[len(pivots):] = [[field.zero] * ncols for _ in range(nrows - len(pivots))]
     return rows, pivots
 
 
@@ -266,29 +272,16 @@ class Subspace:
         )
 
     def intersect(self, other):
-        """Exact intersection, computed from the kernel of the stacked bases."""
+        """Exact intersection: the kernel of [self; -other] stacked gives the
+        combinations of self's rows in other (none if either basis is empty)."""
         self._check_compatible(other)
-        k1, k2 = self.dim, other.dim
-        if k1 == 0 or k2 == 0:
-            return Subspace.zero(self.field, self.ambient)
         f = self.field
-        cols = []
-        for row in self.rows:
-            cols.append(list(row))
-        for row in other.rows:
-            cols.append([f.neg(a) for a in row])
-        stacked = Matrix(f, cols).transpose()  # ambient x (k1+k2)
-        null = kernel(stacked)
-        vecs = []
-        for coeffs in null.rows:
-            v = [f.zero] * self.ambient
-            for c, row in zip(coeffs[:k1], self.rows):
-                if c:
-                    for i, a in enumerate(row):
-                        if a:
-                            v[i] = f.add(v[i], f.mul(c, a))
-            vecs.append(v)
-        return Subspace.from_vectors(f, self.ambient, vecs)
+        stacked = Matrix(f, self.rows + [[f.neg(a) for a in row] for row in other.rows])
+        null = kernel(stacked.transpose())
+        if null.is_zero():
+            return Subspace.zero(f, self.ambient)
+        coeffs = Matrix(f, [c[:self.dim] for c in null.rows])
+        return Subspace.from_vectors(f, self.ambient, (coeffs * Matrix(f, self.rows)).rows)
 
     def is_zero(self):
         return not self.rows

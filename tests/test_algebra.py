@@ -755,6 +755,24 @@ def test_table_automorphisms_generate_the_reference_group(seed):
             assert group == set(mulclose(reference, _perm_mul, identity)), name
 
 
+def _orbit_minima_from_transversals(n, gens):
+    """Oracle: the least point of each orbit, read off ``_transversal``."""
+    rep = [None] * n
+    for r in range(n):
+        if rep[r] is None:
+            for p in algebra._transversal(n, r, gens):
+                rep[p] = r
+    return rep
+
+
+def test_orbit_minima_match_the_transversal_orbits():
+    for name, A in _automorphism_fixtures():
+        kept = _table_automorphisms(A)
+        for gens in ([], kept[:1], kept, _table_automorphisms_reference(A)):
+            assert (algebra._orbit_minima(A.dim, gens)
+                    == _orbit_minima_from_transversals(A.dim, gens)), name
+
+
 def test_table_automorphisms_keep_one_map_per_rank():
     # the walk keeps rank many reflections of a Weyl group (sym:6 is A5),
     # and three points off a line for P3's 3^2:2

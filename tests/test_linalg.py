@@ -1,7 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from matsuo import linalg
 from matsuo.constructions import (
     _flatten,
     _jordan_product,
@@ -29,6 +32,59 @@ F7 = PrimeField(7)
 
 def _m(field, rows):
     return Matrix(field, [[field.from_int(x) for x in r] for r in rows])
+
+
+def _rref_rows_reference(field, rows):
+    """Oracle: Gauss-Jordan with the field's own operations, dividing the
+    pivot row by its lead and clearing the column in every other row."""
+    sub, mul, div = field.sub, field.mul, field.div
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    piv_r = 0
+    for col in range(ncols):
+        src = -1
+        for r in range(piv_r, nrows):
+            if rows[r][col]:
+                src = r
+                break
+        if src < 0:
+            continue
+        rows[piv_r], rows[src] = rows[src], rows[piv_r]
+        pr = rows[piv_r]
+        lead = pr[col]
+        if lead != field.one:
+            for c in range(col, ncols):
+                pr[c] = div(pr[c], lead)
+        for r in range(nrows):
+            if r == piv_r:
+                continue
+            factor = rows[r][col]
+            if factor:
+                rr = rows[r]
+                for c in range(col, ncols):
+                    rr[c] = sub(rr[c], mul(factor, pr[c]))
+        pivots.append(col)
+        piv_r += 1
+        if piv_r == nrows:
+            break
+    return rows, pivots
+
+
+def _outcome(fn, *args):
+    """fn(*args), or ValueError when it raises one."""
+    try:
+        return fn(*args)
+    except ValueError:
+        return ValueError
+
+
+def _on_reference(fn, *args):
+    """``_outcome(fn, *args)`` with the reference elimination in place of
+    ``_rref_rows``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_rref_rows", _rref_rows_reference)
+        return _outcome(fn, *args)
 
 
 def test_rref_identity_fixed_point():
@@ -144,7 +200,7 @@ def _coords_in_rows(field, rows, v):
     """Oracle: coordinates of v on the independent rows, from an elimination
     of the rows as columns augmented by v; None if v is outside their span."""
     aug = [list(r) + [x] for r, x in zip([list(c) for c in zip(*rows)], v)]
-    red, _ = _rref_rows(field, aug)
+    red, _ = _rref_rows_reference(field, aug)
     ncols = len(rows)
     coords = [field.zero] * ncols
     for row in red:
@@ -294,3 +350,125 @@ def test_subspace_coordinates_match_per_vector_oracle(field):
             assert s.coordinates(w) == expected
             assert s.contains(w) == (expected is not None)
     assert outside_seen > 10
+
+
+# ---------------------------------------------------------------------------
+# the integer elimination against the field-method reference
+
+
+def _q_entries():
+    """Rationals as matrices hold them: Fractions with small, mixed and large
+    denominators, numerators near 10**30, and plain ints."""
+    return st.one_of(
+        st.just(Fraction(0)),
+        st.integers(-3, 3),
+        st.fractions(min_value=-5, max_value=5, max_denominator=12),
+        st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**6)),
+    )
+
+
+@st.composite
+def _matrices(draw, field, nrows=st.integers(0, 7), ncols=st.integers(0, 7)):
+    """Row lists of the drawn shape, with zero rows and rows that combine two
+    earlier ones, so that rank deficiency is common."""
+    p = field.characteristic
+    entries = _q_entries() if not p else st.integers(0, p - 1)
+    ncols = draw(ncols)
+    rows = []
+    for _ in range(draw(nrows)):
+        kind = draw(st.sampled_from(["free", "free", "zero", "combination"]))
+        if kind == "zero":
+            row = [draw(st.sampled_from([0, field.zero]))] * ncols
+        elif kind == "combination" and rows:
+            a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            row = [a * x + b * y for x, y in zip(u, v)]
+            if p:
+                row = [x % p for x in row]
+        else:
+            row = [draw(entries) for _ in range(ncols)]
+        rows.append(row)
+    return rows
+
+
+def _assert_field_entries(field, rows):
+    p = field.characteristic
+    for row in rows:
+        for x in row:
+            if p:
+                assert type(x) is int and 0 <= x < p
+            else:
+                assert type(x) is Fraction
+
+
+FIELDS = pytest.mark.parametrize("field", [Q, F3, F5, F7], ids=["Q", "F3", "F5", "F7"])
+
+
+def _edge_matrices(field):
+    big = 10**30
+    p = field.characteristic
+    shapes = [
+        [],
+        [[], []],
+        [[0, 0, 0], [0, 0, 0]],
+        [[1, 1]],
+        [[1, -1], [-2, 2], [0, 0]],
+        [[big + 1, -big, 7], [3, big - 1, -big], [big, 1, 0]],
+        [[2, 4, -6, 8, 10, 1, 0], [1, 2, -3, 4, 5, 0, 1]],
+        [[1, 2], [3, 4], [5, 6], [7, 8], [0, 0], [9, -1]],
+    ]
+    out = [[[x % p for x in r] for r in rows] if p else rows for rows in shapes]
+    if not p:
+        out.append([[Fraction(big + 1, 3), Fraction(-7, big - 1)],
+                    [Fraction(5, 12), Fraction(big, 999983)]])
+    return out
+
+
+@FIELDS
+def test_rref_rows_matches_the_reference_on_edge_cases(field):
+    for rows in _edge_matrices(field):
+        expected = _rref_rows_reference(field, [list(r) for r in rows])
+        given_rows = [list(r) for r in rows]
+        got = _rref_rows(field, given_rows)
+        assert got == expected, rows
+        assert got[0] is given_rows
+        _assert_field_entries(field, got[0])
+
+
+@FIELDS
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_rref_rows_matches_the_reference(field, data):
+    rows = data.draw(_matrices(field))
+    expected = _rref_rows_reference(field, [list(r) for r in rows])
+    got = _rref_rows(field, [list(r) for r in rows])
+    assert got == expected
+    _assert_field_entries(field, got[0])
+
+
+@FIELDS
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_linalg_on_the_integer_elimination_matches_the_reference(field, data):
+    n = data.draw(st.integers(1, 5))
+    rows = data.draw(_matrices(field, st.integers(1, 5), st.just(n)))
+    m = Matrix(field, rows)
+    assert kernel(m) == _on_reference(kernel, m)
+    assert span_coordinates(field, rows) == _on_reference(span_coordinates, field, rows)
+    square = Matrix(field, data.draw(_matrices(field, st.just(n), st.just(n))))
+    assert _outcome(square.inverse) == _on_reference(square.inverse)
+    other = data.draw(_matrices(field, st.integers(0, 5), st.just(n)))
+    s = Subspace.from_vectors(field, n, rows)
+    t = Subspace.from_vectors(field, n, other)
+    assert s.intersect(t) == _on_reference(s.intersect, t)
+    assert _on_reference(Subspace.from_vectors, field, n, rows) == s
+
+
+def test_inverse_of_a_singular_matrix_raises_on_both_eliminations():
+    for field in (Q, F3, F5, F7):
+        singular = _m(field, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+        with pytest.raises(ValueError):
+            singular.inverse()
+        assert _on_reference(singular.inverse) is ValueError
+        regular = _m(field, [[2, 1, 0], [1, 1, 0], [0, 0, 1]])
+        assert regular.inverse() == _on_reference(regular.inverse)
