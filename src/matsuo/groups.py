@@ -16,6 +16,7 @@ import os
 import re
 from array import array
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .fields import _is_prime
 
@@ -644,25 +645,33 @@ class CosetTable:
 
     def verify(self):
         """Check that each generator acts as a permutation, every relator acts
-        trivially from every coset, and subgroup words fix coset 0."""
+        trivially from every coset, and subgroup words fix coset 0.
+
+        Once every column is known to be a permutation, relator maps are
+        composed by C-level gathers, ``itemgetter(*p)(column)``."""
         if not self.complete:
             raise GroupError("cannot verify an incomplete table")
         idx = list(range(self.n_cosets))
-        columns = [[row[col] for row in self.table] for col in range(self.ncols)]
+        columns = list(zip(*self.table))
+        # a -1 entry is a valid index, so no map is composed before this check
         for colmap in columns:
             if sorted(colmap) != idx:
                 return False
-        for w in self.presentation.relator_words():
+        # with one coset every column is the identity, and itemgetter of one
+        # index would return the item rather than a tuple
+        relators = self.presentation.relator_words() if len(idx) > 1 else []
+        idx = tuple(idx)
+        for w in relators:
             if not w:
                 continue
             cols, m = _shortest_period([self._column_of_letter(l) for l in w])
             # the relator is u^m: compose u's map once, then raise it to m
             period = columns[cols[0]]
             for col in cols[1:]:
-                period = list(map(columns[col].__getitem__, period))
+                period = itemgetter(*period)(columns[col])
             acc = period
             for _ in range(m - 1):
-                acc = list(map(period.__getitem__, acc))
+                acc = itemgetter(*acc)(period)
             if acc != idx:
                 return False
         for w in self.subgroup_words:
@@ -758,6 +767,9 @@ def todd_coxeter(pres, subgroup=(), max_cosets=None, variant=0):
     again; the scan records the cosets it walks through, and those at the
     word's cut positions are marked and not rescanned, because a scan there
     would change nothing, so the table is the one rescanning everything gives.
+    A scan that must define cosets defines along its gap in one run and
+    stops only where a walk could move again, so it makes the definitions
+    that defining one coset and walking both ends again would make.
     ``variant`` selects an alternative deterministic processing order
     (rotated relators, reversed relator list) so that coset counts can be
     cross-checked between two independent runs.  Returns an incomplete table
@@ -796,6 +808,9 @@ def todd_coxeter(pres, subgroup=(), max_cosets=None, variant=0):
               _cut_positions(w, icol) if r < 64 else ())
              for r, w in enumerate(rel_cols)]
     first_scans = [(w, [icol[c] for c in w], 0, ()) for w in sub_cols] + scans
+    # the marks of a coset that needs none of the scans
+    bits = [bit for _, _, bit, _ in scans]
+    every = sum(bits) if bits and all(bits) else -1
     # path[k] is the coset alpha w[:k] that a scan of w from alpha visits
     path = [0] * (max(map(len, rel_cols + sub_cols), default=0) + 1)
 
@@ -823,18 +838,23 @@ def todd_coxeter(pres, subgroup=(), max_cosets=None, variant=0):
                     continue
                 ix = icol[x]
                 table[delta][ix] = -1
-                mu = rep(gamma)
-                nu = rep(delta)
+                # read the representatives inline and walk a path only where
+                # there is one; gamma is dead, so its parent is the first step
+                mu = parent[gamma]
+                if parent[mu] != mu:
+                    mu = rep(gamma)
+                nu = delta if parent[delta] == delta else rep(delta)
                 t = table[mu][x]
-                if t >= 0:
-                    a, b = nu, rep(t)
-                else:
+                if t < 0:
                     t = table[nu][ix]
                     if t < 0:
                         table[mu][x] = nu
                         table[nu][ix] = mu
                         continue
-                    a, b = mu, rep(t)
+                    a = mu
+                else:
+                    a = nu
+                b = t if parent[t] == t else rep(t)
                 if a != b:
                     if a > b:
                         a, b = b, a
@@ -853,7 +873,8 @@ def todd_coxeter(pres, subgroup=(), max_cosets=None, variant=0):
             # only a coincidence that alpha survives changes the marks that
             # its later scans read
             closed = marks[alpha]
-            for w, iw, bit, cuts in first_scans if alpha == 0 else scans:
+            todo = first_scans if alpha == 0 else () if closed == every else scans
+            for w, iw, bit, cuts in todo:
                 if closed & bit:
                     continue
                 # HLT scan: walk w forwards and backwards from alpha, keeping
@@ -882,18 +903,27 @@ def todd_coxeter(pres, subgroup=(), max_cosets=None, variant=0):
                         table[f][w[i]] = b
                         table[b][iw[i]] = f
                         break
-                    n = len(table)
-                    if n - ndead >= max_cosets:
-                        raise _Overflow
-                    row = [-1] * ncols
-                    row[iw[i]] = f
-                    table.append(row)
-                    parent.append(n)
-                    marks.append(0)
-                    table[f][w[i]] = n
-                    f = n
-                    i += 1
-                    path[i] = f
+                    # define along the gap w[i..j-1] while neither walk could
+                    # move: a new row holds only the entry back to its parent,
+                    # so stop once it holds the next letter, or after one
+                    # definition if that writes the entry the backward walk
+                    # stopped on
+                    last = i + 1 if f == b and w[i] == iw[j] else j
+                    while True:
+                        n = len(table)
+                        if n - ndead >= max_cosets:
+                            raise _Overflow
+                        row = [-1] * ncols
+                        row[iw[i]] = f
+                        table.append(row)
+                        parent.append(n)
+                        marks.append(0)
+                        table[f][w[i]] = n
+                        f = n
+                        i += 1
+                        path[i] = f
+                        if i == last or w[i] == iw[i - 1]:
+                            break
                 if j < i and f != b:
                     ndead += coincidence(f, b)
                     if table[alpha] is None:
@@ -908,7 +938,7 @@ def todd_coxeter(pres, subgroup=(), max_cosets=None, variant=0):
                 for k in cuts:
                     marks[path[k]] |= bit
             row = table[alpha]
-            if row is not None:
+            if row is not None and -1 in row:
                 for x in range(ncols):
                     if row[x] < 0:
                         n = len(table)

@@ -572,6 +572,50 @@ def test_marked_enumeration_matches_reference_on_random_presentations(case):
         assert tab.verify()
 
 
+_SYM4 = coxeter_presentation(["a", "b", "c"], [("a", "b"), ("b", "c")])
+
+
+def _with_relator(pres, expr):
+    return Presentation(pres.generator_names, pres.relators
+                        + [parse_word(expr, pres.generator_names)])
+
+
+# A scan defines a run of cosets along a gap and stops where a walk could
+# move again.  A doubled letter in involution mode puts the next letter in the
+# row just defined (Sym(4) with the true relators a b b a and a b c c b a);
+# over <a> in Sym(4) and <b> in Sym(5) some gap has its two ends at one coset
+# and begins with the letter its backward walk stopped on, so the first
+# definition closes that end.  Each case, in one variant or both, enumerates
+# differently if the run ignores the stop.
+_DEFINE_RUN_CASES = [
+    (_with_relator(_SYM4, "a b b a"), [], 24),
+    (_with_relator(_SYM4, "a b c c b a"), ["b"], 12),
+    (_SYM4, ["a"], 12),
+    (_SYM5, ["b"], 60),
+]
+
+
+@pytest.mark.parametrize("variant", [0, 1])
+@pytest.mark.parametrize("case", range(len(_DEFINE_RUN_CASES)))
+def test_define_run_stops_where_a_walk_would_move(case, variant):
+    pres, words, index = _DEFINE_RUN_CASES[case]
+    sub = [parse_word(w, pres.generator_names) for w in words]
+    tab = _agrees_with_reference(pres, sub, variant=variant)
+    assert tab.involution_mode and tab.n_cosets == index
+    assert tab.verify()
+
+
+def test_define_run_runs_out_where_reference_does():
+    # every cap up to the full count, so some budgets run out inside a run
+    for pres, words, _ in _DEFINE_RUN_CASES[2:]:
+        sub = [parse_word(w, pres.generator_names) for w in words]
+        for variant in (0, 1):
+            total = todd_coxeter(pres, sub, variant=variant).total_defined
+            done = [_agrees_with_reference(pres, sub, cap, variant).complete
+                    for cap in range(1, total + 1)]
+            assert not done[0] and done[-1]
+
+
 def _verify_reference(tab):
     """The letter-by-letter check: each generator column is a permutation,
     every relator fixes every coset, subgroup words fix coset 0."""
@@ -620,6 +664,33 @@ def test_verify_matches_letter_by_letter_reference(su32_table):
         wrong_sub = _tampered(tab, subgroup_words=[(2,)])
         for bad in (one, swapped, wrong_sub):
             assert bad.verify() is _verify_reference(bad) is False
+
+
+def test_verify_gather_edge_cases_match_reference():
+    trivial = todd_coxeter(parse_presentation("gens a\na"))
+    assert trivial.table == [[0, 0]]
+    # one coset, and a map composed with itself: a^3 after the square
+    cube = todd_coxeter(parse_presentation("gens a\na^2\na^3"))
+    assert cube.table == [[0]]
+    # b a b^-1 a is not a proper power: its shortest period is itself
+    dihedral = todd_coxeter(parse_presentation("gens a b\na^3\nb^2\n(a b)^2\nb a b^-1 a"))
+    assert dihedral.n_cosets == 6
+    # no relator but the empty word: the subgroup words alone close the table
+    free = Presentation(["a", "b"], [()])
+    free_words = [parse_word(w, ["a", "b"]) for w in ("a^2", "b", "a b a^-1")]
+    over_free = todd_coxeter(free, free_words)
+    assert over_free.n_cosets == 2
+    over_inverse = todd_coxeter(_NON_INVOLUTION, [parse_word("a^-1 b a b", ["a", "b"])])
+    for tab in (trivial, cube, dihedral, over_free, over_inverse):
+        assert tab.complete
+        assert tab.verify() is _verify_reference(tab) is True
+        hole = _tampered(tab)
+        hole.table[0][-1] = -1
+        wrong_sub = _tampered(tab, subgroup_words=[(0,)])
+        for bad in (hole, wrong_sub):
+            assert bad.verify() is _verify_reference(bad)
+        assert hole.verify() is False
+    assert _tampered(trivial, subgroup_words=[(0,)]).verify() is True
 
 
 def test_single_involution():
