@@ -489,21 +489,7 @@ def pts_isomorphic(s1, s2):
 
 
 # ---------------------------------------------------------------------------
-# Text / JSON interchange
-
-
-def space_to_text(space):
-    out = ["points %d" % space.n_points]
-    for line in space.lines:
-        out.append(" ".join(str(p + 1) for p in line))
-    return "\n".join(out) + "\n"
-
-
-def _number(token):
-    """A point count or a point number, in ASCII digits as space_to_text writes."""
-    if not (token.isascii() and token.isdigit()):
-        raise GeometryError("%r is not a number" % (token,))
-    return int(token)
+# JSON interchange
 
 
 def _parsed_space(n, triples, labels=None):
@@ -515,18 +501,6 @@ def _parsed_space(n, triples, labels=None):
     space = PartialTripleSystem(n, triples, labels)
     space._ensure()
     return space
-
-
-def space_from_text(text):
-    lines = [l.split() for l in text.splitlines() if l.strip()]
-    if not lines or len(lines[0]) != 2 or lines[0][0] != "points":
-        raise GeometryError("expected a 'points N' header")
-    triples = []
-    for parts in lines[1:]:
-        if len(parts) != 3:
-            raise GeometryError("line %r does not have 3 points" % (" ".join(parts),))
-        triples.append(tuple(_number(x) - 1 for x in parts))
-    return _parsed_space(_number(lines[0][1]), triples)
 
 
 def space_to_json_dict(space):

@@ -1,15 +1,15 @@
 """Finite group realizations and coset enumeration.
 
 Three kinds of realization share one duck-typed surface (identity, mul, inv,
-generators, D): permutations as tuples, affine matrices over F_k modulo the
+generators, D): permutations as tuples, affine maps over F_k modulo the
 diagonal translation subgroup, and cosets of a finitely presented group
 coming out of the Todd-Coxeter enumerator.  Elements are always hashable
 values with structural equality.
 
-Every affine matrix has the block form [[P, 0], [t, 1]] with P a permutation
-matrix and t a translation row over F_k.  The generators are checked for it,
-products and inverses keep it, and the product relies on it: a row of P
-selects a row of the right factor, so no dense matrix product is formed.
+An element of W_k(affine A_n) = k^(n+1):Sym(n+1) is a pair (p, t): a
+permutation tuple p, composed by the same kernel as Sym(n), and a
+translation tuple t over range(k), shifted so that t[0] = 0 to pick one
+representative modulo the diagonal.
 """
 
 import os
@@ -240,128 +240,74 @@ def build_3sq2():
 
 
 # ---------------------------------------------------------------------------
-# Affine matrix realizations modulo the diagonal
+# Affine realizations modulo the diagonal
 
 
-def _affine_inv_mod(m, k):
-    # elements of k^(n+1) : Sym(n+1) have a permutation linear part
-    n = len(m) - 1
-    p = [row[:n] for row in m[:n]]
-    t = list(m[n][:n])
-    pinv = [list(col) for col in zip(*p)]  # permutation matrices invert by transpose
-    tinv = [(-sum(t[i] * pinv[i][j] for i in range(n))) % k for j in range(n)]
-    rows = [tuple(pinv[i]) + (0,) for i in range(n)]
-    rows.append(tuple(tinv) + (1,))
-    return tuple(rows)
+def _affine_generators(k, m, n):
+    """Adjacent swaps of the first m of n coordinates plus the wrap-around
+    swap of coordinates 1 and m with translation e_1 - e_m, as
+    (permutation, translation) pairs over F_k."""
+    zero = (0,) * n
+    swaps = [(_transposition(n, i, i + 1), zero) for i in range(m - 1)]
+    t = [0] * n
+    t[0], t[m - 1] = 1, k - 1
+    return swaps, (_transposition(n, 0, m - 1), tuple(t))
 
 
-def _canonical_bottom(t, k):
-    """The bottom row (t', 1) of the fixed coset representative modulo the
-    diagonal translation: t shifted so its first entry is 0, over range(k)."""
-    t0 = t[0]
-    return tuple([(x - t0) % k for x in t]) + (1,)
+def _affine_group(name, k, n, raw_gens, names):
+    """The group generated by (permutation, translation) pairs on n
+    coordinates over F_k, modulo the diagonal translation.
 
+    The pair (p, t) is the map x -> xP + t, where row i of the permutation
+    matrix P has its 1 in column p[i].  So (p, s)(q, t) = (pq, sQ + t), and
+    sQ moves entry j of s to coordinate q[j].  Each element is kept as the
+    representative of its coset with t[0] = 0 and t over range(k)."""
 
-def _canonicalize_mod_diagonal(m, k):
-    """Fixed coset representative modulo the diagonal translation."""
-    n = len(m) - 1
-    return m[:n] + (_canonical_bottom(m[n][:n], k),)
-
-
-def _embedded_swap(size, i, j):
-    rows = []
-    for r in range(size):
-        row = [0] * size
-        if r == i:
-            row[j] = 1
-        elif r == j:
-            row[i] = 1
-        else:
-            row[r] = 1
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def _affine_generators(k, n_coords, size):
-    """Adjacent swaps of the first n_coords coordinates plus the wrap-around
-    swap-with-translation, as size-square matrices over F_k."""
-    swaps = [_embedded_swap(size, i, i + 1) for i in range(n_coords - 1)]
-    d = [list(r) for r in _embedded_swap(size, 0, n_coords - 1)]
-    d[size - 1][0] = 1
-    d[size - 1][n_coords - 1] = (-1) % k
-    return swaps, tuple(tuple(r) for r in d)
-
-
-def _check_affine_shape(g, k, size):
-    """Raise GroupError unless g is a size-square [[P, 0], [t, 1]] matrix with
-    P a permutation matrix and t over range(k)."""
-    n = size - 1
-    if len(g) != size or any(len(row) != size for row in g):
-        raise GroupError("affine generator is not %d-square" % size)
-    if [row[n] for row in g] != [0] * n + [1]:
-        raise GroupError("affine generator's last column is not (0, ..., 0, 1)")
-    rows = g[:n]
-    if (any(sorted(row) != [0] * n + [1] for row in rows)
-            or sorted(row.index(1) for row in rows) != list(range(n))):
-        raise GroupError("affine generator's linear part is not a permutation matrix")
-    if not all(x in range(k) for x in g[n]):
-        raise GroupError("affine generator's translation row is not over F_%d" % k)
-
-
-def _affine_group(name, k, size, raw_gens, names):
-    """The group generated by size-square affine matrices over F_k, modulo
-    the diagonal translation; elements are canonicalized matrices.
-
-    Each generator must have the form [[P, 0], [t, 1]] (P a permutation
-    matrix, t a row over F_k), which products and inverses preserve.  The
-    product [[P, 0], [s, 1]] [[Q, 0], [t, 1]] = [[PQ, 0], [sQ + t, 1]] is read
-    off that form: row i of PQ is the row of Q that row i of P selects, and
-    sQ moves entry j of s to the column of Q's 1 in row j."""
-    for g in raw_gens:
-        _check_affine_shape(g, k, size)
-    n = size - 1
+    def canonical(p, t):
+        t0 = t[0]
+        return p, tuple([(x - t0) % k for x in t])
 
     def mul(a, b):
-        t = list(b[n][:n])
-        for j, x in enumerate(a[n][:n]):
-            t[b[j].index(1)] += x
-        rows = [b[row.index(1)] for row in a[:n]]
-        rows.append(_canonical_bottom(t, k))
-        return tuple(rows)
+        p, s = a
+        q, t = b
+        t = list(t)
+        for j, x in enumerate(s):
+            t[q[j]] += x
+        return canonical(_perm_mul(p, q), t)
 
     def inv(a):
-        return _canonicalize_mod_diagonal(_affine_inv_mod(a, k), k)
+        p, s = a
+        return canonical(_perm_inv(p), [-s[j] for j in p])
 
-    identity = tuple(tuple(int(i == j) for j in range(size)) for i in range(size))
-    gens = [_canonicalize_mod_diagonal(g, k) for g in raw_gens]
+    identity = (tuple(range(n)), (0,) * n)
+    gens = [canonical(*g) for g in raw_gens]
     return GroupRealization(name, identity, mul, inv, gens, names, d_seeds=gens)
 
 
 def build_wk_affine_a(k, n):
     """The 3-transposition group W_k(affine A_n): the F_k-permutation module
     extension of Sym(n+1), modulo the diagonal translation.  Elements are
-    canonicalized (n+2)-square matrices over F_k."""
+    canonical (permutation, translation) pairs on n+1 coordinates."""
     if n < 2:
         raise GroupError("build_wk_affine_a needs n >= 2")
     if not _is_prime(k):
         raise GroupError("modulus %r must be prime" % (k,))
-    swaps, d = _affine_generators(k, n + 1, n + 2)
-    raw_gens = swaps + [d]
+    swaps, d = _affine_generators(k, n + 1, n + 1)
     if n == 3:
         names = ["a", "b", "c", "d"]
     else:
         names = ["s%d" % (i + 1) for i in range(n)] + ["d"]
-    return _affine_group("W%d(affA%d)" % (k, n), k, n + 2, raw_gens, names)
+    return _affine_group("W%d(affA%d)" % (k, n), k, n + 1, swaps + [d], names)
 
 
 def wk_embedding_subgroup(k, r):
-    """Inside W_k(affine A_(r-1)), the subgroup generated by the four block
-    matrices that replay the affine-A_3 generators on the first four
+    """Inside W_k(affine A_(r-1)), the subgroup generated by the four
+    elements that replay the affine-A_3 generators on the first four
     coordinates.  Used to embed W_k(affine A_3) for r >= 5."""
     if r < 5:
         raise GroupError("embedding requires r >= 5")
-    swaps, d = _affine_generators(k, 4, r + 1)
-    return _affine_group("W%d(affA%d)<block>" % (k, r - 1), k, r + 1,
+    swaps, d = _affine_generators(k, 4, r)
+    return _affine_group("W%d(affA%d)<block>" % (k, r - 1), k, r,
                          swaps + [d], ["a", "b", "c", "d"])
 
 

@@ -32,6 +32,18 @@ def test_build_p3_matches_golden(capsys):
     assert out == (GOLDEN / "build-p3-q.json").read_text()
 
 
+@pytest.mark.parametrize("group, golden", [
+    ("W2A3", "build-w2a3-q.json"),
+    ("W3A3", "build-w3a3-q.json"),
+])
+def test_build_affine_group_matches_golden(capsys, group, golden):
+    # pins the order of D and the products of W_k(affine A_3)'s algebra
+    rc, out, err = run_cli(capsys, "build", "--group", group,
+                           "--alpha", "1/2", "--field", "Q")
+    assert rc == 0 and not err
+    assert out == (GOLDEN / golden).read_text()
+
+
 def test_build_is_byte_deterministic(capsys):
     rc1, out1, _ = run_cli(capsys, "build", "--roots", "A3",
                            "--alpha", "1/2", "--field", "Q")

@@ -18,9 +18,7 @@ from matsuo.fischer import (
     root_system_from_name,
     roots_of,
     space_from_json_dict,
-    space_from_text,
     space_to_json_dict,
-    space_to_text,
     subspace_closure,
 )
 from matsuo.groups import build_3sq2, build_sym
@@ -342,23 +340,9 @@ def test_intersecting_line_pairs_generate_expected_closures():
 
 def test_space_text_round_trip():
     p3 = build_p3()
-    text = space_to_text(p3)
-    back = space_from_text(text)
-    assert back.n_points == 9 and back.lines == p3.lines
     data = space_to_json_dict(p3)
     again = space_from_json_dict(data)
     assert again.lines == p3.lines and again.labels == p3.labels
-
-
-@pytest.mark.parametrize("text", [
-    "", "points", "points x", "points 3 4", "points -3", "points ٣",
-    "points 3\n1 2", "points 3\n1 2 x", "points 3\n1 2 +3", "points 3\n1 2 4",
-    "points 3\n0 1 2", "points 3\n1 1 2", "points 3\n1 2 3\n3 2 1",
-    "points 4\n1 2 3\n1 2 4", "points 201",
-])
-def test_space_from_text_rejects_malformed_input(text):
-    with pytest.raises(GeometryError):
-        space_from_text(text)
 
 
 @pytest.mark.parametrize("data", [
@@ -389,29 +373,9 @@ def _assert_valid_or_refused(parse, data):
 _SPACES = [build_p3(), build_p2_dual()]
 
 
-def _spliced(text, at, junk):
-    at %= len(text) + 1
-    return text[:at] + junk + text[at:]
-
-
 def _with_line(data, at, line):
     """The space's JSON with its lines cut at `at` and `line`, if any, appended."""
     return dict(data, lines=data["lines"][:at] + ([] if line is None else [line]))
-
-
-_POINT_TEXT = (st.integers(-2, 12) | st.integers()).map(str) | st.text(max_size=3)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.text(max_size=40)
-       | st.builds(_spliced, st.sampled_from(_SPACES).map(space_to_text),
-                   st.integers(0, 200), st.text(max_size=3))
-       | st.builds(
-           lambda n, lines: "points %s\n" % n + "\n".join(" ".join(l) for l in lines),
-           _POINT_TEXT,
-           st.lists(st.lists(_POINT_TEXT, min_size=2, max_size=4), max_size=6)))
-def test_space_from_text_on_any_text(text):
-    _assert_valid_or_refused(space_from_text, text)
 
 
 _JSON = st.recursive(
