@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .linalg import Matrix, Subspace, kernel, rref, unit_vector
+from .linalg import Matrix, Subspace, _int_apply, _int_lift, kernel, rref, unit_vector
 from .fields import field_from_name
 from .groups import _perm_inv, _perm_mul
 
@@ -90,7 +90,8 @@ class AlgebraTable:
     def _lift(self, v):
         if len(v) != self.dim:
             raise AlgebraError("vector length does not match algebra dimension")
-        return _int_lift(v)
+        (lifted,), scale = _int_lift([v])
+        return lifted, scale
 
     def _from_int(self, w, scale):
         """The dense vector w / scale of a reduced sparse int vector w: over Q
@@ -510,7 +511,7 @@ def _fusion_violation(A, e, rules, dec):
     The test is the annihilating product that ``check_axis`` describes."""
     view = A.int_view()
     rows, p = view.rows, view.modulus
-    lifted_e, scale_e = _int_lift(e)
+    (lifted_e,), scale_e = _int_lift([e])
     ad_e = _int_columns(rows, lifted_e, p)
     unit = scale_e * view.scale
 
@@ -526,7 +527,7 @@ def _fusion_violation(A, e, rules, dec):
         return not w
 
     present = dec.eigenvalues
-    lifted = [[_int_lift(u)[0] for u in spc.rows] for spc in dec.spaces]
+    lifted = [_int_lift(spc.rows)[0] for spc in dec.spaces]
     for pi, phi in enumerate(present):
         mults = [_int_columns(rows, su, p) for su in lifted[pi]]
         for qi in range(pi, len(present)):
@@ -539,15 +540,6 @@ def _fusion_violation(A, e, rules, dec):
                         return (phi, psi, dec.spaces[pi].rows[a],
                                 dec.spaces[qi].rows[b])
     return ()
-
-
-def _int_lift(v):
-    """A nonzero multiple of the coordinate list v as a sparse int vector:
-    over Q the entries times the lcm L of their denominators, over F_p the
-    residues themselves (L = 1).  Returns the vector and L."""
-    scale = math.lcm(*(c.denominator for c in v if c))
-    return {k: c.numerator * (scale // c.denominator)
-            for k, c in enumerate(v) if c}, scale
 
 
 def _int_columns(rows, u, p):
@@ -564,18 +556,6 @@ def _int_column(rows, u, t):
         for k, y in rows[s][t].items():
             col[k] = get(k, 0) + x * y
     return col
-
-
-def _int_apply(cols, v, factor=1):
-    """factor times the matrix with sparse columns cols applied to v, not
-    reduced."""
-    out = {}
-    get = out.get
-    for t, x in v.items():
-        x *= factor
-        for k, y in cols[t].items():
-            out[k] = get(k, 0) + x * y
-    return out
 
 
 def _reduced(w, p):
@@ -695,15 +675,22 @@ def quotient(A, s):
 
 def is_multiplicative(A, B, m):
     """f(b_i b_j) = f(b_i) f(b_j) for all basis pairs, with f given by the
-    columns of m (coordinates of A mapped into B)."""
+    columns of m (coordinates of A mapped into B).  Runs on the integer
+    views: m's columns are lifted once by L, the left side combines them over
+    the sparse row of b_i b_j (at most three terms in a Matsuo table), the
+    right side multiplies two of them on B's view, and both are brought to
+    the common scale L^2 D_A D_B before they are compared."""
     if m.ncols != A.dim or m.nrows != B.dim:
         raise AlgebraError("matrix shape does not match the two algebras")
-    cols = [m.column(j) for j in range(A.dim)]
+    view_a, view_b = A.int_view(), B.int_view()
+    p = view_b.modulus
+    cols, scale = _int_lift(zip(*m.rows))
+    left, right = scale * view_b.scale, view_a.scale
     for i in range(A.dim):
         for j in range(i, A.dim):
-            lhs = m.matvec(A.mul_basis(i, j))
-            rhs = B.mul(cols[i], cols[j])
-            if lhs != rhs:
+            lhs = _int_apply(cols, view_a.rows[i][j], left)
+            prod = {t: _int_column(view_b.rows, cols[i], t) for t in cols[j]}
+            if _reduced(lhs, p) != _reduced(_int_apply(prod, cols[j], right), p):
                 return False
     return True
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import check_digits
-from .linalg import Matrix, Subspace, span_coordinates, unit_vector
+from .linalg import Matrix, Subspace, jordan_product, span_coordinates, unit_vector
 from .fischer import (
     MAX_NAMED_POINTS,
     build_p2_dual,
@@ -107,17 +107,11 @@ def proj_matrix(field, root):
     if nrm == f.zero:
         raise AlgebraError("root has singular length in this field")
     inv = f.inv(nrm)
-    vals = [f.from_int(a) for a in root]
-    return Matrix(f, [[f.mul(inv, f.mul(a, b)) for b in vals] for a in vals])
+    return Matrix(f, [[f.mul(inv, f.from_int(a * b)) for b in root] for a in root])
 
 
 def _flatten(m):
     return [a for row in m.rows for a in row]
-
-
-def _jordan_product(m1, m2, field):
-    half = field.div(field.one, field.from_int(2))
-    return (m1 * m2 + m2 * m1).scale(half)
 
 
 @dataclass
@@ -150,7 +144,7 @@ def _product_table(field, basis, extra=()):
     elimination; returns ({(i, j): coords}, [coords of each extra matrix])."""
     k = len(basis)
     pairs = [(i, j) for i in range(k) for j in range(i, k)]
-    mats = basis + [_jordan_product(basis[i], basis[j], field) for i, j in pairs]
+    mats = basis + [jordan_product(basis[i], basis[j]) for i, j in pairs]
     found, coords = span_coordinates(field, [_flatten(m) for m in mats + list(extra)])
     if found != list(range(k)):
         raise AlgebraError("a product leaves the span of the basis matrices")
@@ -159,12 +153,8 @@ def _product_table(field, basis, extra=()):
 
 def jr_dimension(field, rs):
     """Rank of the span of the outer products a^t a over the positive roots."""
-    f = field
-    vecs = []
-    for r in rs.positive:
-        vals = [f.from_int(a) for a in r]
-        vecs.append([f.mul(a, b) for a in vals for b in vals])
-    return Subspace.from_vectors(f, rs.ambient * rs.ambient, vecs).dim
+    vecs = [[field.from_int(a * b) for a in r for b in r] for r in rs.positive]
+    return Subspace.from_vectors(field, rs.ambient * rs.ambient, vecs).dim
 
 
 @dataclass
@@ -190,7 +180,7 @@ def verify_projection_products(field, rs):
     for i, a in enumerate(rs.positive):
         for j in range(i, len(rs.positive)):
             b = rs.positive[j]
-            direct = _jordan_product(mats[a], mats[b], f)
+            direct = jordan_product(mats[a], mats[b])
             if a == b:
                 cases.append(ProjectionCase((a, b), "same", ok=direct == mats[a]))
                 continue
@@ -484,10 +474,6 @@ def h3_rule_check(field, model=None):
     els = [model.one(), model.gen()]
     idx = range(3)
 
-    def twice(a, b):
-        p = _jordan_product(a, b, field)
-        return p + p
-
     # 2 x[ij] . y[jk] = (xy)[ik] for distinct i, j, k
     for i in idx:
         for j in idx:
@@ -496,7 +482,8 @@ def h3_rule_check(field, model=None):
                     continue
                 for x in els:
                     for y in els:
-                        lhs = twice(_brace(model, x, i, j), _brace(model, y, j, k))
+                        lhs = jordan_product(_brace(model, x, i, j),
+                                             _brace(model, y, j, k), 1)
                         if lhs != _brace(model, model.mul(x, y), i, k):
                             return False
     # 2 x[ii] . y[ij] = ((x + sigma x) y)[ij] for i != j
@@ -506,7 +493,8 @@ def h3_rule_check(field, model=None):
                 continue
             for x in els:
                 for y in els:
-                    lhs = twice(_brace(model, x, i, i), _brace(model, y, i, j))
+                    lhs = jordan_product(_brace(model, x, i, i),
+                                         _brace(model, y, i, j), 1)
                     tr = model.add(x, model.sigma(x))
                     if lhs != _brace(model, model.mul(tr, y), i, j):
                         return False
@@ -514,7 +502,8 @@ def h3_rule_check(field, model=None):
     for i, j in _H3_OFF:
         for x in els:
             for y in els:
-                lhs = twice(_brace(model, x, i, j), _brace(model, y, i, j))
+                lhs = jordan_product(_brace(model, x, i, j),
+                                     _brace(model, y, i, j), 1)
                 w = model.mul(x, model.sigma(y))
                 if lhs != _brace(model, w, i, i) + _brace(model, w, j, j):
                     return False
@@ -522,7 +511,8 @@ def h3_rule_check(field, model=None):
     for i in idx:
         for x in els:
             for y in els:
-                lhs = twice(_brace(model, x, i, i), _brace(model, y, i, i))
+                lhs = jordan_product(_brace(model, x, i, i),
+                                     _brace(model, y, i, i), 1)
                 w = model.mul(model.add(x, model.sigma(x)),
                               model.add(y, model.sigma(y)))
                 if lhs != _brace(model, w, i, i):
@@ -534,8 +524,8 @@ def h3_rule_check(field, model=None):
                 continue
             for x in els:
                 for y in els:
-                    prod = _jordan_product(_brace(model, x, i, i),
-                                           _brace(model, y, k, l), field)
+                    prod = jordan_product(_brace(model, x, i, i),
+                                          _brace(model, y, k, l))
                     if not prod.is_zero():
                         return False
     return True

@@ -3,7 +3,11 @@ and subspaces stored canonically as reduced row-echelon bases.
 
 Everything is deterministic and exact; there is no pivoting heuristic beyond
 "first nonzero entry", which is all an exact field needs.  The elimination runs
-on integer rows, over Q primitive ones made Fractions once at the end.
+on integer rows, over Q primitive ones made Fractions once at the end.  Matrix
+products (``Matrix.__mul__`` and the fused ``jordan_product``) run on sparse
+integer rows: each operand is lifted once by ``_int_lift`` (over Q times the
+lcm of its denominators, over F_p its residues), only nonzero entry products
+are summed in plain ints, and each output entry is converted once.
 """
 
 from fractions import Fraction
@@ -13,19 +17,23 @@ from math import gcd, lcm
 class Matrix:
     __slots__ = ("field", "nrows", "ncols", "rows")
 
-    def __init__(self, field, rows):
+    def __init__(self, field, rows, ncols=None):
+        """A matrix of the given rows; ncols, read off the first row by
+        default, gives the width of a matrix with no rows."""
         self.field = field
         self.rows = [list(r) for r in rows]
         self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
+        if ncols is None:
+            ncols = len(self.rows[0]) if self.rows else 0
+        self.ncols = ncols
         for r in self.rows:
-            if len(r) != self.ncols:
+            if len(r) != ncols:
                 raise ValueError("ragged rows")
 
     @classmethod
     def zeros(cls, field, nrows, ncols):
         z = field.zero
-        return cls(field, [[z] * ncols for _ in range(nrows)])
+        return cls(field, [[z] * ncols for _ in range(nrows)], ncols)
 
     @classmethod
     def identity(cls, field, n):
@@ -38,6 +46,7 @@ class Matrix:
         return (
             isinstance(other, Matrix)
             and self.field == other.field
+            and self.ncols == other.ncols
             and self.rows == other.rows
         )
 
@@ -59,43 +68,19 @@ class Matrix:
         return Matrix(self.field, [[mul(c, a) for a in r] for r in self.rows])
 
     def __mul__(self, other):
+        """The product on sparse integer rows: each operand lifted once, the
+        nonzero entry products summed in ints, each entry converted once."""
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch in matrix product")
-        f = self.field
-        add, mul, zero = f.add, f.mul, f.zero
-        bt = list(zip(*other.rows))
-        out = []
-        for r in self.rows:
-            row = []
-            for c in bt:
-                acc = zero
-                for a, b in zip(r, c):
-                    if a and b:
-                        acc = add(acc, mul(a, b))
-                row.append(acc)
-            out.append(row)
-        return Matrix(f, out)
-
-    def matvec(self, v):
-        """Apply the matrix to a column-coordinate vector (a list)."""
-        if len(v) != self.ncols:
-            raise ValueError("dimension mismatch in matvec")
-        f = self.field
-        add, mul, zero = f.add, f.mul, f.zero
-        out = []
-        for r in self.rows:
-            acc = zero
-            for a, x in zip(r, v):
-                if a and x:
-                    acc = add(acc, mul(a, x))
-            out.append(acc)
-        return out
-
-    def column(self, j):
-        return [r[j] for r in self.rows]
+        a, da = _int_lift(self.rows)
+        b, db = _int_lift(other.rows)
+        return _from_int_rows(self.field, [_int_apply(b, r) for r in a],
+                              other.ncols, da * db)
 
     def transpose(self):
-        return Matrix(self.field, [list(c) for c in zip(*self.rows)])
+        rows = self.rows
+        return Matrix(self.field, [[r[j] for r in rows] for j in range(self.ncols)],
+                      self.nrows)
 
     def is_zero(self):
         return not any(a for r in self.rows for a in r)
@@ -113,6 +98,61 @@ class Matrix:
 
     def __repr__(self):
         return "Matrix(%s, %dx%d)" % (self.field.name, self.nrows, self.ncols)
+
+
+def jordan_product(m1, m2, divisor=2):
+    """(m1 m2 + m2 m1) / divisor for two square matrices of one size, in one
+    fused pass: each operand lifted once, row i summed as a_i B + b_i A in
+    ints and divided by divisor * D1 * D2 once.  The default divisor gives the
+    Jordan product, divisor 1 twice it."""
+    n = m1.nrows
+    if not (m1.ncols == m2.nrows == m2.ncols == n):
+        raise ValueError("dimension mismatch in Jordan product")
+    a, da = _int_lift(m1.rows)
+    b, db = _int_lift(m2.rows)
+    return _from_int_rows(m1.field, [_int_apply(a, rb, out=_int_apply(b, ra))
+                                     for ra, rb in zip(a, b)],
+                          n, divisor * da * db)
+
+
+def _int_lift(vectors):
+    """Nonzero multiples of the coordinate lists in vectors as sparse int
+    vectors, all by one scale L: over Q the lcm of their denominators, over
+    F_p 1, the residues themselves.  Returns the list of vectors and L."""
+    sparse = [{k: c for k, c in enumerate(v) if c} for v in vectors]
+    scale = lcm(*(c.denominator for w in sparse for c in w.values()))
+    return [{k: c.numerator * (scale // c.denominator) for k, c in w.items()}
+            for w in sparse], scale
+
+
+def _int_apply(cols, v, factor=1, out=None):
+    """out (a new dict by default) plus factor times the matrix with sparse
+    int columns cols applied to the sparse int vector v, not reduced.  With
+    the rows of B as cols it is the row v times B."""
+    if out is None:
+        out = {}
+    get = out.get
+    for t, x in v.items():
+        x *= factor
+        for k, y in cols[t].items():
+            out[k] = get(k, 0) + x * y
+    return out
+
+
+def _from_int_rows(field, rows, ncols, d):
+    """The matrix of sparse int rows divided by the positive int d, one
+    conversion per entry: Fraction(s, d) over Q, s / d mod p over F_p."""
+    p = field.characteristic
+    inv = field.inv(d) if p else None
+    out = []
+    for acc in rows:
+        row = [field.zero] * ncols
+        for k, s in acc.items():
+            s = s * inv % p if p else Fraction(s, d)
+            if s:
+                row[k] = s
+        out.append(row)
+    return Matrix(field, out, ncols)
 
 
 def _rref_rows(field, rows):

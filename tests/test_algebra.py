@@ -202,7 +202,7 @@ def test_ad_matrix_columns():
     x = unit_vector(Q, 9, 0)
     m = A.ad(x)
     for j in range(9):
-        assert m.column(j) == A.mul(x, unit_vector(Q, 9, j))
+        assert [r[j] for r in m.rows] == A.mul(x, unit_vector(Q, 9, j))
 
 
 def _seeded_vectors(f, dim, seed=5, count=4):
@@ -1099,6 +1099,60 @@ def test_miyamoto_squares_to_identity_and_is_automorphism():
     assert is_multiplicative(A, A, t0)
 
 
+def _matvec(m, v):
+    """The matrix m applied to the coordinate list v, with the field's own
+    operations."""
+    f = m.field
+    out = []
+    for r in m.rows:
+        acc = f.zero
+        for a, x in zip(r, v):
+            if a and x:
+                acc = f.add(acc, f.mul(a, x))
+        out.append(acc)
+    return out
+
+
+def _is_multiplicative_dense(A, B, m):
+    """Oracle: the dense check, m applied to each basis product by _matvec
+    and compared with the product of two dense columns of m in B."""
+    cols = [list(c) for c in zip(*m.rows)]
+    return all(_matvec(m, A.mul_basis(i, j)) == B.mul(cols[i], cols[j])
+               for i in range(A.dim) for j in range(i, A.dim))
+
+
+@pytest.mark.parametrize("field", [Q, F5, F7], ids=["Q", "F5", "F7"])
+def test_is_multiplicative_matches_the_dense_check(field):
+    from matsuo.constructions import matsuo_to_projection_map
+    rng = random.Random(field.characteristic + 7)
+    half = field.inv(field.from_int(2))
+    cases = []
+    for name in ("A3", "D4"):
+        rs = root_system_from_name(name)
+        proj, m = matsuo_to_projection_map(field, rs)
+        A = matsuo_algebra(gamma_of_rootsystem(rs), half, field)
+        cases.append((A, proj.algebra, m))
+        bent = Matrix(field, m.rows)
+        bent.rows[0][1] = field.add(bent.rows[0][1], field.one)
+        cases.append((A, proj.algebra, bent))
+    A = matsuo_algebra(build_p3(), half, field)
+    for e in range(3):
+        cases.append((A, A, miyamoto(A, unit_vector(field, 9, e), phi_alpha(field, half))))
+    two = Matrix.identity(field, 9).scale(field.from_int(2))
+    cases += [(A, A, Matrix.identity(field, 9)), (A, A, Matrix.zeros(field, 9, 9)),
+              (A, A, two)]
+    rand = Matrix(field, [[field.from_int(rng.randint(-2, 2)) for _ in range(9)]
+                          for _ in range(9)])
+    cases += [(A, A, rand), (A, A, Matrix.identity(field, 9).scale(half))]
+    from matsuo.constructions import eta_matrix
+    eta = eta_matrix(field)
+    cases.append((A, h3_algebra(field), eta))
+    cases.append((A, h3_algebra(field), Matrix(field, eta.rows[1:] + eta.rows[:1])))
+    verdicts = [is_multiplicative(*c) for c in cases]
+    assert verdicts == [_is_multiplicative_dense(*c) for c in cases]
+    assert True in verdicts and False in verdicts
+
+
 def test_miyamoto_product_order_three():
     A = p3_algebra()
     rules = phi_alpha(Q, HALF)
@@ -1119,7 +1173,7 @@ def test_miyamoto_acts_geometrically_on_points():
     for x in range(9):
         tau = miyamoto(A, unit_vector(Q, 9, x), rules)
         for y in range(9):
-            img = tau.matvec(unit_vector(Q, 9, y))
+            img = _matvec(tau, unit_vector(Q, 9, y))
             if y == x or not sp.collinear(x, y):
                 assert img == unit_vector(Q, 9, y)
             else:
@@ -1291,7 +1345,7 @@ def test_miyamoto_verdicts_fail_on_a_matrix_that_permutes_no_basis():
 def test_u_operator_on_idempotent():
     A = p3_algebra()
     e = unit_vector(Q, 9, 0)
-    assert u_operator(A, e).matvec(e) == e
+    assert _matvec(u_operator(A, e), e) == e
 
 
 def test_char3_trivial_and_zero_divisors():

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from matsuo import linalg
 from matsuo.constructions import (
     _flatten,
-    _jordan_product,
     jordan_from_roots,
     proj_matrix,
     zero_sum_sym_algebra,
@@ -18,6 +17,7 @@ from matsuo.linalg import (
     Matrix,
     Subspace,
     _rref_rows,
+    jordan_product,
     kernel,
     rref,
     span_coordinates,
@@ -69,6 +69,35 @@ def _rref_rows_reference(field, rows):
         if piv_r == nrows:
             break
     return rows, pivots
+
+
+def _matmul_reference(a, b):
+    """Oracle: the product with the field's own operations, summing the
+    products of nonzero entry pairs along each row and column."""
+    if a.ncols != b.nrows:
+        raise ValueError("dimension mismatch in matrix product")
+    f = a.field
+    add, mul = f.add, f.mul
+    cols = [[r[j] for r in b.rows] for j in range(b.ncols)]
+    out = []
+    for r in a.rows:
+        row = []
+        for c in cols:
+            acc = f.zero
+            for x, y in zip(r, c):
+                if x and y:
+                    acc = add(acc, mul(x, y))
+            row.append(acc)
+        out.append(row)
+    return Matrix(f, out, b.ncols)
+
+
+def _jordan_product_reference(m1, m2, divisor=2):
+    """Oracle: (m1 m2 + m2 m1) / divisor as two field-method products, an
+    entrywise sum and a scaling by the inverse of divisor."""
+    f = m1.field
+    total = _matmul_reference(m1, m2) + _matmul_reference(m2, m1)
+    return total.scale(f.inv(f.from_int(divisor)))
 
 
 def _outcome(fn, *args):
@@ -308,7 +337,7 @@ def test_zero_sum_table_matches_per_vector_oracle(field, n):
     rows = [_flatten(m) for m in mats]
     for a in range(len(mats)):
         for b in range(a, len(mats)):
-            prod = _jordan_product(mats[a], mats[b], field)
+            prod = _jordan_product_reference(mats[a], mats[b])
             assert zs.algebra.mul_basis(a, b) == _coords_in_rows(field, rows, _flatten(prod))
     if field.from_int(n) == field.zero:
         assert zs.unit is None
@@ -330,7 +359,7 @@ def test_root_projection_table_matches_per_vector_oracle(field, name):
                                 for r, v in zip(rs.positive, flat)}
     for i, r in enumerate(proj.basis_roots):
         for j in range(i, len(proj.basis_roots)):
-            prod = _jordan_product(mats[r], mats[proj.basis_roots[j]], field)
+            prod = _jordan_product_reference(mats[r], mats[proj.basis_roots[j]])
             assert proj.algebra.mul_basis(i, j) == _coords_in_rows(field, rows, _flatten(prod))
 
 
@@ -472,3 +501,94 @@ def test_inverse_of_a_singular_matrix_raises_on_both_eliminations():
         assert _on_reference(singular.inverse) is ValueError
         regular = _m(field, [[2, 1, 0], [1, 1, 0], [0, 0, 1]])
         assert regular.inverse() == _on_reference(regular.inverse)
+
+
+# ---------------------------------------------------------------------------
+# the integer-row products against the field-method reference
+
+
+@FIELDS
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_matmul_matches_the_reference(field, data):
+    n, k, m = (data.draw(st.integers(0, 6)) for _ in range(3))
+    a = Matrix(field, data.draw(_matrices(field, st.just(n), st.just(k))), k)
+    b = Matrix(field, data.draw(_matrices(field, st.just(k), st.just(m))), m)
+    got = a * b
+    assert got == _matmul_reference(a, b)
+    assert (got.nrows, got.ncols) == (n, m)
+    _assert_field_entries(field, got.rows)
+
+
+@FIELDS
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_jordan_product_matches_the_reference(field, data):
+    n = data.draw(st.integers(0, 6))
+    m1 = Matrix(field, data.draw(_matrices(field, st.just(n), st.just(n))), n)
+    m2 = Matrix(field, data.draw(_matrices(field, st.just(n), st.just(n))), n)
+    divisor = data.draw(st.sampled_from([1, 2, 4]))
+    got = jordan_product(m1, m2, divisor)
+    assert got == _jordan_product_reference(m1, m2, divisor)
+    assert got == jordan_product(m2, m1, divisor)
+    assert (got.nrows, got.ncols) == (n, n)
+    _assert_field_entries(field, got.rows)
+
+
+@FIELDS
+def test_products_match_the_reference_on_edge_shapes(field):
+    big = 10**30
+    p = field.characteristic
+    cases = [
+        ([[3]], [[5]]),                                   # 1x1
+        ([[1, 2], [3, 4], [5, 6], [7, 8]], [[1, -1, 2], [0, 4, -3]]),  # tall
+        ([[2, 0, -1, 4, 1]], [[1], [2], [0], [-1], [3]]),  # wide
+        ([[0, 0], [0, 0]], [[0, 0, 0], [0, 0, 0]]),        # all zero
+        ([[big + 1, -big], [big, 1]], [[big - 1, 7], [-3, big]]),
+    ]
+    for left, right in cases:
+        if p:
+            left = [[x % p for x in r] for r in left]
+            right = [[x % p for x in r] for r in right]
+        a, b = Matrix(field, left), Matrix(field, right)
+        got = a * b
+        assert got == _matmul_reference(a, b)
+        _assert_field_entries(field, got.rows)
+    if not p:
+        a = Matrix(Q, [[Fraction(big + 1, 3), 2], [Fraction(-7, big - 1), Fraction(5, 12)]])
+        b = Matrix(Q, [[1, Fraction(big, 999983)], [Fraction(1, 6), -4]])
+        assert a * b == _matmul_reference(a, b)
+        assert jordan_product(a, b) == _jordan_product_reference(a, b)
+        _assert_field_entries(Q, (a * b).rows)
+        _assert_field_entries(Q, jordan_product(a, b).rows)
+
+
+@FIELDS
+def test_products_keep_the_width_of_matrices_with_no_rows(field):
+    empty = Matrix.zeros(field, 0, 3)
+    assert (empty.nrows, empty.ncols) == (0, 3)
+    prod = empty * Matrix.zeros(field, 3, 2)
+    assert (prod.nrows, prod.ncols) == (0, 2)
+    assert prod == _matmul_reference(empty, Matrix.zeros(field, 3, 2))
+    inner = Matrix.zeros(field, 2, 0) * empty
+    assert inner == Matrix.zeros(field, 2, 3)
+    assert Matrix.zeros(field, 0, 0) * Matrix.zeros(field, 0, 0) == Matrix.zeros(field, 0, 0)
+    assert jordan_product(Matrix.zeros(field, 0, 0), Matrix.zeros(field, 0, 0)).rows == []
+    t = Matrix(field, [[], []]).transpose()
+    assert (t.nrows, t.ncols) == (0, 2)
+    t = empty.transpose()
+    assert (t.nrows, t.ncols) == (3, 0)
+    assert t.transpose() == empty
+    assert Matrix.zeros(field, 0, 3) != Matrix.zeros(field, 0, 2)
+
+
+@FIELDS
+def test_products_refuse_a_dimension_mismatch(field):
+    a = Matrix.zeros(field, 2, 3)
+    for left, right in [(a, a), (Matrix.zeros(field, 0, 3), Matrix.zeros(field, 2, 2))]:
+        with pytest.raises(ValueError):
+            left * right
+    square = Matrix.identity(field, 2)
+    for m1, m2 in [(a, a), (square, Matrix.identity(field, 3)), (square, a)]:
+        with pytest.raises(ValueError):
+            jordan_product(m1, m2)
