@@ -185,14 +185,6 @@ class JordanCheck:
         return self.is_jordan
 
 
-def _defining_identity_gap(A, x, y):
-    """(xy)(xx) - x(y(xx)), zero exactly when the pair satisfies the identity."""
-    xx = A.mul(x, x)
-    lhs = A.mul(A.mul(x, y), xx)
-    rhs = A.mul(x, A.mul(y, xx))
-    return [A.field.sub(a, b) for a, b in zip(lhs, rhs)]
-
-
 def jordan_check(A):
     """Decide whether (xy)(xx) = x(y(xx)) for all x, y in the table's algebra;
     a failure comes with the basis quadruple (i, j, y, k) that shows it.
@@ -204,27 +196,32 @@ def jordan_check(A):
     ``linearized_gap(i, i, y, k)``: ``_quadruple_scan`` tests these and its
     first failure is the witness.  The coefficient of x_i^3 is the gap at the
     diagonal pair (b_i, b_y), which ``linearized_gap(i, i, y, i)`` holds only
-    times 3; it is evaluated next, and a failure there is reported as
-    (i, i, y, i).  Outside characteristic 3 the scan has already tested it.
-    Over F_3 "for all x" agrees with "as an identity": reducing x_i^3 to x_i
-    leaves distinct monomials, so a cubic form that vanishes on F_3^n is zero.
+    times 3; ``_diagonal_gap`` evaluates it next, and a failure there is
+    reported as (i, i, y, i).  Outside characteristic 3 the scan has already
+    tested it.  Over F_3 "for all x" agrees with "as an identity": reducing
+    x_i^3 to x_i leaves distinct monomials, so a cubic form that vanishes on
+    F_3^n is zero.
 
     Both steps run up to verified automorphisms, one quadruple and one
-    diagonal index per orbit of the group that the basis permutations
+    diagonal pair per orbit of the group G that the basis permutations
     ``_table_automorphisms`` proves generate (for a Matsuo algebra a
     generating set of Miyamoto involutions y -> y^x): such a permutation
-    carries the gap at a quadruple or pair to the gap at its image.  Only the
-    group matters, so proving a generating set instead of every candidate
-    changes no witness.
+    carries the gap at a quadruple or pair to the gap at its image.  The
+    diagonal step takes i = r, the least point of each G-orbit, and y the
+    least point of each orbit of the stabiliser G_r: an element of G_r
+    taking y below itself carries a failure at (b_r, b_y) to an earlier one
+    at (b_r, b_g(y)), so the first failing y is one of these.  Only the group
+    matters, so proving a generating set instead of every candidate changes
+    no witness.
     """
     gens = _table_automorphisms(A)
     witness = _quadruple_scan(A, gens)
     if witness is not None:
         return JordanCheck(False, witness)
     for r in sorted(set(_orbit_minima(A.dim, gens))):
-        b_r = unit_vector(A.field, A.dim, r)
-        for y in range(A.dim):
-            if any(_defining_identity_gap(A, b_r, unit_vector(A.field, A.dim, y))):
+        rep_r = _orbit_minima(A.dim, _stabiliser_generators(A.dim, r, gens))
+        for y in sorted(set(rep_r)):
+            if _diagonal_gap(A, r, y):
                 return JordanCheck(False, (r, r, y, r))
     return JordanCheck(True)
 
@@ -236,22 +233,30 @@ def _quadruple_scan(A, gens):
     table.
 
     R is the set of least points of the G-orbits, rep(p) the least point of
-    p's G-orbit and rep_r(p) that of its orbit under the stabiliser G_r.  The
-    scan visits (i, j, k) = (r, s, c) with r in R, s = rep_r(s), rep(s) >= r,
-    rep(c) >= r and rep_r(c) >= s, and every y, in that order; with gens = ()
-    that is every quadruple.  It still meets the full scan's first failure:
-    the identity is symmetric in its three slots and an automorphism maps the
-    gap at a quadruple to the gap at its image, so were that failure not
-    visited, an element of G taking one of its slots below i, or of G_i
-    taking j or k below j, would give an earlier one."""
+    p's G-orbit, rep_r(p) that of its orbit under the stabiliser G_r, and
+    rep_rs(p) that of its orbit under the two-point stabiliser G_{r,s}, each
+    stabiliser given by Schreier generators of the one before it.  The scan
+    visits (i, j, k) = (r, s, c) with r in R, s = rep_r(s), rep(s) >= r,
+    c = rep_rs(c), rep(c) >= r and rep_r(c) >= s, and every y, in that
+    order; with gens = () that is every quadruple.  It still meets the full
+    scan's first failure: the identity is symmetric in its three slots and
+    an automorphism maps the gap at a quadruple to the gap at its image, so
+    were that failure not visited, an element of G taking one of its slots
+    below i, or of G_i taking j or k below j, would give an earlier one.
+    Nor does c = rep_rs(c) drop it: were it at (r, s, y, c) with g in
+    G_{r,s} and g(c) < c, then g, fixing r and s, would give a failure at
+    (r, s, g(y), g(c)), and g(c) has c's rep and rep_r, so the scan visits
+    it earlier."""
     dim = A.dim
     points = range(dim)
     rep = _orbit_minima(dim, gens)
     for r in sorted(set(rep)):
-        rep_r = _orbit_minima(dim, _stabiliser_generators(dim, r, gens))
+        gens_r = _stabiliser_generators(dim, r, gens)
+        rep_r = _orbit_minima(dim, gens_r)
         for s in sorted({rep_r[p] for p in points if rep[p] >= r}):
+            rep_rs = _orbit_minima(dim, _stabiliser_generators(dim, s, gens_r))
             for c in points:
-                if rep[c] >= r and rep_r[c] >= s:
+                if rep_rs[c] == c and rep[c] >= r and rep_r[c] >= s:
                     for y in points:
                         if linearized_gap(A, r, s, y, c):
                             return (r, s, y, c)
@@ -336,6 +341,19 @@ def _stabiliser_generators(n, r, gens):
     inverse = {p: _perm_inv(u) for p, u in transversal.items()}
     return {_perm_mul(_perm_mul(u, g), inverse[g[p]])
             for p, u in transversal.items() for g in gens}
+
+
+def _diagonal_gap(A, i, y):
+    """x(y(xx)) - (xy)(xx) at x = b_i and the basis element b_y, as a sparse
+    vector that is empty exactly when the identity holds there.  Like
+    ``linearized_gap`` it runs in plain ints on ``A.int_view()``, every term
+    a product of three structure constants, so it is scaled as that is."""
+    view = A.int_view()
+    rows = view.rows
+    xx = rows[i][i]
+    gap = _int_column(rows, _int_column(rows, xx, y), i)
+    cols = {t: _int_column(rows, rows[i][y], t) for t in xx}
+    return _reduced(_int_apply(cols, xx, -1, out=gap), view.modulus)
 
 
 def linearized_gap(A, i, j, y, k):
@@ -597,17 +615,9 @@ def miyamoto(A, e, rules):
 
 
 def u_operator(A, a):
-    """U_a(b) = 2a(ab) - (aa)b as a matrix."""
-    f = A.field
-    two = f.from_int(2)
-    aa = A.mul(a, a)
-    cols = []
-    for j in range(A.dim):
-        b = unit_vector(f, A.dim, j)
-        t = A.mul(a, A.mul(a, b))
-        s = A.mul(aa, b)
-        cols.append([f.sub(f.mul(two, u), v) for u, v in zip(t, s)])
-    return Matrix(f, [list(r) for r in zip(*cols)])
+    """U_a(b) = 2a(ab) - (aa)b as a matrix: 2 ad(a)^2 - ad(a^2)."""
+    ad_a = A.ad(a)
+    return (ad_a * ad_a).scale(A.field.from_int(2)) - A.ad(A.mul(a, a))
 
 
 def is_absolute_zero_divisor(A, a):

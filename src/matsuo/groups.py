@@ -163,6 +163,11 @@ def is_3transposition(group):
 
 
 def _perm_mul(p, q):
+    """The product p then q, i -> q[p[i]], as a tuple gathered at C level
+    by ``itemgetter(*p)(q)``.  Below length 2 itemgetter() raises and
+    itemgetter(i) returns a scalar, so those take the generator path."""
+    if len(p) > 1:
+        return itemgetter(*p)(q)
     return tuple(q[i] for i in p)
 
 

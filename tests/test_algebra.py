@@ -444,6 +444,7 @@ def test_jordan_check_frozen_verdicts():
         (_root_matsuo("A3", HALF, Q), (True, ())),
         (matsuo_algebra(build_p3(), F3_half, F3), (True, ())),
         (w2a3, (False, (0, 1, 3, 2))),
+        (_f3_diagonal_failure(), (False, (9, 9, 9, 9))),
     ):
         res = jordan_check(A)
         assert (res.is_jordan, res.witness) == expected
@@ -638,12 +639,24 @@ def test_quadruple_scan_meets_every_orbit(monkeypatch):
 
 
 def test_quadruple_scan_counts_on_sym7(monkeypatch):
-    # Sym(7) has one orbit on its 21 transpositions and three on ordered pairs
+    # Sym(7) has one orbit on its 21 transpositions, so r is the one
+    # transposition (12).  Its stabiliser Sym(2) x Sym(5) has three orbits:
+    # r, the 10 transpositions meeting it and the 10 disjoint from it; s is
+    # the least point of each.  The third slot c runs over the G_{r,s}-orbit
+    # minima with rep_r(c) >= s:
+    #   s = r:    G_{r,s} = G_r, its 3 orbits;
+    #   s = (13): G_{r,s} = Sym({4..7}), orbits {(13)}, {(23)}, {(1x)},
+    #             {(2x)}, {(3x)}, {(xy)} for x, y in 4..7: 6;
+    #   s = (34): G_{r,s} = Sym(2) x Sym(2) x Sym(3), orbits of the
+    #             transpositions disjoint from r: {(34)}, {(3x), (4x)},
+    #             {(xy)} for x, y in 5..7: 3.
+    # That is 12 triples (r, s, c), each with all 21 values of y.
     A = _root_matsuo("A6", PrimeField(5).div(1, 2), PrimeField(5))
     assert len(_table_automorphisms_reference(A)) == 21
     gens = _table_automorphisms(A)
     visited = _visited_quadruples(A, gens, monkeypatch)
-    assert len(visited) == 1071
+    assert len({(i, j, k) for i, j, _, k in visited}) == 12
+    assert len(visited) == 12 * 21 == 252
     assert visited == _visited_quadruples(A, _table_automorphisms_reference(A), monkeypatch)
     assert len(_visited_quadruples(A, (), monkeypatch)) == 21 * 23 * 22 * 21 // 6
 
@@ -664,6 +677,27 @@ def test_stabiliser_generators_generate_the_point_stabiliser():
             schreier = algebra._stabiliser_generators(n, r, gens)
             assert set(mulclose(schreier, _perm_mul, identity)) == {
                 g for g in group if g[r] == r}
+
+
+def test_stabiliser_generators_generate_the_two_point_stabiliser():
+    # the two-point stabilisers G_{r,s} of the Jordan scan: Schreier
+    # generators of the point stabiliser of s in G_r, itself given by its
+    # own Schreier generators
+    generator_sets = [
+        _table_automorphisms(A)
+        for A in (_root_matsuo("A4", HALF, Q), p3_algebra(F3))
+    ] + [((1, 2, 3, 4, 0), (1, 0, 2, 3, 4)),               # Sym(5)
+         ((1, 2, 0, 4, 5, 3, 6), (0, 1, 2, 4, 3, 5, 6))]  # two orbits, one fixed
+    for gens in generator_sets:
+        n = len(gens[0])
+        identity = tuple(range(n))
+        group = mulclose(gens, _perm_mul, identity)
+        for r in range(n):
+            gens_r = algebra._stabiliser_generators(n, r, gens)
+            for s in range(n):
+                schreier = algebra._stabiliser_generators(n, s, gens_r)
+                assert set(mulclose(schreier, _perm_mul, identity)) == {
+                    g for g in group if g[r] == r and g[s] == s}
 
 
 _WITNESS_SOURCES = ([{"roots": n} for n in ("D4", "D5", "D6", "D7", "E6", "E7", "E8")]
@@ -812,9 +846,56 @@ def test_kept_automorphisms_of_a_tampered_table_pass_the_dense_oracle():
                     assert ref_mul(A, e(sigma[i]), e(sigma[j])) == image(ref_mul(A, e(i), e(j)))
 
 
+def _diagonal_reference(A):
+    """The first (r, r, y, r) in r, y order at which the dense gap
+    (xy)(xx) - x(y(xx)), x = b_r and y = b_y, from ``ref_mul`` is nonzero, or
+    None.  Independent of the integer view and of any automorphism."""
+    f = A.field
+    for r in range(A.dim):
+        x = unit_vector(f, A.dim, r)
+        xx = ref_mul(A, x, x)
+        for y in range(A.dim):
+            b = unit_vector(f, A.dim, y)
+            if ref_mul(A, ref_mul(A, x, b), xx) != ref_mul(A, x, ref_mul(A, b, xx)):
+                return (r, r, y, r)
+    return None
+
+
+def _f3_diagonal_failure():
+    """M_{1/2}(P3) over F3 plus <a, b : a^2 = b, b^2 = a, ab = 0>.  The scan
+    passes, as it holds the x_i^3 terms only times 3, while the gap at the
+    diagonal pair (a, a) is a; P3's points keep their automorphisms."""
+    pair = AlgebraTable(F3, ["a", "b"], {(0, 0): [0, 1], (1, 1): [1, 0]})
+    return direct_sum(p3_algebra(F3), pair)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_jordan_check_witness_matches_the_plain_scan_on_relabelled_tables(seed):
+    # the reduced scan orders its slots by orbit minima, so a relabelling
+    # moves which quadruples it visits; the witness must stay the plain scan's
+    fixtures = dict(_scan_fixtures())
+    tables = [("D5-half-Q", _root_matsuo("D5", HALF, Q))] + [
+        (name, fixtures[name]()) for name in ("D4-half-Q", "W2A3-half-Q", "A3+1-third",
+                                              "A3-half-b0b0", "A3-half-b0b1")]
+    for name, A in tables:
+        A = _relabelled_table(A, seed)
+        expected = _jordan_scan_reference(A)
+        assert expected is not None, name
+        res = jordan_check(A)
+        assert (res.is_jordan, res.witness) == (False, expected), name
+    A = _relabelled_table(_f3_diagonal_failure(), seed)
+    assert _table_automorphisms(A)
+    assert _jordan_scan_reference(A) is None
+    assert _quadruple_scan(A, _table_automorphisms(A)) is None
+    expected = _diagonal_reference(A)
+    assert expected is not None
+    res = jordan_check(A)
+    assert (res.is_jordan, res.witness) == (False, expected)
+
+
 def test_jordan_check_on_sym9_is_fast():
     # the Matsuo algebra of Sym(9) on its 36 transpositions; the plain scan
-    # evaluates 303,696 quadruples, the reduced one 3,312
+    # evaluates 303,696 quadruples, the reduced one 432
     A = _root_matsuo("A8", HALF, Q)
     start = time.perf_counter()
     res = jordan_check(A)
@@ -1346,6 +1427,50 @@ def test_u_operator_on_idempotent():
     A = p3_algebra()
     e = unit_vector(Q, 9, 0)
     assert _matvec(u_operator(A, e), e) == e
+
+
+def _u_operator_reference(A, a):
+    """U_a(b) = 2a(ab) - (aa)b column by column, each column from three
+    products of ``ref_mul``."""
+    f = A.field
+    two = f.from_int(2)
+    aa = ref_mul(A, a, a)
+    cols = []
+    for j in range(A.dim):
+        b = unit_vector(f, A.dim, j)
+        t = ref_mul(A, a, ref_mul(A, a, b))
+        s = ref_mul(A, aa, b)
+        cols.append([f.sub(f.mul(two, u), v) for u, v in zip(t, s)])
+    return Matrix(f, [list(r) for r in zip(*cols)])
+
+
+def _u_operator_cases():
+    """(table, vectors) pairs: P3 over F3 with its line sums and point sum,
+    and P3 and h3 over Q and F5 with seeded vectors."""
+    A = p3_algebra(F3)
+    sums = []
+    for line in build_p3().lines:
+        v = [F3.zero] * 9
+        for p in line:
+            v[p] = F3.one
+        sums.append(v)
+    cases = [(A, sums + [[F3.one] * 9])]
+    for f in (Q, F5):
+        for B in (p3_algebra(f), h3_algebra(f)):
+            cases.append((B, _seeded_vectors(f, B.dim)))
+    return cases
+
+
+def test_u_operator_matches_the_column_loop():
+    zero = nonzero = 0
+    for A, vecs in _u_operator_cases():
+        for a in vecs:
+            got = u_operator(A, a)
+            assert got == _u_operator_reference(A, a)
+            assert (got.nrows, got.ncols) == (A.dim, A.dim)
+            zero += got.is_zero()
+            nonzero += not got.is_zero()
+    assert zero and nonzero
 
 
 def test_char3_trivial_and_zero_divisors():

@@ -28,6 +28,8 @@ from matsuo.groups import (
     wk_embedding_subgroup,
     _affine_generators,
     _free_reduce,
+    _perm_inv,
+    _perm_mul,
 )
 
 
@@ -79,6 +81,41 @@ def test_order_of_product_basics():
     # (12)(34) * (12) has the order of (34)
     d = g.mul(s12, s34)
     assert g.order_of_product(d, s12) == 2
+
+
+# --- the permutation kernel -------------------------------------------------
+
+def _perm_mul_reference(p, q):
+    """The product p then q, i -> q[p[i]], one generator step a point."""
+    return tuple(q[i] for i in p)
+
+
+@st.composite
+def _permutation_pairs(draw):
+    n = draw(st.integers(0, 200))
+    return draw(st.permutations(range(n))), draw(st.permutations(range(n)))
+
+
+def test_perm_mul_on_the_lengths_itemgetter_treats_apart():
+    # itemgetter() raises and itemgetter(i) returns a scalar, so lengths 0
+    # and 1 take their own path
+    for p, q in [((), ()), ((0,), (0,)), ((0, 1), (1, 0)), ((1, 0), (1, 0)),
+                 ((1, 0), [1, 0])]:
+        got = _perm_mul(p, q)
+        assert type(got) is tuple
+        assert got == _perm_mul_reference(p, q)
+    assert _perm_mul((1, 0), (1, 0)) == (0, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_permutation_pairs())
+def test_perm_mul_matches_the_generator_oracle(pair):
+    p, q = (tuple(x) for x in pair)
+    got = _perm_mul(p, q)
+    assert type(got) is tuple
+    assert got == _perm_mul_reference(p, q)
+    identity = tuple(range(len(p)))
+    assert _perm_mul(p, _perm_inv(p)) == identity == _perm_mul(_perm_inv(p), p)
 
 
 # --- 3^2:2 ------------------------------------------------------------------
