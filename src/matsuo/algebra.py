@@ -11,8 +11,8 @@ constant is scaled by the lcm of the table's denominators, over F_p the
 constants are their residues and reduction waits until the end.
 
 The Jordan verdict is exact: the linearized identity on basis quadruples,
-then the identity itself on the diagonal pairs (b_i, b_y), which test the
-x_i^3 terms that the linearization holds only times 3 (so not over F_3).
+then, over F_3 only, the identity itself on the diagonal pairs (b_i, b_y),
+which test the x_i^3 terms that the linearization holds only times 3.
 """
 
 import json
@@ -195,12 +195,12 @@ def jordan_check(A):
     ``linearized_gap(i, j, y, k)`` and that of x_i^2 x_k is
     ``linearized_gap(i, i, y, k)``: ``_quadruple_scan`` tests these and its
     first failure is the witness.  The coefficient of x_i^3 is the gap at the
-    diagonal pair (b_i, b_y), which ``linearized_gap(i, i, y, i)`` holds only
-    times 3; ``_diagonal_gap`` evaluates it next, and a failure there is
-    reported as (i, i, y, i).  Outside characteristic 3 the scan has already
-    tested it.  Over F_3 "for all x" agrees with "as an identity": reducing
-    x_i^3 to x_i leaves distinct monomials, so a cubic form that vanishes on
-    F_3^n is zero.
+    diagonal pair (b_i, b_y), which ``linearized_gap(i, i, y, i)`` holds
+    times 3.  Outside characteristic 3 a passing scan has therefore tested
+    it, and the verdict is Jordan.  Over F_3 ``_diagonal_gap`` evaluates it
+    next, and a failure there is reported as (i, i, y, i); there "for all x"
+    agrees with "as an identity": reducing x_i^3 to x_i leaves distinct
+    monomials, so a cubic form that vanishes on F_3^n is zero.
 
     Both steps run up to verified automorphisms, one quadruple and one
     diagonal pair per orbit of the group G that the basis permutations
@@ -218,6 +218,8 @@ def jordan_check(A):
     witness = _quadruple_scan(A, gens)
     if witness is not None:
         return JordanCheck(False, witness)
+    if A.field.characteristic != 3:
+        return JordanCheck(True)
     for r in sorted(set(_orbit_minima(A.dim, gens))):
         rep_r = _orbit_minima(A.dim, _stabiliser_generators(A.dim, r, gens))
         for y in sorted(set(rep_r)):
@@ -237,16 +239,22 @@ def _quadruple_scan(A, gens):
     rep_rs(p) that of its orbit under the two-point stabiliser G_{r,s}, each
     stabiliser given by Schreier generators of the one before it.  The scan
     visits (i, j, k) = (r, s, c) with r in R, s = rep_r(s), rep(s) >= r,
-    c = rep_rs(c), rep(c) >= r and rep_r(c) >= s, and every y, in that
-    order; with gens = () that is every quadruple.  It still meets the full
-    scan's first failure: the identity is symmetric in its three slots and
-    an automorphism maps the gap at a quadruple to the gap at its image, so
+    c = rep_rs(c), rep(c) >= r and rep_r(c) >= s, and then y in increasing
+    order, only where y is least in its orbit under H_c, the group generated
+    by those generators of G_{r,s} that fix c; with gens = () every H_c is
+    trivial and that is every quadruple.  It still meets the full scan's
+    first failure: the identity is symmetric in its three slots and an
+    automorphism maps the gap at a quadruple to the gap at its image, so
     were that failure not visited, an element of G taking one of its slots
     below i, or of G_i taking j or k below j, would give an earlier one.
     Nor does c = rep_rs(c) drop it: were it at (r, s, y, c) with g in
     G_{r,s} and g(c) < c, then g, fixing r and s, would give a failure at
     (r, s, g(y), g(c)), and g(c) has c's rep and rep_r, so the scan visits
-    it earlier."""
+    it earlier.  Nor does the y filter: H_c fixes r, s and c (any subgroup
+    of G_{r,s,c} would do), so were the failure at (r, s, y, c) with h in
+    H_c and h(y) < y, h would give one at (r, s, h(y), c), earlier in the
+    same triple.  H_c is a filter of the generators already built, not a
+    further stabiliser."""
     dim = A.dim
     points = range(dim)
     rep = _orbit_minima(dim, gens)
@@ -254,11 +262,13 @@ def _quadruple_scan(A, gens):
         gens_r = _stabiliser_generators(dim, r, gens)
         rep_r = _orbit_minima(dim, gens_r)
         for s in sorted({rep_r[p] for p in points if rep[p] >= r}):
-            rep_rs = _orbit_minima(dim, _stabiliser_generators(dim, s, gens_r))
+            gens_rs = _stabiliser_generators(dim, s, gens_r)
+            rep_rs = _orbit_minima(dim, gens_rs)
             for c in points:
                 if rep_rs[c] == c and rep[c] >= r and rep_r[c] >= s:
+                    rep_c = _orbit_minima(dim, [g for g in gens_rs if g[c] == c])
                     for y in points:
-                        if linearized_gap(A, r, s, y, c):
+                        if rep_c[y] == y and linearized_gap(A, r, s, y, c):
                             return (r, s, y, c)
     return None
 
@@ -275,6 +285,14 @@ def _table_automorphisms(A):
     and maps the integer view onto itself, rows[sigma i][sigma j] being
     rows[i][j] with indices moved by sigma for every pair.
 
+    The proof reads only the table's support, the pairs i <= j with a nonzero
+    rows[i][j], listed once: each must go to a row of the same length whose
+    entry at sigma k is rows[i][j][k] for every k, so that, sigma being
+    injective, the row is exactly the moved one.  The zero pairs need no
+    test.  A permutation sigma permutes the unordered pairs, so once it maps
+    the finite support into itself it maps it onto itself, and the zero pairs
+    onto the zero pairs.
+
     Only a generating set is proved: x is skipped when a map kept so far
     takes a smaller index to it.  The candidate is read off the table alone,
     so an automorphism g with g(x') = x has sigma_x = g sigma_x' g^-1, and
@@ -285,6 +303,8 @@ def _table_automorphisms(A):
     rows = A.int_view().rows
     dim = A.dim
     identity = tuple(range(dim))
+    support = [(i, j, rows[i][j]) for i in range(dim) for j in range(i, dim)
+               if rows[i][j]]
     kept = {}
     rep = identity
     for x in range(dim):
@@ -296,12 +316,24 @@ def _table_automorphisms(A):
             sigma.append(outside[0] if len(outside) == 1 else y)
         sigma = tuple(sigma)
         if (sigma != identity and len(set(sigma)) == dim
-                and all(rows[sigma[i]][sigma[j]]
-                        == {sigma[k]: c for k, c in rows[i][j].items()}
-                        for i in range(dim) for j in range(i, dim))):
+                and _maps_support(rows, support, sigma)):
             kept[sigma] = None
             rep = _orbit_minima(dim, kept)
     return tuple(kept)
+
+
+def _maps_support(rows, support, sigma):
+    """Whether the permutation sigma takes each (i, j, row) of support to a
+    row of the same length holding row's entry c at sigma k for each k."""
+    for i, j, row in support:
+        img = rows[sigma[i]][sigma[j]]
+        if len(img) != len(row):
+            return False
+        get = img.get
+        for k, c in row.items():
+            if get(sigma[k]) != c:
+                return False
+    return True
 
 
 def _orbit_minima(n, gens):

@@ -635,38 +635,43 @@ class CosetTable:
 
     def group(self):
         """The regular realization: cosets over the trivial subgroup are the
-        group elements themselves, multiplied through representative words."""
+        group elements themselves, multiplied through representative words.
+
+        The words are those of a breadth-first tree from coset 0, stored as
+        each coset's parent and the column that reaches it from there; a
+        word is read by walking the tree up from its coset, so none is kept."""
         if self.subgroup_words:
             raise GroupError("regular realization needs a trivial subgroup")
         if not self.complete:
             raise GroupError("incomplete enumeration")
         table = self.table
         n = self.n_cosets
-        rep_words = [None] * n
-        rep_words[0] = ()
+        parent = array("l", [-1]) * n
+        column = array("l", [0]) * n
+        parent[0] = 0
         queue = [0]
-        head = 0
-        while head < len(queue):
-            c = queue[head]
-            head += 1
-            base = rep_words[c]
-            for col in range(self.ncols):
-                d = table[c][col]
-                if rep_words[d] is None:
-                    rep_words[d] = base + (col,)
+        for c in queue:
+            for col, d in enumerate(table[c]):
+                if parent[d] < 0:
+                    parent[d] = c
+                    column[d] = col
                     queue.append(d)
-        icol = self._icol
+        icol = [self._icol(col) for col in range(self.ncols)]
 
         def mul(x, y):
-            c = x
-            for col in rep_words[y]:
-                c = table[c][col]
-            return c
+            word = []
+            while y:
+                word.append(column[y])
+                y = parent[y]
+            for col in reversed(word):
+                x = table[x][col]
+            return x
 
         def inv(x):
             c = 0
-            for col in reversed(rep_words[x]):
-                c = table[c][icol(col)]
+            while x:
+                c = table[c][icol[column[x]]]
+                x = parent[x]
             return c
 
         gens = [table[0][i if self.involution_mode else 2 * i]

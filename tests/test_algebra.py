@@ -474,17 +474,23 @@ def _table_automorphisms_reference(A):
     identity = tuple(range(dim))
     kept = {}
     for x in range(dim):
-        sigma = []
-        for y in range(dim):
-            outside = [k for k in rows[x][y] if k != x and k != y]
-            sigma.append(outside[0] if len(outside) == 1 else y)
-        sigma = tuple(sigma)
+        sigma = _candidate(rows, x)
         if (sigma != identity and len(set(sigma)) == dim
                 and all(rows[sigma[i]][sigma[j]]
                         == {sigma[k]: c for k, c in rows[i][j].items()}
                         for i in range(dim) for j in range(i, dim))):
             kept[sigma] = None
     return tuple(kept)
+
+
+def _candidate(rows, x):
+    """sigma_x: y goes to the one index of supp(b_x b_y) outside {x, y}, or
+    to itself when there is no such single index."""
+    sigma = []
+    for y in range(len(rows)):
+        outside = [k for k in rows[x][y] if k != x and k != y]
+        sigma.append(outside[0] if len(outside) == 1 else y)
+    return tuple(sigma)
 
 
 def _tampered(A, i, j, k, value):
@@ -624,9 +630,12 @@ def _visited_quadruples(A, gens, monkeypatch):
 def test_quadruple_scan_meets_every_orbit(monkeypatch):
     # the images of the visited quadruples under the whole group, with the
     # three symmetric slots sorted, are all quadruples i <= j <= k, any y
+    # (the gap is forced to zero, so the scan runs to the end)
     for A in (_root_matsuo("A4", HALF, Q), p3_algebra(F3),
               direct_sum(_root_matsuo("A3", HALF, Q), _one_dim(Q)),
-              _tampered(_root_matsuo("A3", HALF, Q), 0, 0, 0, Q.from_int(2))):
+              _tampered(_root_matsuo("A3", HALF, Q), 0, 0, 0, Q.from_int(2)),
+              _relabelled_table(_root_matsuo("D4", HALF, Q), 4),
+              matsuo_algebra(triple_system_from_cli(group="sym:6"), HALF, Q)):
         gens = _table_automorphisms(A)
         group = mulclose(gens, _perm_mul, tuple(range(A.dim)))
         visited = _visited_quadruples(A, gens, monkeypatch)
@@ -650,14 +659,32 @@ def test_quadruple_scan_counts_on_sym7(monkeypatch):
     #   s = (34): G_{r,s} = Sym(2) x Sym(2) x Sym(3), orbits of the
     #             transpositions disjoint from r: {(34)}, {(3x), (4x)},
     #             {(xy)} for x, y in 5..7: 3.
-    # That is 12 triples (r, s, c), each with all 21 values of y.
+    # That is 12 triples (r, s, c).  Each takes y once per orbit of the
+    # generators of G_{r,s} that fix c, which here generate all of
+    # G_{r,s,c}; its orbits on the 21 transpositions number
+    #   s = r:    c = (12): Sym(2) x Sym(5), 3; c = (13): Sym({4..7}), 7;
+    #             c = (34): Sym(2) x Sym(2) x Sym(3), 6;
+    #   s = (13): c = (13), (23): Sym({4..7}), 7 each; c = (14), (24), (34):
+    #             Sym({5,6,7}), 11 each; c = (45): Sym(2) x Sym(2), 12;
+    #   s = (34): c = (34): 6; c = (35): Sym(2) x Sym(2), 12;
+    #             c = (56): Sym(2)^3, 9;
+    # 3 + 7 + 6 + 7 + 7 + 11 + 11 + 11 + 12 + 6 + 12 + 9 = 102 quadruples.
     A = _root_matsuo("A6", PrimeField(5).div(1, 2), PrimeField(5))
-    assert len(_table_automorphisms_reference(A)) == 21
+    reference = _table_automorphisms_reference(A)
+    assert len(reference) == 21
     gens = _table_automorphisms(A)
     visited = _visited_quadruples(A, gens, monkeypatch)
-    assert len({(i, j, k) for i, j, _, k in visited}) == 12
-    assert len(visited) == 12 * 21 == 252
-    assert visited == _visited_quadruples(A, _table_automorphisms_reference(A), monkeypatch)
+    per_triple = {}
+    for i, j, _, k in visited:
+        per_triple[(i, j, k)] = per_triple.get((i, j, k), 0) + 1
+    assert list(per_triple.values()) == [3, 7, 6, 7, 7, 11, 11, 11, 12, 6, 12, 9]
+    assert len(visited) == 102
+    group = mulclose(reference, _perm_mul, tuple(range(A.dim)))
+    assert len(group) == 5040
+    for (r, s, c), count in per_triple.items():
+        fixing = [g for g in group if g[r] == r and g[s] == s and g[c] == c]
+        assert count == len(set(algebra._orbit_minima(A.dim, fixing)))
+    assert visited == _visited_quadruples(A, reference, monkeypatch)
     assert len(_visited_quadruples(A, (), monkeypatch)) == 21 * 23 * 22 * 21 // 6
 
 
@@ -826,7 +853,29 @@ def _tampered_tables():
         ("A4-b0b0", _tampered(_root_matsuo("A4", HALF, Q), 0, 0, 0, Q.from_int(3))),
         ("A4-b2b5", _tampered(_root_matsuo("A4", HALF, Q), 2, 5, 9, Q.one)),
         ("P3-F3-b3b3", _tampered(p3_algebra(F3), 3, 3, 3, F3.from_int(2))),
+        # b_0 b_3 was zero: a candidate moving {0, 3} sends it to a zero pair
+        ("A3-b0b3", _tampered(_root_matsuo("A3", HALF, Q), 0, 3, 0, Q.one)),
+        # the supports are kept, one coefficient of b_0 b_1 is not
+        ("A4-b0b1", _tampered(_root_matsuo("A4", HALF, Q), 0, 1, 0, Q.parse("1/3"))),
     ]
+
+
+def test_tampered_tables_fail_on_and_off_the_support():
+    # a candidate permutation of A3-b0b3 sends the nonzero pair {0, 3} to a
+    # zero pair; one of A4-b0b1 keeps the support of every pair but not the
+    # coefficients of b_0 b_1
+    tables = dict(_tampered_tables())
+    rows = tables["A3-b0b3"].int_view().rows
+    candidates = [_candidate(rows, x) for x in range(6)]
+    assert any(len(set(s)) == 6 and not rows[s[0]][s[3]] for s in candidates)
+    rows = tables["A4-b0b1"].int_view().rows
+    pairs = [(i, j) for i in range(10) for j in range(i, 10)]
+
+    def moved(s, i, j):
+        return {s[k]: c for k, c in rows[i][j].items()}
+    assert any(all(rows[s[i]][s[j]].keys() == moved(s, i, j).keys() for i, j in pairs)
+               and rows[s[0]][s[1]] != moved(s, 0, 1)
+               for s in (_candidate(rows, x) for x in range(10)))
 
 
 def test_kept_automorphisms_of_a_tampered_table_pass_the_dense_oracle():
@@ -893,9 +942,26 @@ def test_jordan_check_witness_matches_the_plain_scan_on_relabelled_tables(seed):
     assert (res.is_jordan, res.witness) == (False, expected)
 
 
+def test_diagonal_step_runs_only_over_f3(monkeypatch):
+    # outside characteristic 3 a passing scan has tested the diagonal pairs
+    # times 3, so jordan_check decides without ``_diagonal_gap``
+    calls = []
+    diagonal_gap = algebra._diagonal_gap
+    monkeypatch.setattr(algebra, "_diagonal_gap",
+                        lambda A, i, y: calls.append((i, y)) or diagonal_gap(A, i, y))
+    F5 = PrimeField(5)
+    for name in ("A4", "A5", "A6"):
+        for f in (Q, F5):
+            assert jordan_check(_root_matsuo(name, f.div(f.one, f.from_int(2)), f))
+    assert calls == []
+    res = jordan_check(_f3_diagonal_failure())
+    assert (res.is_jordan, res.witness) == (False, (9, 9, 9, 9))
+    assert calls
+
+
 def test_jordan_check_on_sym9_is_fast():
     # the Matsuo algebra of Sym(9) on its 36 transpositions; the plain scan
-    # evaluates 303,696 quadruples, the reduced one 432
+    # evaluates 303,696 quadruples, the reduced one 103
     A = _root_matsuo("A8", HALF, Q)
     start = time.perf_counter()
     res = jordan_check(A)

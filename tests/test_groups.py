@@ -808,6 +808,57 @@ def test_regular_realization_group_laws(su32_group):
     assert g.order() == 6912
 
 
+def _tuple_word_realization(tab):
+    """Oracle: (mul, inv) of the regular realization through stored
+    representative words, one tuple of columns per coset, from the same
+    breadth-first walk as ``CosetTable.group``."""
+    words = [None] * tab.n_cosets
+    words[0] = ()
+    queue = [0]
+    for c in queue:
+        for col in range(tab.ncols):
+            d = tab.table[c][col]
+            if words[d] is None:
+                words[d] = words[c] + (col,)
+                queue.append(d)
+
+    def mul(x, y):
+        for col in words[y]:
+            x = tab.table[x][col]
+        return x
+
+    def inv(x):
+        c = 0
+        for col in reversed(words[x]):
+            c = tab.table[c][tab._icol(col)]
+        return c
+    return mul, inv
+
+
+def _assert_matches_tuple_words(tab, group, pairs, inverted):
+    mul, inv = _tuple_word_realization(tab)
+    rng = random.Random(24)
+    n = tab.n_cosets
+    for _ in range(pairs):
+        x, y = rng.randrange(n), rng.randrange(n)
+        assert group.mul(x, y) == mul(x, y)
+    for x in inverted:
+        assert group.inv(x) == inv(x)
+
+
+def test_regular_realization_matches_the_tuple_words(su32_table, su32_group):
+    _assert_matches_tuple_words(su32_table, su32_group, 2000, range(su32_table.n_cosets))
+    # a table whose generators are not involutions, so inverses use other columns
+    tab = todd_coxeter(_NON_INVOLUTION)
+    assert not tab.involution_mode
+    _assert_matches_tuple_words(tab, tab.group(), 2000, range(tab.n_cosets))
+
+
+def test_regular_realization_matches_the_tuple_words_on_hall(hall_table, hall_group):
+    sample = random.Random(25).sample(range(hall_table.n_cosets), 2000)
+    _assert_matches_tuple_words(hall_table, hall_group, 2000, sample)
+
+
 def test_su32_class_size(su32_group):
     assert len(conj_class(su32_group, su32_group.generators[0])) == 36
 
