@@ -6,7 +6,8 @@ Vectors are coordinate lists over the algebra's field.  The multiplication
 table is stored sparsely, each product b_i b_j once for both orders, as the
 dict of its nonzero coordinates; every product of algebra elements (``mul``,
 ``ad``, the Jordan scan, the fusion test of ``check_axis``) runs on one
-integer view of it (``AlgebraTable.int_view``): over Q every structure
+integer view of it (``AlgebraTable.int_view``) through linalg's kernels
+``_int_lift``, ``_int_apply`` and ``_from_int_rows``: over Q every structure
 constant is scaled by the lcm of the table's denominators, over F_p the
 constants are their residues and reduction waits until the end.
 
@@ -18,10 +19,10 @@ which test the x_i^3 terms that the linearization holds only times 3.
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .linalg import Matrix, Subspace, _int_apply, _int_lift, kernel, rref, unit_vector
+from .linalg import (Matrix, Subspace, _from_int_rows, _int_apply, _int_lift, kernel,
+                     rref, unit_vector)
 from .fields import field_from_name
 from .groups import _perm_inv, _perm_mul
 
@@ -75,32 +76,24 @@ class AlgebraTable:
         view = self.int_view()
         lifted_x, scale_x = self._lift(x)
         lifted_y, scale_y = self._lift(y)
-        cols = {t: _int_column(view.rows, lifted_x, t) for t in lifted_y}
-        w = _reduced(_int_apply(cols, lifted_y), view.modulus)
-        return self._from_int(w, scale_x * scale_y * view.scale)
+        cols = {t: _int_apply(view.rows[t], lifted_x) for t in lifted_y}
+        return _from_int_rows(self.field, [_int_apply(cols, lifted_y)], self.dim,
+                              scale_x * scale_y * view.scale).rows[0]
 
     def ad(self, x):
-        """Matrix of left multiplication by x (columns are x * b_j)."""
+        """Matrix of left multiplication by x (columns are x * b_j): the rows
+        x b_t on the integer view, converted once and transposed."""
         view = self.int_view()
         lifted, scale = self._lift(x)
-        cols = [self._from_int(col, scale * view.scale)
-                for col in _int_columns(view.rows, lifted, view.modulus)]
-        return Matrix(self.field, [list(r) for r in zip(*cols)])
+        cols = [_int_apply(row, lifted) for row in view.rows]
+        return _from_int_rows(self.field, cols, self.dim,
+                              scale * view.scale).transpose()
 
     def _lift(self, v):
         if len(v) != self.dim:
             raise AlgebraError("vector length does not match algebra dimension")
         (lifted,), scale = _int_lift([v])
         return lifted, scale
-
-    def _from_int(self, w, scale):
-        """The dense vector w / scale of a reduced sparse int vector w: over Q
-        each coordinate is ``Fraction(c, scale)``, over F_p the residue."""
-        out = [self.field.zero] * self.dim
-        p = self.field.characteristic
-        for k, c in w.items():
-            out[k] = c if p else Fraction(c, scale)
-        return out
 
     def is_idempotent(self, e):
         return self.mul(e, e) == list(e)
@@ -111,12 +104,13 @@ class AlgebraTable:
 
 @dataclass(frozen=True)
 class IntTable:
-    """A structure-constant table over the integers: ``rows[a][b]`` maps k to
-    an int.  Over Q the entries are the constants times ``scale``, the lcm D
-    of all their denominators, and ``modulus`` is 0; over F_p they are the
-    residues themselves, ``scale`` is 1 and ``modulus`` is p.  A product of m
-    table entries is thereby the exact value times D**m, reduced mod p only
-    when it is tested."""
+    """A structure-constant table over the integers: ``rows[a][b]``, one dict
+    shared with ``rows[b][a]``, maps k to an int, so ``_int_apply(rows[t], u)``
+    is the product u b_t.  Over Q the entries are the constants times
+    ``scale``, the lcm D of all their denominators, and ``modulus`` is 0; over
+    F_p they are the residues themselves, ``scale`` is 1 and ``modulus`` is p.
+    A product of m table entries is thereby the exact value times D**m,
+    reduced mod p only when it is tested."""
 
     rows: list
     scale: int
@@ -383,8 +377,8 @@ def _diagonal_gap(A, i, y):
     view = A.int_view()
     rows = view.rows
     xx = rows[i][i]
-    gap = _int_column(rows, _int_column(rows, xx, y), i)
-    cols = {t: _int_column(rows, rows[i][y], t) for t in xx}
+    gap = _int_apply(rows[i], _int_apply(rows[y], xx))
+    cols = {t: _int_apply(rows[t], rows[i][y]) for t in xx}
     return _reduced(_int_apply(cols, xx, -1, out=gap), view.modulus)
 
 
@@ -435,14 +429,12 @@ class EigenDecomposition:
         return self.spaces[self.eigenvalues.index(value)]
 
 
-def eigen_decomposition(A, e, candidates=None):
-    """Eigenspaces of ad(e) over a candidate eigenvalue set (default 1, 0, 1/2);
-    diagonalizable iff the dimensions add up to dim A."""
+def eigen_decomposition(A, e, candidates):
+    """Eigenspaces of ad(e) over a candidate eigenvalue set; diagonalizable iff
+    the dimensions add up to dim A."""
     if not A.is_idempotent(e):
         raise AlgebraError("eigen decomposition requires an idempotent")
     f = A.field
-    if candidates is None:
-        candidates = [f.one, f.zero, f.div(f.one, f.from_int(2))]
     ad_e = A.ad(e)
     values, spaces = [], []
     for lam in candidates:
@@ -595,17 +587,7 @@ def _fusion_violation(A, e, rules, dec):
 def _int_columns(rows, u, p):
     """Columns of multiplication by the sparse int vector u on an integer
     view: column t is u b_t, scaled as u and the view are."""
-    return [_reduced(_int_column(rows, u, t), p) for t in range(len(rows))]
-
-
-def _int_column(rows, u, t):
-    """The column u b_t of ``_int_columns``, not reduced."""
-    col = {}
-    get = col.get
-    for s, x in u.items():
-        for k, y in rows[s][t].items():
-            col[k] = get(k, 0) + x * y
-    return col
+    return [_reduced(_int_apply(row, u), p) for row in rows]
 
 
 def _reduced(w, p):
@@ -689,14 +671,9 @@ def is_solvable(A, s):
     return solvable_chain(A, s)[-1].dim == 0
 
 
-@dataclass
-class QuotientResult:
-    algebra: AlgebraTable
-    complement: list  # ambient coordinates carrying the quotient basis
-
-
 def quotient(A, s):
-    """Quotient by an ideal, on the complement of the ideal's pivot columns."""
+    """The quotient table by an ideal, on the complement of the ideal's pivot
+    columns."""
     if not is_ideal(A, s):
         raise AlgebraError("quotient requires an ideal")
     f = A.field
@@ -708,7 +685,7 @@ def quotient(A, s):
             j = comp[b]
             w = s.reduce(A.mul_basis(i, j))
             products[(a, b)] = [w[t] for t in comp]
-    return QuotientResult(AlgebraTable(f, labels, products), comp)
+    return AlgebraTable(f, labels, products)
 
 
 # ---------------------------------------------------------------------------
@@ -731,7 +708,7 @@ def is_multiplicative(A, B, m):
     for i in range(A.dim):
         for j in range(i, A.dim):
             lhs = _int_apply(cols, view_a.rows[i][j], left)
-            prod = {t: _int_column(view_b.rows, cols[i], t) for t in cols[j]}
+            prod = {t: _int_apply(view_b.rows[t], cols[i]) for t in cols[j]}
             if _reduced(lhs, p) != _reduced(_int_apply(prod, cols[j], right), p):
                 return False
     return True

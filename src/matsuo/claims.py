@@ -340,18 +340,20 @@ _COSET_GOLDEN = {"rank4-su32": 6912, "rank4-hall": 118098}
 
 
 def _presented_group(claim_id, context):
+    """The claim's presented group from its coset table, or None when the
+    enumeration runs out of budget."""
     key = "su32" if "su32" in claim_id else "hall"
     if context is not None and key in context:
-        return context[key], None
+        return context[key]
     pres = (su32_quotient_presentation() if key == "su32"
             else hall_quotient_presentation())
     table = todd_coxeter(pres)
     if not table.complete:
-        return None, table
+        return None
     group = table.group()
     if context is not None:
         context[key] = group
-    return group, table
+    return group
 
 
 def _claim_rank4_presented(claim_id, n, field_name, context):
@@ -361,7 +363,7 @@ def _claim_rank4_presented(claim_id, n, field_name, context):
         "and does not occur in (xx)(dx)",
     ]
     checks = []
-    group, table = _presented_group(claim_id, context)
+    group = _presented_group(claim_id, context)
     if group is None:
         _chk(checks, "enumeration completes within budget", "complete",
              "incomplete")

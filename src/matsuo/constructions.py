@@ -119,7 +119,6 @@ class RootProjectionAlgebra:
     algebra: AlgebraTable
     basis_roots: list
     root_coords: dict    # every positive root -> coordinates in the basis
-    matrices: dict       # every positive root -> its projection matrix
 
 
 def jordan_from_roots(field, rs):
@@ -132,10 +131,8 @@ def jordan_from_roots(field, rs):
     basis_roots = [rs.positive[k] for k in basis]
     products, _ = _product_table(f, [mats[r] for r in basis_roots])
     labels = ["m(%s)" % ",".join(str(a) for a in r) for r in basis_roots]
-    return RootProjectionAlgebra(
-        AlgebraTable(f, labels, products), basis_roots,
-        dict(zip(rs.positive, coords)), mats
-    )
+    return RootProjectionAlgebra(AlgebraTable(f, labels, products), basis_roots,
+                                 dict(zip(rs.positive, coords)))
 
 
 def _product_table(field, basis, extra=()):
@@ -162,7 +159,6 @@ class ProjectionCase:
     roots: tuple
     kind: str     # "same", "orthogonal", "span"
     k: int = 0
-    third: tuple = None
     ok: bool = True
 
 
@@ -213,8 +209,7 @@ def verify_projection_products(field, rs):
             c = cands[0]
             mc = proj_matrix(f, c)
             formula = (mats[lo] + mats[hi].scale(f.from_int(k)) - mc).scale(quarter)
-            cases.append(ProjectionCase((a, b), "span", k=k, third=c,
-                                        ok=formula == direct))
+            cases.append(ProjectionCase((a, b), "span", k=k, ok=formula == direct))
     return cases
 
 
@@ -546,15 +541,13 @@ def _h3_label_index(model):
     return {l: t for t, l in enumerate(labels)}
 
 
-def eta_matrix(field, model=None):
+def eta_matrix(field):
     """The 9x9 matrix of the isomorphism from the order-3 plane algebra onto
-    the hermitian matrices: line idempotents go to diagonal units, and the
-    zero-sum piece of each line of the rows class goes into the matching
-    off-diagonal slot."""
-    model = model or zeta_model(field)
+    the hermitian matrices of the zeta model: line idempotents go to diagonal
+    units, and the zero-sum piece of each line of the rows class goes into the
+    matching off-diagonal slot."""
     f = field
-    g = "z" if model.name == "zeta" else "b"
-    idx = _h3_label_index(model)
+    idx = _h3_label_index(zeta_model(field))
     three_q = f.div(f.from_int(3), f.from_int(4))
     quarter = f.div(f.one, f.from_int(4))
 
@@ -570,7 +563,7 @@ def eta_matrix(field, model=None):
         i, j = _ETA_SLOTS[t]
         sgn = _ETA_SIGNS[t]
         u_idx = idx["1[%d%d]" % (i + 1, j + 1)]
-        g_idx = idx["%s[%d%d]" % (g, i + 1, j + 1)]
+        g_idx = idx["z[%d%d]" % (i + 1, j + 1)]
         a, b, c = line
         for lam, mu in ((1, 0), (0, 1)):
             v = [f.zero] * 9
@@ -696,8 +689,7 @@ def p3_char3_chain(field):
 
     t_zero_divisors = _all_absolute_zero_divisors(A, t_space)
 
-    q = quotient(A, r_space)
-    qa = q.algebra
+    qa = quotient(A, r_space)
     quotient_unital = (
         qa.dim == 1 and qa.mul_basis(0, 0) == [f.one]
     )
@@ -744,7 +736,6 @@ def _sparse_mul(group, x, y):
 
 @dataclass
 class Rank4Report:
-    group_name: str
     coeff_a_left: Fraction
     coeff_a_right: Fraction
     coeff_acdb_left: Fraction
@@ -777,7 +768,6 @@ def rank4_check(group):
     w = group.mul(group.mul(c, d), b)
     acdb = group.mul(group.mul(group.inv(w), a), w)
     return Rank4Report(
-        group.name,
         left.get(a, Fraction(0)),
         right.get(a, Fraction(0)),
         left.get(acdb, Fraction(0)),

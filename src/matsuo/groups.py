@@ -599,30 +599,26 @@ class CosetTable:
         trivially from every coset, and subgroup words fix coset 0.
 
         Once every column is known to be a permutation, relator maps are
-        composed by C-level gathers, ``itemgetter(*p)(column)``."""
+        composed by ``_perm_mul``."""
         if not self.complete:
             raise GroupError("cannot verify an incomplete table")
-        idx = list(range(self.n_cosets))
+        idx = tuple(range(self.n_cosets))
         columns = list(zip(*self.table))
         # a -1 entry is a valid index, so no map is composed before this check
         for colmap in columns:
-            if sorted(colmap) != idx:
+            if tuple(sorted(colmap)) != idx:
                 return False
-        # with one coset every column is the identity, and itemgetter of one
-        # index would return the item rather than a tuple
-        relators = self.presentation.relator_words() if len(idx) > 1 else []
-        idx = tuple(idx)
-        for w in relators:
+        for w in self.presentation.relator_words():
             if not w:
                 continue
             cols, m = _shortest_period([self._column_of_letter(l) for l in w])
             # the relator is u^m: compose u's map once, then raise it to m
             period = columns[cols[0]]
             for col in cols[1:]:
-                period = itemgetter(*period)(columns[col])
+                period = _perm_mul(period, columns[col])
             acc = period
             for _ in range(m - 1):
-                acc = itemgetter(*acc)(period)
+                acc = _perm_mul(acc, period)
             if acc != idx:
                 return False
         for w in self.subgroup_words:
@@ -707,7 +703,12 @@ def _cut_positions(word, icol):
 
 
 def _coset_budget():
-    return int(os.environ.get("MATSUO_MAX_COSETS", str(DEFAULT_MAX_COSETS)))
+    value = os.environ.get("MATSUO_MAX_COSETS", str(DEFAULT_MAX_COSETS))
+    try:
+        return int(value)
+    except ValueError:
+        raise GroupError("MATSUO_MAX_COSETS must be an integer, not %r"
+                         % value) from None
 
 
 class _Overflow(Exception):

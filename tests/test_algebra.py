@@ -232,7 +232,10 @@ def test_mul_and_ad_match_reference_product(name):
     if not A.field.characteristic:
         assert any(c.denominator > 1 for v in vecs for c in v)
     for x in vecs:
-        assert A.ad(x) == ref_ad(A, x)
+        got, want = A.ad(x), ref_ad(A, x)
+        assert got == want
+        assert ([[type(c) for c in r] for r in got.rows]
+                == [[type(c) for c in r] for r in want.rows])
         for y in vecs:
             got, want = A.mul(x, y), ref_mul(A, x, y)
             assert got == want
@@ -998,7 +1001,7 @@ def test_eigen_decomposition_requires_idempotent():
     A = p3_algebra()
     v = [Q.from_int(2)] + [Q.zero] * 8
     with pytest.raises(AlgebraError):
-        eigen_decomposition(A, v)
+        eigen_decomposition(A, v, candidates=[Q.one, Q.zero, HALF])
 
 
 def test_check_axis_on_points_and_unit():
@@ -1586,8 +1589,8 @@ def test_char3_ideal_squares():
     assert is_solvable(A, r)
     assert not is_solvable(A, Subspace.full(f, 9))
     q = quotient(A, r)
-    assert q.algebra.dim == 1
-    assert q.algebra.mul_basis(0, 0) == [f.one]
+    assert q.dim == 1
+    assert q.mul_basis(0, 0) == [f.one]
 
 
 def test_solvable_chain_length_bounded_by_dimension():

@@ -130,6 +130,25 @@ def test_verify_rejects_field_on_claims_without_field(capsys, claim):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_verify_names_a_coset_budget_that_is_not_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("MATSUO_MAX_COSETS", "many")
+    rc, out, err = run_cli(capsys, "verify", "rank4-su32")
+    assert rc == 2
+    assert not out
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "MATSUO_MAX_COSETS" in err
+
+
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_verify_reports_incomplete_under_a_budget_too_small(capsys, monkeypatch,
+                                                            budget):
+    monkeypatch.setenv("MATSUO_MAX_COSETS", budget)
+    rc, out, err = run_cli(capsys, "verify", "rank4-su32", "--mask-runtime")
+    assert rc == 1
+    assert not err
+    assert json.loads(out)["checks"][0]["computed"] == "incomplete"
+
+
 def test_verify_all_passes_field_to_field_claims_only(capsys, monkeypatch):
     monkeypatch.setattr(claims, "claim_ids", lambda: ["p3-unit", "rank4-W2A3"])
     rc, out, err = run_cli(capsys, "verify", "--all", "--field", "F5",
