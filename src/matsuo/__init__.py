@@ -37,7 +37,6 @@ from .algebra import (
     algebra_from_json,
     algebra_to_json,
     check_axis,
-    direct_sum,
     eigen_decomposition,
     is_absolute_zero_divisor,
     is_ideal,
@@ -59,7 +58,6 @@ from .constructions import (
     jr_dimension,
     line_idempotents,
     matsuo_algebra,
-    matsuo_eigenbasis,
     p3_char3_chain,
     p3_peirce,
     p3_unit,

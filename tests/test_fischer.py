@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matsuo.fischer import (
+    FischerCheck,
     GeometryError,
     PartialTripleSystem,
-    ValidationResult,
     build_p2_dual,
     build_p3,
     gamma_of_group,
@@ -21,42 +21,52 @@ from matsuo.fischer import (
     space_to_json_dict,
     subspace_closure,
 )
-from matsuo.groups import build_3sq2, build_sym
+from matsuo.groups import build_3sq2, build_sym, build_wk_affine_a
 
 from test_properties import _constructed_spaces
 
 
 def test_single_line_valid():
     sp = PartialTripleSystem(3, [(0, 1, 2)])
-    assert sp.validate().ok
     assert sp.wedge(0, 1) == 2
 
 
 def test_two_lines_sharing_two_points_invalid():
-    sp = PartialTripleSystem(4, [(0, 1, 2), (0, 1, 3)])
-    res = sp.validate()
-    assert not res.ok
-    assert "share" in res.error
+    with pytest.raises(GeometryError) as err:
+        PartialTripleSystem(4, [(0, 1, 2), (0, 1, 3)])
+    assert str(err.value) == "lines (0, 1, 2) and (0, 1, 3) share 2 points"
 
 
-def _validate_reference(space):
+def _validate_reference(n, lines):
     """The axioms checked over every pair of lines: the oracle for the
-    one-pass ``validate``."""
+    one-pass check in the constructor.  The message it should raise, or None."""
+    lines = sorted(tuple(sorted(l)) for l in lines)
     seen = set()
-    for line in space.lines:
+    for line in lines:
         if len(set(line)) != 3:
-            return ValidationResult(False, "line %r does not have 3 distinct points" % (line,))
-        if any(p < 0 or p >= space.n_points for p in line):
-            return ValidationResult(False, "line %r uses an unknown point" % (line,))
+            return "line %r does not have 3 distinct points" % (line,)
+        if any(p < 0 or p >= n for p in line):
+            return "line %r uses an unknown point" % (line,)
         if line in seen:
-            return ValidationResult(False, "line %r repeated" % (line,))
+            return "line %r repeated" % (line,)
         seen.add(line)
-    for l1, l2 in combinations(space.lines, 2):
+    for l1, l2 in combinations(lines, 2):
         common = set(l1) & set(l2)
         if len(common) > 1:
-            return ValidationResult(
-                False, "lines %r and %r share %d points" % (l1, l2, len(common)))
-    return ValidationResult(True)
+            return "lines %r and %r share %d points" % (l1, l2, len(common))
+    return None
+
+
+def _assert_built_as_the_reference_says(n, lines):
+    """Build the system, or see it refused with the oracle's message."""
+    expected = _validate_reference(n, lines)
+    if expected is None:
+        PartialTripleSystem(n, lines)
+    else:
+        with pytest.raises(GeometryError) as err:
+            PartialTripleSystem(n, lines)
+        assert str(err.value) == expected, lines
+    return expected
 
 
 @pytest.mark.parametrize("n, lines, error", [
@@ -74,9 +84,7 @@ def _validate_reference(space):
      "line (3, 3, 4) does not have 3 distinct points"),
 ])
 def test_validate_reports_what_the_pairwise_check_reports(n, lines, error):
-    space = PartialTripleSystem(n, lines)
-    assert space.validate() == _validate_reference(space) == ValidationResult(
-        False, error)
+    assert _assert_built_as_the_reference_says(n, lines) == error
 
 
 def _random_line(rng, n):
@@ -94,24 +102,21 @@ def test_validate_agrees_with_the_pairwise_check_on_random_line_sets():
         for _ in range(rng.randint(0, 8)):
             repeat = lines and rng.random() < 0.05
             lines.append(rng.choice(lines) if repeat else _random_line(rng, n))
-        space = PartialTripleSystem(n, lines)
-        expected = _validate_reference(space)
-        assert space.validate() == expected, lines
+        error = _assert_built_as_the_reference_says(n, lines)
         kinds.update(word for word in ("share", "repeated", "unknown", "distinct")
-                     if word in expected.error)
-        kinds.add(expected.ok)
+                     if word in (error or ""))
+        kinds.add(error is None)
     assert kinds == {True, False, "share", "repeated", "unknown", "distinct"}
 
 
 def test_validate_accepts_every_constructed_space():
     for name, space in _constructed_spaces():
-        assert space.validate() == _validate_reference(space) == ValidationResult(
-            True), name
+        error = _assert_built_as_the_reference_says(space.n_points, space.lines)
+        assert error is None, name
 
 
 def test_p3_counts_and_degrees():
     p3 = build_p3()
-    assert p3.validate().ok
     assert p3.n_points == 9
     assert len(p3.lines) == 12
     for x in range(9):
@@ -158,6 +163,80 @@ def test_is_fischer_counterexample():
     res = is_fischer(sp)
     assert not res.is_fischer
     assert res.offending is not None
+
+
+def _is_fischer_reference(space):
+    """The check that counting replaced in is_fischer: the subsystem on the
+    closure of each meeting pair of lines is matched against the two planes by
+    an isomorphism search."""
+    p2 = build_p2_dual()
+    p3 = build_p3()
+    saw_p3 = False
+    for l1, l2 in combinations(space.lines, 2):
+        if not set(l1) & set(l2):
+            continue
+        closure = subspace_closure(space, set(l1) | set(l2))
+        index = {p: i for i, p in enumerate(sorted(closure))}
+        sub = PartialTripleSystem(len(closure), [
+            tuple(index[p] for p in line) for line in space.lines
+            if all(p in index for p in line)])
+        if len(closure) == 6 and len(sub.lines) == 4 and pts_isomorphic(sub, p2):
+            continue
+        if len(closure) == 9 and len(sub.lines) == 12 and pts_isomorphic(sub, p3):
+            saw_p3 = True
+            continue
+        return FischerCheck(False, False, not space.isolated_points(), (l1, l2))
+    return FischerCheck(True, not saw_p3, not space.isolated_points())
+
+
+def test_is_fischer_agrees_with_the_isomorphism_search(su32_group):
+    spaces = [sp for _, sp in _constructed_spaces()]
+    spaces += [gamma_of_group(g) for g in (build_sym(4), build_sym(5), build_3sq2(),
+                                           build_wk_affine_a(2, 3),
+                                           build_wk_affine_a(3, 3), su32_group)]
+    spaces += [PartialTripleSystem(5, [(0, 1, 2), (0, 3, 4)]),
+               PartialTripleSystem(9, build_p3().lines[1:])]
+    verdicts = []
+    for space in spaces:
+        check = is_fischer(space)
+        assert check == _is_fischer_reference(space), space
+        verdicts.append(check.is_fischer)
+    assert verdicts[-2:] == [False, False]
+
+
+def _random_triple_system(rng):
+    """A relabelled P2dual or P3 with up to two lines dropped, or no lines,
+    on up to 3 more points; then random lines, each kept when it shares no
+    point pair with a line already there."""
+    base = rng.choice((None, None, None, build_p2_dual(), build_p3()))
+    if base is None:
+        n, lines = rng.randint(3, 10), []
+    else:
+        n = base.n_points + rng.randint(0, 3)
+        image = rng.sample(range(n), base.n_points)
+        lines = [tuple(image[p] for p in line) for line in base.lines]
+        rng.shuffle(lines)
+        del lines[:rng.choice((0, 1, 2))]
+    covered = {pair for line in lines for pair in combinations(sorted(line), 2)}
+    for _ in range(rng.randint(0, 6)):
+        line = sorted(rng.sample(range(n), 3))
+        pairs = set(combinations(line, 2))
+        if not pairs & covered:
+            lines.append(line)
+            covered |= pairs
+    return PartialTripleSystem(n, lines)
+
+
+def test_is_fischer_agrees_with_the_isomorphism_search_on_random_systems():
+    rng = random.Random(1729)
+    seen = set()
+    for _ in range(2000):
+        space = _random_triple_system(rng)
+        check = is_fischer(space)
+        assert check == _is_fischer_reference(space), space.lines
+        seen.add((check.is_fischer, check.symplectic, check.nondegenerate))
+    assert {(True, True, True), (True, False, True), (True, True, False),
+            (False, False, True), (False, False, False)} <= seen
 
 
 def test_partition_into_self_neighbours_rest():
@@ -279,7 +358,7 @@ def test_is_fischer_flags_isolated_points():
 
 
 def test_every_3transposition_realization_yields_a_fischer_space(su32_group):
-    from matsuo.groups import build_wk_affine_a, is_3transposition
+    from matsuo.groups import is_3transposition
     realizations = [
         build_sym(4),
         build_sym(5),
@@ -352,6 +431,7 @@ def test_space_text_round_trip():
     {"points": 3.0, "lines": []}, {"points": 3, "lines": [[1, 2, True]]},
     {"points": 3, "lines": "123"}, {"points": 3, "lines": [[1, 2, 4]]},
     {"points": 3, "lines": [], "labels": "abc"},
+    {"points": 3, "lines": [], "labels": []},
     {"points": 3, "lines": [], "labels": ["a", "b"]},
     {"points": 3, "lines": [], "labels": ["a", "b", 3]},
     {"points": 201, "lines": []},
@@ -367,7 +447,6 @@ def _assert_valid_or_refused(parse, data):
     except ValueError:
         return
     assert isinstance(space, PartialTripleSystem)
-    assert space.validate().ok
 
 
 _SPACES = [build_p3(), build_p2_dual()]

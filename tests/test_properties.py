@@ -90,7 +90,6 @@ def test_wedge_involutivity_randomized():
     spaces = _constructed_spaces()
     pool = []
     for name, sp in spaces:
-        sp.validate()
         for x in range(sp.n_points):
             for y in sp.neighbours(x):
                 pool.append((sp, x, y))
@@ -111,7 +110,8 @@ def test_fischer_axiom_closure_on_constructed_spaces():
     # the only fixture where the 9-point closure occurs
     total_pairs = 0
     fixtures = _constructed_spaces()
-    fixtures.append(("E6", gamma_of_rootsystem(root_system_from_name("E6"))))
+    for name in ("E6", "E7"):
+        fixtures.append((name, gamma_of_rootsystem(root_system_from_name(name))))
     for name, sp in fixtures:
         res = is_fischer(sp)
         assert res.is_fischer, name
