@@ -95,7 +95,7 @@ def _half(f):
 # Claim runners
 
 
-def _claim_sym_zero_sum(claim_id, n, field_name, context):
+def _claim_sym_zero_sum(claim_id, n, field_name):
     anchors = [
         "the half-parameter Matsuo algebra of the symmetric-group triple "
         "system is the Jordan algebra of zero-sum symmetric matrices",
@@ -123,7 +123,7 @@ def _claim_sym_zero_sum(claim_id, n, field_name, context):
     return anchors, checks
 
 
-def _claim_p3_unit(claim_id, n, field_name, context):
+def _claim_p3_unit(claim_id, n, field_name):
     anchors = ["one third of the point sum is the unit of the plane algebra"]
     checks = []
     for f in _fields_for(field_name):
@@ -137,7 +137,7 @@ def _claim_p3_unit(claim_id, n, field_name, context):
     return anchors, checks
 
 
-def _claim_p3_line_idempotents(claim_id, n, field_name, context):
+def _claim_p3_line_idempotents(claim_id, n, field_name):
     anchors = [
         "each line yields an idempotent pair",
         "idempotents of parallel lines are orthogonal",
@@ -166,7 +166,7 @@ def _claim_p3_line_idempotents(claim_id, n, field_name, context):
     return anchors, checks
 
 
-def _claim_p3_eigendims(claim_id, n, field_name, context):
+def _claim_p3_eigendims(claim_id, n, field_name):
     anchors = [
         "line idempotents diagonalize with eigenspace dimensions 1, 4, 4",
         "points diagonalize with the same dimensions",
@@ -187,7 +187,7 @@ def _claim_p3_eigendims(claim_id, n, field_name, context):
     return anchors, checks
 
 
-def _claim_p3_peirce(claim_id, n, field_name, context):
+def _claim_p3_peirce(claim_id, n, field_name):
     anchors = [
         "six-piece decomposition from each parallel class: three idempotent "
         "lines and three two-dimensional intersections, summing directly to "
@@ -220,7 +220,7 @@ def _claim_p3_peirce(claim_id, n, field_name, context):
     return anchors, checks
 
 
-def _claim_p3_h3_iso(claim_id, n, field_name, context):
+def _claim_p3_h3_iso(claim_id, n, field_name):
     anchors = [
         "the plane algebra is isomorphic to the hermitian 3x3 matrices over "
         "the quadratic extension by the square root of -3",
@@ -260,7 +260,7 @@ def _claim_p3_h3_iso(claim_id, n, field_name, context):
     return anchors, checks
 
 
-def _claim_h3_jordan(claim_id, n, field_name, context):
+def _claim_h3_jordan(claim_id, n, field_name):
     anchors = ["the hermitian 3x3 algebra satisfies the Jordan identity"]
     checks = []
     for f in _fields_for(field_name):
@@ -269,7 +269,7 @@ def _claim_h3_jordan(claim_id, n, field_name, context):
     return anchors, checks
 
 
-def _claim_p3_char3_chain(claim_id, n, field_name, context):
+def _claim_p3_char3_chain(claim_id, n, field_name):
     anchors = [
         "over characteristic 3 the plane algebra is a non-unital Jordan "
         "algebra with ideal chain 0 < Z < T < R of dimensions 1, 6, 8",
@@ -280,7 +280,7 @@ def _claim_p3_char3_chain(claim_id, n, field_name, context):
     f = field_from_name(field_name or "F3")
     ch = cons.p3_char3_chain(f)  # refuses a field of another characteristic
     checks = []
-    A = cons.matsuo_algebra(build_p3(), _half(f), f)
+    A = ch.algebra
     total, failed = count_linearized_quadruples(A)
     _chk(checks, "linearized Jordan identity on all basis quadruples",
          "%d/0" % (9 ** 4), "%d/%d" % (total, failed))
@@ -317,7 +317,7 @@ _RANK4_EXPECTED = {
 }
 
 
-def _claim_rank4_wk(claim_id, n, field_name, context):
+def _claim_rank4_wk(claim_id, n, field_name):
     k = int(claim_id[7])
     anchors = [
         "for x = a+b+c and the fourth generator d, the two associations of "
@@ -339,31 +339,23 @@ def _claim_rank4_wk(claim_id, n, field_name, context):
 _COSET_GOLDEN = {"rank4-su32": 6912, "rank4-hall": 118098}
 
 
-def _presented_group(claim_id, context):
+def _presented_group(claim_id):
     """The claim's presented group from its coset table, or None when the
     enumeration runs out of budget."""
-    key = "su32" if "su32" in claim_id else "hall"
-    if context is not None and key in context:
-        return context[key]
-    pres = (su32_quotient_presentation() if key == "su32"
+    pres = (su32_quotient_presentation() if claim_id == "rank4-su32"
             else hall_quotient_presentation())
     table = todd_coxeter(pres)
-    if not table.complete:
-        return None
-    group = table.group()
-    if context is not None:
-        context[key] = group
-    return group
+    return table.group() if table.complete else None
 
 
-def _claim_rank4_presented(claim_id, n, field_name, context):
+def _claim_rank4_presented(claim_id, n, field_name):
     anchors = [
         "the coset enumeration of the presented rank-4 group completes",
         "the conjugate point a^(cdb) receives coefficient -1/32 in ((xx)d)x "
         "and does not occur in (xx)(dx)",
     ]
     checks = []
-    group = _presented_group(claim_id, context)
+    group = _presented_group(claim_id)
     if group is None:
         _chk(checks, "enumeration completes within budget", "complete",
              "incomplete")
@@ -398,7 +390,7 @@ def _axis_fixtures(f):
                    phi_alpha(f, alpha))
 
 
-def _claim_fusion_axes(claim_id, n, field_name, context):
+def _claim_fusion_axes(claim_id, n, field_name):
     anchors = [
         "every point of a Matsuo algebra is an axis for the three-eigenvalue "
         "fusion rules at its parameter",
@@ -412,7 +404,7 @@ def _claim_fusion_axes(claim_id, n, field_name, context):
     return anchors, checks
 
 
-def _claim_miyamoto(claim_id, n, field_name, context):
+def _claim_miyamoto(claim_id, n, field_name):
     anchors = [
         "each point induces an automorphism of order at most 2 fixing the 1- "
         "and 0-eigenspaces and negating the third",
@@ -451,7 +443,7 @@ def _miyamoto_verdicts(perms):
             len(set(perms)) == len(perms))
 
 
-def _claim_root_projections(claim_id, n, field_name, context):
+def _claim_root_projections(claim_id, n, field_name):
     anchors = [
         "the projections of two roots multiply by the closed three-case "
         "formula, with weight the squared length ratio",
@@ -487,7 +479,7 @@ def _claim_root_projections(claim_id, n, field_name, context):
     return anchors, checks
 
 
-def _claim_embed(claim_id, n, field_name, context):
+def _claim_embed(claim_id, n, field_name):
     k = int(claim_id[7])
     anchors = [
         "the four block matrices inside the larger affine group replay the "
@@ -589,7 +581,7 @@ def claim_ids():
     return sorted(CLAIMS)
 
 
-def run_claim(claim_id, n=None, field_name=None, context=None):
+def run_claim(claim_id, n=None, field_name=None):
     if claim_id not in CLAIMS:
         raise KeyError(claim_id)
     if n is not None and claim_id not in SIZED_CLAIMS:
@@ -600,7 +592,7 @@ def run_claim(claim_id, n=None, field_name=None, context=None):
         raise ValueError(_REFUSALS.get(claim_id) or "claim %s does not admit "
                          "the field %s" % (claim_id, field_name))
     start = time.monotonic()
-    anchors, checks = CLAIMS[claim_id](claim_id, n, field_name, context)
+    anchors, checks = CLAIMS[claim_id](claim_id, n, field_name)
     ms = int((time.monotonic() - start) * 1000)
     return VerificationReport(claim_id, anchors, checks, ms)
 

@@ -67,14 +67,12 @@ def _cmd_verify(args):
     if args.list:
         sys.stdout.write("\n".join(claims.claim_ids()) + "\n")
         return 0
-    context = {}
     if args.all:
         reports = [
             claims.run_claim(
                 cid, n=args.n if cid in claims.SIZED_CLAIMS else None,
                 field_name=(args.field if claims.admits_field(cid, args.field)
-                            else None),
-                context=context)
+                            else None))
             for cid in claims.claim_ids()
         ]
         payload = [r.to_json_dict(mask_runtime=args.mask_runtime) for r in reports]
@@ -85,8 +83,7 @@ def _cmd_verify(args):
                          " (see matsuo verify --list)\n")
         return 2
     try:
-        report = claims.run_claim(args.claim, n=args.n, field_name=args.field,
-                                  context=context)
+        report = claims.run_claim(args.claim, n=args.n, field_name=args.field)
     except KeyError:
         sys.stderr.write("error: unknown claim %r (see matsuo verify --list)\n"
                          % args.claim)

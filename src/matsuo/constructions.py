@@ -284,9 +284,6 @@ def line_idempotents(field, line):
 
 @dataclass
 class PeirceDecomposition:
-    lines: tuple
-    idempotents: list
-    diagonal: list       # three 1-dim subspaces
     off_diagonal: dict   # (i, j) -> subspace, i < j
     direct_sum_ok: bool
 
@@ -316,8 +313,7 @@ def p3_peirce(field, parallel_class):
     for s in diagonal + list(off.values()):
         total = total.add(s)
         dims += s.dim
-    return PeirceDecomposition(lines, es, diagonal, off,
-                               total.dim == 9 and dims == 9)
+    return PeirceDecomposition(off, total.dim == 9 and dims == 9)
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +594,6 @@ class CharThreeChain:
     algebra: AlgebraTable
     z_space: Subspace
     t_space: Subspace
-    r_space: Subspace
     dims: tuple
     ideals_ok: bool
     squares_ok: bool        # R^2 = T, T^2 = Z, Z^2 = 0
@@ -663,7 +658,7 @@ def p3_char3_chain(field):
         qa.dim == 1 and qa.mul_basis(0, 0) == [f.one]
     )
     return CharThreeChain(
-        A, z_space, t_space, r_space,
+        A, z_space, t_space,
         (z_space.dim, t_space.dim, r_space.dim),
         ideals_ok, squares_ok, z_trivial, t_zero_divisors,
         qa.dim, quotient_unital,

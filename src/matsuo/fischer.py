@@ -31,7 +31,7 @@ class PartialTripleSystem:
             raise GeometryError("label count does not match point count")
         seen = set()
         for line in self.lines:
-            if len(set(line)) != 3:
+            if len(line) != 3 or len(set(line)) != 3:
                 raise GeometryError("line %r does not have 3 distinct points" % (line,))
             if line[0] < 0 or line[-1] >= n_points:
                 raise GeometryError("line %r uses an unknown point" % (line,))

@@ -28,56 +28,48 @@ class GroupError(ValueError):
     pass
 
 
-def mulclose(gens, mul, identity):
-    """Breadth-first closure of generators; deterministic discovery order.
-    Raises GroupError past ``ELEMENT_CAP`` elements."""
-    seen = {identity: None}
-    queue = [identity]
-    head = 0
-    while head < len(queue):
-        x = queue[head]
-        head += 1
-        for g in gens:
-            y = mul(x, g)
+def _closure(seeds, step, what):
+    """The elements reached from the seeds by repeated ``step(x)``, which
+    gives the neighbours of x, in breadth-first discovery order.  Raises
+    GroupError, naming the closure as ``what``, past ``ELEMENT_CAP``
+    elements."""
+    seen = dict.fromkeys(seeds)
+    queue = list(seen)
+    for x in queue:
+        for y in step(x):
             if y not in seen:
                 if len(seen) >= ELEMENT_CAP:
-                    raise GroupError("element closure exceeded cap %d" % ELEMENT_CAP)
+                    raise GroupError("%s exceeded cap %d" % (what, ELEMENT_CAP))
                 seen[y] = None
                 queue.append(y)
     return queue
+
+
+def mulclose(gens, mul, identity):
+    """Breadth-first closure of generators; deterministic discovery order.
+    Raises GroupError past ``ELEMENT_CAP`` elements."""
+    return _closure([identity], lambda x: [mul(x, g) for g in gens],
+                    "element closure")
 
 
 def conjugacy_closure(seeds, gens, mul, inv):
     """Closure of seed elements under conjugation by the given generators,
     within ``ELEMENT_CAP`` elements."""
-    seen = dict.fromkeys(seeds)
-    queue = list(seen)
-    head = 0
-    inv_gens = [inv(g) for g in gens]
-    while head < len(queue):
-        x = queue[head]
-        head += 1
-        for g, gi in zip(gens, inv_gens):
-            y = mul(mul(gi, x), g)
-            if y not in seen:
-                if len(seen) >= ELEMENT_CAP:
-                    raise GroupError("conjugacy closure exceeded cap %d" % ELEMENT_CAP)
-                seen[y] = None
-                queue.append(y)
-    return queue
+    pairs = [(inv(g), g) for g in gens]
+    return _closure(seeds, lambda x: [mul(mul(gi, x), g) for gi, g in pairs],
+                    "conjugacy closure")
 
 
 class GroupRealization:
     """A finite group given by explicit element values and callables."""
 
-    def __init__(self, name, identity, mul, inv, generators, gen_names,
-                 d_seeds, label_fn=None, elements=None):
+    def __init__(self, name, identity, mul, inv, generators, d_seeds,
+                 label_fn=None, elements=None):
         self.name = name
         self.identity = identity
         self.mul = mul
         self.inv = inv
         self.generators = list(generators)
-        self.gen_names = list(gen_names)
         self._d_seeds = list(d_seeds)
         self._d = None
         self._label_fn = label_fn
@@ -207,14 +199,12 @@ def build_sym(n):
     if n < 2:
         raise GroupError("build_sym needs n >= 2")
     gens = [_transposition(n, i, i + 1) for i in range(n - 1)]
-    names = ["s%d" % (i + 1) for i in range(n - 1)]
     return GroupRealization(
         "Sym(%d)" % n,
         tuple(range(n)),
         _perm_mul,
         _perm_inv,
         gens,
-        names,
         d_seeds=gens,
         label_fn=_perm_cycles,
     )
@@ -238,7 +228,6 @@ def build_3sq2():
         _perm_mul,
         _perm_inv,
         [neg, t10, t01],
-        ["s", "t1", "t2"],
         d_seeds=[neg],
         label_fn=_perm_cycles,
     )
@@ -259,7 +248,7 @@ def _affine_generators(k, m, n):
     return swaps, (_transposition(n, 0, m - 1), tuple(t))
 
 
-def _affine_group(name, k, n, raw_gens, names):
+def _affine_group(name, k, n, raw_gens):
     """The group generated by (permutation, translation) pairs on n
     coordinates over F_k, modulo the diagonal translation.
 
@@ -286,7 +275,7 @@ def _affine_group(name, k, n, raw_gens, names):
 
     identity = (tuple(range(n)), (0,) * n)
     gens = [canonical(*g) for g in raw_gens]
-    return GroupRealization(name, identity, mul, inv, gens, names, d_seeds=gens)
+    return GroupRealization(name, identity, mul, inv, gens, d_seeds=gens)
 
 
 def build_wk_affine_a(k, n):
@@ -298,11 +287,7 @@ def build_wk_affine_a(k, n):
     if not _is_prime(k):
         raise GroupError("modulus %r must be prime" % (k,))
     swaps, d = _affine_generators(k, n + 1, n + 1)
-    if n == 3:
-        names = ["a", "b", "c", "d"]
-    else:
-        names = ["s%d" % (i + 1) for i in range(n)] + ["d"]
-    return _affine_group("W%d(affA%d)" % (k, n), k, n + 1, swaps + [d], names)
+    return _affine_group("W%d(affA%d)" % (k, n), k, n + 1, swaps + [d])
 
 
 def wk_embedding_subgroup(k, r):
@@ -312,34 +297,24 @@ def wk_embedding_subgroup(k, r):
     if r < 5:
         raise GroupError("embedding requires r >= 5")
     swaps, d = _affine_generators(k, 4, r)
-    return _affine_group("W%d(affA%d)<block>" % (k, r - 1), k, r,
-                         swaps + [d], ["a", "b", "c", "d"])
+    return _affine_group("W%d(affA%d)<block>" % (k, r - 1), k, r, swaps + [d])
 
 
 def generator_homomorphism(g1, g2):
     """Extend the generator pairing g1 -> g2 to a homomorphism on all of g1,
     or return None if the extension is inconsistent (some relation of g1
-    fails in g2)."""
+    fails in g2).  The pairs generate a subgroup of g1 x g2, at most
+    |g1| |g2| elements; it is the graph of a map exactly when no element of
+    g1 occurs in it twice."""
     if len(g1.generators) != len(g2.generators):
         return None
-    hom = {g1.identity: g2.identity}
-    queue = [g1.identity]
-    head = 0
-    while head < len(queue):
-        x = queue[head]
-        head += 1
-        for u, v in zip(g1.generators, g2.generators):
-            y = g1.mul(x, u)
-            img = g2.mul(hom[x], v)
-            if y in hom:
-                if hom[y] != img:
-                    return None
-            else:
-                if len(hom) >= ELEMENT_CAP:
-                    raise GroupError("homomorphism search exceeded cap")
-                hom[y] = img
-                queue.append(y)
-    return hom
+    graph = mulclose(
+        list(zip(g1.generators, g2.generators)),
+        lambda a, b: (g1.mul(a[0], b[0]), g2.mul(a[1], b[1])),
+        (g1.identity, g2.identity),
+    )
+    hom = dict(graph)
+    return hom if len(hom) == len(graph) else None
 
 
 # ---------------------------------------------------------------------------
@@ -498,21 +473,6 @@ def parse_word(expr, generator_names):
     """Parse word sugar such as ``(a^b d)^3`` or ``a^{bc}`` into letters,
     over generator names that are distinct ASCII identifiers."""
     return _WordParser(generator_names).parse(expr)
-
-
-def parse_presentation(text):
-    """Text format: a ``gens a b c`` header, then one relator per line.
-    Generator names are distinct ASCII identifiers."""
-    lines = [l.strip() for l in text.strip().splitlines() if l.strip()]
-    header = lines[0].split() if lines else []
-    if not header or header[0] != "gens":
-        raise GroupError("expected a 'gens ...' header")
-    names = header[1:]
-    parser = _WordParser(names)
-    pres = Presentation(names)
-    for l in lines[1:]:
-        pres.relators.append(parser.parse(l))
-    return pres
 
 
 def coxeter_presentation(names, edges):
@@ -678,7 +638,6 @@ class CosetTable:
             mul,
             inv,
             gens,
-            list(self.presentation.generator_names),
             d_seeds=gens,
             elements=list(range(n)),
         )

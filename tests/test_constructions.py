@@ -545,7 +545,7 @@ def test_rank4_rejects_degenerate_generators():
     grp = build_wk_affine_a(2, 3)
     broken = type(grp)(
         grp.name, grp.identity, grp.mul, grp.inv,
-        [grp.generators[0]] * 4, ["a", "b", "c", "d"], d_seeds=grp.generators[:1],
+        [grp.generators[0]] * 4, d_seeds=grp.generators[:1],
     )
     with pytest.raises(AlgebraError):
         cons.rank4_check(broken)

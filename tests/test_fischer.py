@@ -43,7 +43,7 @@ def _validate_reference(n, lines):
     lines = sorted(tuple(sorted(l)) for l in lines)
     seen = set()
     for line in lines:
-        if len(set(line)) != 3:
+        if len(line) != 3 or len(set(line)) != 3:
             return "line %r does not have 3 distinct points" % (line,)
         if any(p < 0 or p >= n for p in line):
             return "line %r uses an unknown point" % (line,)
@@ -82,6 +82,8 @@ def _assert_built_as_the_reference_says(n, lines):
     (5, [(0, 1, 2), (0, 1, 3), (0, 1, 5)], "line (0, 1, 5) uses an unknown point"),
     (5, [(0, 1, 2), (0, 1, 3), (3, 4, 3)],
      "line (3, 3, 4) does not have 3 distinct points"),
+    # four entries, three of them distinct
+    (4, [(0, 0, 1, 2)], "line (0, 0, 1, 2) does not have 3 distinct points"),
 ])
 def test_validate_reports_what_the_pairwise_check_reports(n, lines, error):
     assert _assert_built_as_the_reference_says(n, lines) == error

@@ -21,16 +21,29 @@ from matsuo.groups import (
     hall_quotient_presentation,
     is_3transposition,
     mulclose,
-    parse_presentation,
     parse_word,
     su32_quotient_presentation,
     todd_coxeter,
     wk_embedding_subgroup,
+    _WordParser,
     _affine_generators,
     _free_reduce,
     _perm_inv,
     _perm_mul,
 )
+
+
+def parse_presentation(text):
+    """A presentation from text: a ``gens a b c`` header, then one relator a
+    line in the sugar that `parse_word` reads.  Only the tests read this
+    format; they use it to drive the enumerator and the word parser."""
+    lines = [l.strip() for l in text.strip().splitlines() if l.strip()]
+    header = lines[0].split() if lines else []
+    if not header or header[0] != "gens":
+        raise GroupError("expected a 'gens ...' header")
+    names = header[1:]
+    parser = _WordParser(names)
+    return Presentation(names, [parser.parse(l) for l in lines[1:]])
 
 
 def presentation_to_text(pres):
@@ -206,9 +219,11 @@ def _printed_generators(k):
 def test_printed_generators_canonicalize_to_generators():
     for k in (2, 3):
         g = build_wk_affine_a(k, 3)
-        for name, raw in _printed_generators(k).items():
-            idx = g.gen_names.index(name)
-            assert _pair(raw, k) == g.generators[idx]
+        printed = _printed_generators(k)
+        assert len(printed) == len(g.generators)
+        # a, b, c, d are the generators in order
+        for raw, gen in zip(printed.values(), g.generators):
+            assert _pair(raw, k) == gen
 
 
 def test_printed_d_matrix_shape():
@@ -870,6 +885,106 @@ def test_mulclose_cap(monkeypatch):
         mulclose(g.generators, g.mul, g.identity)
     with pytest.raises(GroupError, match="cap 10"):
         g.order()
+    # the other two closures share the one check
+    g6 = build_sym(6)  # 15 transpositions
+    with pytest.raises(GroupError, match="cap 10"):
+        conjugacy_closure(g6._d_seeds, g6.generators, g6.mul, g6.inv)
+    with pytest.raises(GroupError, match="cap 10"):
+        generator_homomorphism(g, build_sym(5))
+
+
+# --- the closure kernel against the three loops it replaced -----------------
+
+def _mulclose_reference(gens, mul, identity):
+    seen = {identity: None}
+    queue = [identity]
+    head = 0
+    while head < len(queue):
+        x = queue[head]
+        head += 1
+        for g in gens:
+            y = mul(x, g)
+            if y not in seen:
+                if len(seen) >= groups.ELEMENT_CAP:
+                    raise GroupError("element closure exceeded cap")
+                seen[y] = None
+                queue.append(y)
+    return queue
+
+
+def _conjugacy_closure_reference(seeds, gens, mul, inv):
+    seen = dict.fromkeys(seeds)
+    queue = list(seen)
+    head = 0
+    inv_gens = [inv(g) for g in gens]
+    while head < len(queue):
+        x = queue[head]
+        head += 1
+        for g, gi in zip(gens, inv_gens):
+            y = mul(mul(gi, x), g)
+            if y not in seen:
+                if len(seen) >= groups.ELEMENT_CAP:
+                    raise GroupError("conjugacy closure exceeded cap")
+                seen[y] = None
+                queue.append(y)
+    return queue
+
+
+def _generator_homomorphism_reference(g1, g2):
+    """The pairing extended element by element, refused at the first clash."""
+    if len(g1.generators) != len(g2.generators):
+        return None
+    hom = {g1.identity: g2.identity}
+    queue = [g1.identity]
+    head = 0
+    while head < len(queue):
+        x = queue[head]
+        head += 1
+        for u, v in zip(g1.generators, g2.generators):
+            y = g1.mul(x, u)
+            img = g2.mul(hom[x], v)
+            if y in hom:
+                if hom[y] != img:
+                    return None
+            else:
+                if len(hom) >= groups.ELEMENT_CAP:
+                    raise GroupError("homomorphism search exceeded cap")
+                hom[y] = img
+                queue.append(y)
+    return hom
+
+
+def _closure_groups():
+    return [build_sym(5), build_3sq2(), build_wk_affine_a(2, 3),
+            build_wk_affine_a(3, 3), wk_embedding_subgroup(2, 5),
+            wk_embedding_subgroup(3, 5)]
+
+
+@pytest.mark.parametrize("g", _closure_groups(), ids=repr)
+def test_closures_match_the_reference_loops_in_order(g):
+    # the discovery order of D fixes the point labels, so lists, not sets
+    els = mulclose(g.generators, g.mul, g.identity)
+    assert els == _mulclose_reference(g.generators, g.mul, g.identity)
+    d = conjugacy_closure(g._d_seeds, g.generators, g.mul, g.inv)
+    assert d == _conjugacy_closure_reference(g._d_seeds, g.generators, g.mul, g.inv)
+    assert (els, d) == (g.elements(), g.D)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_generator_homomorphism_matches_the_reference_loop(k):
+    small = build_wk_affine_a(k, 3)
+    sub = wk_embedding_subgroup(k, 5)
+    # Sym(4) has three generators against four
+    for g1, g2 in ((sub, small), (small, sub), (build_sym(4), small)):
+        hom = generator_homomorphism(g1, g2)
+        ref = _generator_homomorphism_reference(g1, g2)
+        assert (hom is None) == (ref is None)
+        if ref is not None:
+            assert list(hom.items()) == list(ref.items())
+    # sub maps onto small with a kernel of order 2 for k = 2 only
+    assert (generator_homomorphism(small, sub) is None) == (k == 2)
+    assert generator_homomorphism(sub, small) is not None
+    assert generator_homomorphism(build_sym(4), small) is None
 
 
 # --- embedding block matrices -------------------------------------------------
