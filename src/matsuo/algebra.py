@@ -782,26 +782,40 @@ def algebra_from_json_dict(data):
 def algebra_to_json(A):
     """Byte for byte what ``json.dumps(indent=2, sort_keys=True)`` writes for
     {dim, field, labels, products}; the products, which ``indent`` would send
-    through the pure-Python encoder, are joined here, each scalar encoded once."""
+    through the pure-Python encoder, are joined here with Python-level work
+    proportional to the vectors and their nonzero entries, each scalar
+    encoded once."""
     head = json.dumps({"dim": A.dim, "field": A.field.name,
                        "labels": list(A.labels)}, indent=2, sort_keys=True)
-    if not A.dim:
+    dim = A.dim
+    if not dim:
         return head[:-2] + ',\n  "products": []\n}\n'
     # json.dumps puts each scalar on its own line at depth 4 (8 spaces), and
-    # closes and opens vectors at depth 3 and rows at depth 2; the parts are
-    # the encoded scalars and these separators, so no vector is a new string
-    fmt, encoded = A.field.fmt, {}
-    blank = [encode_basestring_ascii(fmt(A.field.zero)), ",\n        "] * A.dim
-    blank[-1] = "\n      ],\n      [\n        "
+    # closes and opens vectors at depth 3 and rows at depth 2.  A vector is
+    # its nonzero entries, in key order, and the runs of zeros between them,
+    # joined by the scalar separator; zeros[n] is a run of n, joined once.
+    fmt, sep = A.field.fmt, ",\n        "
+    zero = encode_basestring_ascii(fmt(A.field.zero))
+    zeros = [sep.join([zero] * n) for n in range(dim + 1)]
+    # encoded scalars are memoised by id(): the table holds each scalar for
+    # the whole call, and Fraction's __hash__ is pure Python
+    encoded = {}
     parts = [head[:-2], ',\n  "products": [\n    [\n      [\n        ']
-    for i in range(A.dim):
-        for j in range(i, A.dim):
-            vec = blank[:]
-            for k, c in A.sparse_row(i, j).items():
-                if c not in encoded:
-                    encoded[c] = encode_basestring_ascii(fmt(c))
-                vec[2 * k] = encoded[c]
-            parts += vec
+    for i in range(dim):
+        for j in range(i, dim):
+            row, chunks, last = A.sparse_row(i, j), [], 0
+            for k in sorted(row):
+                if k > last:
+                    chunks.append(zeros[k - last])
+                c = row[k]
+                text = encoded.get(id(c))
+                if text is None:
+                    text = encoded[id(c)] = encode_basestring_ascii(fmt(c))
+                chunks.append(text)
+                last = k + 1
+            if last < dim:
+                chunks.append(zeros[dim - last])
+            parts += (sep.join(chunks), "\n      ],\n      [\n        ")
         parts[-1] = "\n      ]\n    ],\n    [\n      [\n        "
     parts[-1] = "\n      ]\n    ]\n  ]\n}\n"
     return "".join(parts)

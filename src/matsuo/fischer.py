@@ -8,6 +8,7 @@ Points are 0-based indices with optional string labels.  Lines are sorted
 import re
 from dataclasses import dataclass
 from itertools import combinations
+from operator import add
 
 from .fields import check_digits
 
@@ -131,20 +132,26 @@ def is_fischer(space):
       Steiner triple system on 9 points, and the only one is the affine
       plane of order 3.
     Any other shape breaks the axiom, and the first meeting pair of lines
-    with one, in the order of combinations(space.lines, 2), is reported."""
+    with one, in the order of combinations(space.lines, 2), is reported.
+
+    The meeting pairs are the pairs of lines through each point, listed in
+    line order there, and two lines meet at most once, so each pair comes up
+    exactly once."""
     adj = space._adj
     saw_p3 = False
-    for l1, l2 in combinations(space.lines, 2):
-        if not set(l1) & set(l2):
-            continue
-        closure = subspace_closure(space, set(l1) | set(l2))
-        shape = (len(closure), sum(len(adj[x] & closure) for x in closure) // 6)
-        if shape == (6, 4):
-            continue
-        if shape == (9, 12):
-            saw_p3 = True
-            continue
-        return FischerCheck(False, False, not space.isolated_points(), (l1, l2))
+    broken = []
+    for through in space._lines_through:
+        for l1, l2 in combinations(through, 2):
+            closure = subspace_closure(space, set(l1) | set(l2))
+            shape = (len(closure), sum(len(adj[x] & closure) for x in closure) // 6)
+            if shape == (6, 4):
+                continue
+            if shape == (9, 12):
+                saw_p3 = True
+                continue
+            broken.append((l1, l2))
+    if broken:
+        return FischerCheck(False, False, not space.isolated_points(), min(broken))
     return FischerCheck(True, not saw_p3, not space.isolated_points())
 
 
@@ -338,36 +345,28 @@ def root_system_from_name(name):
 def gamma_of_rootsystem(rs):
     """The triple system on the positive roots: {r, s, t} is a line when the
     three roots lie in a common rank-2 simply-laced subsystem, i.e. when one
-    of them is, up to sign, the sum or difference of the other two."""
+    of them is, up to sign, the sum or difference of the other two.
+
+    Every such line is {a, b, a + b}, so one lookup per pair of roots finds
+    it.  The positive roots are the lexicographically larger of each +/-
+    pair, and that order is kept by addition, so a sum of two positive roots
+    that is a root is positive.  And t = +/-(r +/- s) with all three positive
+    leaves t = r + s, r = s + t or s = r + t (t = -(r + s) is negative), and
+    no two of these hold at once, or else 2y = 0 for one of the roots y.  So
+    exactly one member of each line is the sum of the other two, and the pair
+    of those two finds the line, once."""
     if not rs.is_simply_laced():
         raise GeometryError("%s is not simply laced" % rs.label)
     pos = list(rs.positive)
     index = {r: i for i, r in enumerate(pos)}
-
-    def pos_rep(v):
-        neg = tuple(-a for a in v)
-        if v in index:
-            return v
-        if neg in index:
-            return neg
-        return None
-
-    lines = set()
+    lines = []
     for i, r in enumerate(pos):
         for j in range(i + 1, len(pos)):
-            s = pos[j]
-            if rs.form(r, s) == 0:
-                continue
-            for cand in (
-                tuple(a + b for a, b in zip(r, s)),
-                tuple(a - b for a, b in zip(r, s)),
-            ):
-                t = pos_rep(cand)
-                if t is not None and t != r and t != s:
-                    lines.add(tuple(sorted((i, j, index[t]))))
-                    break
+            k = index.get(tuple(map(add, r, pos[j])))
+            if k is not None:
+                lines.append(tuple(sorted((i, j, k))))
     labels = ["(%s)" % ",".join(str(a) for a in r) for r in pos]
-    return PartialTripleSystem(len(pos), sorted(lines), labels=labels)
+    return PartialTripleSystem(len(pos), lines, labels=labels)
 
 
 def gamma_of_group(group):

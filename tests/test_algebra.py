@@ -1710,6 +1710,14 @@ _WRITER_CASES = {
     "P3/Q": lambda: _half_matsuo(Q, space="P3"),
     "E7/Q": lambda: _half_matsuo(Q, roots="E7"),
     "D5/F5": lambda: _half_matsuo(F5, roots="D5"),
+    # relabelled, the sparse rows arrive in unsorted key order
+    "E7/Q-relabelled": lambda: _relabelled_table(_half_matsuo(Q, roots="E7"), 5),
+    "D5/F5-relabelled": lambda: _relabelled_table(_half_matsuo(F5, roots="D5"), 6),
+    "E8/Q": lambda: _half_matsuo(Q, roots="E8"),
+    "nonzero-at-both-ends": lambda: AlgebraTable(
+        Q, ["a", "b", "c", "d"], {(1, 2): {3: Q.parse("-1/3"), 0: Q.parse("2")}}),
+    "no-zero-entry": lambda: AlgebraTable(
+        F7, ["x", "y", "z"], {(0, 2): [1, 2, 3], (1, 1): {2: 6, 1: 5, 0: 4}}),
     "sym6/Q": lambda: _half_matsuo(Q, group="sym:6"),
     "h3-q-zeta": lambda: h3_algebra(Q, zeta_model(Q)),
     "h3-q-beta": lambda: h3_algebra(Q, beta_model(Q)),

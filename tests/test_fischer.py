@@ -333,6 +333,48 @@ def test_gamma_d4_line_count_matches_oracle():
     assert len(gam.lines) == brute_force_a2_subsystems(rs)
 
 
+def _gamma_of_rootsystem_reference(rs):
+    """The pairwise construction that one lookup of r + s replaced in
+    gamma_of_rootsystem: for each pair of non-orthogonal positive roots, the
+    positive one of +/-(r + s) or +/-(r - s) that is a root closes the line."""
+    pos = list(rs.positive)
+    index = {r: i for i, r in enumerate(pos)}
+
+    def pos_rep(v):
+        neg = tuple(-a for a in v)
+        if v in index:
+            return v
+        if neg in index:
+            return neg
+        return None
+
+    lines = set()
+    for i, r in enumerate(pos):
+        for j in range(i + 1, len(pos)):
+            s = pos[j]
+            if rs.form(r, s) == 0:
+                continue
+            for cand in (
+                tuple(a + b for a, b in zip(r, s)),
+                tuple(a - b for a, b in zip(r, s)),
+            ):
+                t = pos_rep(cand)
+                if t is not None and t != r and t != s:
+                    lines.add(tuple(sorted((i, j, index[t]))))
+                    break
+    labels = ["(%s)" % ",".join(str(a) for a in r) for r in pos]
+    return PartialTripleSystem(len(pos), sorted(lines), labels=labels)
+
+
+@pytest.mark.parametrize("name", ["A%d" % n for n in range(1, 10)]
+                         + ["D%d" % n for n in range(2, 10)] + ["E6", "E7", "E8"])
+def test_gamma_of_rootsystem_matches_the_pairwise_construction(name):
+    rs = root_system_from_name(name)
+    gam, ref = gamma_of_rootsystem(rs), _gamma_of_rootsystem_reference(rs)
+    assert gam.lines == ref.lines
+    assert gam.labels == ref.labels
+
+
 def test_gamma_rejects_non_simply_laced():
     with pytest.raises(GeometryError):
         gamma_of_rootsystem(root_system_from_name("B2"))
