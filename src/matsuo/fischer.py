@@ -87,19 +87,19 @@ class PartialTripleSystem:
 
 
 def subspace_closure(space, points):
-    """Smallest wedge-closed subset containing the given points."""
+    """Smallest wedge-closed subset containing the given points.
+
+    One pass over a growing list: each point, when its turn comes, is paired
+    with every point before it, so each pair is looked up once."""
+    wedge = space._wedge
     current = set(points)
-    frontier = sorted(current)
-    while frontier:
-        fresh = []
-        for x in frontier:
-            for y in sorted(current):
-                if x != y and space.collinear(x, y):
-                    z = space.wedge(x, y)
-                    if z not in current:
-                        current.add(z)
-                        fresh.append(z)
-        frontier = fresh
+    order = list(current)
+    for k, x in enumerate(order):
+        for y in order[:k]:
+            z = wedge.get((x, y))
+            if z is not None and z not in current:
+                current.add(z)
+                order.append(z)
     return current
 
 

@@ -6,6 +6,10 @@ diagonal translation subgroup, and cosets of a finitely presented group
 coming out of the Todd-Coxeter enumerator.  Elements are always hashable
 values with structural equality.
 
+The enumerator takes involutory presentations only, those in which every
+generator has a square relator, as the generators of a 3-transposition group
+are involutions.  Its table has one column per generator.
+
 An element of W_k(affine A_n) = k^(n+1):Sym(n+1) is a pair (p, t): a
 permutation tuple p, composed by the same kernel as Sym(n), and a
 translation tuple t over range(k), shifted so that t[0] = 0 to pick one
@@ -529,16 +533,17 @@ def hall_quotient_presentation():
 
 
 class CosetTable:
-    def __init__(self, presentation, subgroup_words, table, ncols, involution_mode,
-                 complete, total_defined, variant):
+    """A coset table with one column per generator, each generator its own
+    inverse: a letter's column is ``letter >> 1``."""
+
+    def __init__(self, presentation, subgroup_words, table, ncols, complete,
+                 total_defined):
         self.presentation = presentation
         self.subgroup_words = list(subgroup_words)
         self.table = table
         self.ncols = ncols
-        self.involution_mode = involution_mode
         self.complete = complete
         self.total_defined = total_defined
-        self.variant = variant
 
     @property
     def n_cosets(self):
@@ -547,12 +552,6 @@ class CosetTable:
     @property
     def status(self):
         return "complete" if self.complete else "incomplete"
-
-    def _column_of_letter(self, letter):
-        return (letter >> 1) if self.involution_mode else letter
-
-    def _icol(self, col):
-        return col if self.involution_mode else col ^ 1
 
     def verify(self):
         """Check that each generator acts as a permutation, every relator acts
@@ -571,7 +570,7 @@ class CosetTable:
         for w in self.presentation.relator_words():
             if not w:
                 continue
-            cols, m = _shortest_period([self._column_of_letter(l) for l in w])
+            cols, m = _shortest_period([l >> 1 for l in w])
             # the relator is u^m: compose u's map once, then raise it to m
             period = columns[cols[0]]
             for col in cols[1:]:
@@ -584,7 +583,7 @@ class CosetTable:
         for w in self.subgroup_words:
             acc = 0
             for letter in w:
-                acc = self.table[acc][self._column_of_letter(letter)]
+                acc = self.table[acc][letter >> 1]
             if acc != 0:
                 return False
         return True
@@ -612,7 +611,6 @@ class CosetTable:
                     parent[d] = c
                     column[d] = col
                     queue.append(d)
-        icol = [self._icol(col) for col in range(self.ncols)]
 
         def mul(x, y):
             word = []
@@ -626,12 +624,11 @@ class CosetTable:
         def inv(x):
             c = 0
             while x:
-                c = table[c][icol[column[x]]]
+                c = table[c][column[x]]
                 x = parent[x]
             return c
 
-        gens = [table[0][i if self.involution_mode else 2 * i]
-                for i in range(self.presentation.ngens)]
+        gens = table[0]
         return GroupRealization(
             "presented<%s>" % ",".join(self.presentation.generator_names),
             0,
@@ -651,12 +648,12 @@ def _shortest_period(word):
             return word[:p], n // p
 
 
-def _cut_positions(word, icol):
+def _cut_positions(word):
     """The positions k, 0 < k < len(word), from which the closed walk of a
     column word reads the word again: forwards where rotating the word by k
-    gives it back, backwards where the reversed inverse columns do."""
+    gives it back, backwards where rotating the reversed word does."""
     n = len(word)
-    back = [icol[c] for c in reversed(word)]
+    back = word[::-1]
     return [k for k in range(1, n)
             if word[k:] + word[:k] == word or back[n - k:] + back[:n - k] == word]
 
@@ -677,6 +674,10 @@ class _Overflow(Exception):
 def todd_coxeter(pres, subgroup=(), max_cosets=None, variant=0):
     """Coset enumeration over a subgroup given by generator words.
 
+    Every generator must be an involution: a presentation in which some
+    generator has no square relator is refused with GroupError before any
+    coset is defined.  So the table has one column per generator, each
+    generator its own inverse, and a letter's column is ``letter >> 1``.
     Relator-driven filling with first-touch coset numbering; coincidences are
     processed through a union-find with path compression.  Once a relator
     closes at a coset, it also closes at the cosets where its cycle reads it
@@ -694,18 +695,17 @@ def todd_coxeter(pres, subgroup=(), max_cosets=None, variant=0):
     if max_cosets is None:
         max_cosets = _coset_budget()
     subgroup = subgroup or ()
-    ngens = pres.ngens
+    ncols = pres.ngens
     relators = [_free_reduce(w) for w in pres.relator_words()]
     squares = {w[0] >> 1 for w in relators if len(w) == 2 and w[0] == w[1]}
-    involution_mode = all(i in squares for i in range(ngens))
-    if involution_mode:
-        # one column per generator, its own inverse, so the squares hold
-        relators = [w for w in relators if not (len(w) == 2 and w[0] == w[1])]
-    shift = 1 if involution_mode else 0  # a letter's column is letter >> shift
-    ncols = 2 * ngens >> shift
-    icol = [c if involution_mode else c ^ 1 for c in range(ncols)]
-    rel_cols = [[l >> shift for l in w] for w in relators if w]
-    sub_cols = [[l >> shift for l in w] for w in subgroup]
+    for i, name in enumerate(pres.generator_names):
+        if i not in squares:
+            raise GroupError("generator %r has no square relator; the coset "
+                             "enumerator takes involutions only" % name)
+    # one column per generator, its own inverse, so the squares hold
+    rel_cols = [[l >> 1 for l in w] for w in relators
+                if w and not (len(w) == 2 and w[0] == w[1])]
+    sub_cols = [[l >> 1 for l in w] for w in subgroup]
     if variant:
         rel_cols = [w[1:] + w[:1] if len(w) > 1 else w for w in rel_cols]
         rel_cols = list(reversed(rel_cols))
@@ -718,14 +718,13 @@ def todd_coxeter(pres, subgroup=(), max_cosets=None, variant=0):
     # tracked, and only those whose cycle reads them again from another coset;
     # two bytes a coset hold the marks while there are at most 16 relators.
     marks = array("H" if len(rel_cols) <= 16 else "Q", [0])
-    # A scan is (word, its inverse columns, mark bit, cut positions).  Coset 0
-    # first scans the subgroup words, which carry no marks.
-    scans = [(w, [icol[c] for c in w], 1 << r if r < 64 else 0,
-              _cut_positions(w, icol) if r < 64 else ())
+    # A scan is (word, mark bit, cut positions).  Coset 0 first scans the
+    # subgroup words, which carry no marks.
+    scans = [(w, 1 << r if r < 64 else 0, _cut_positions(w) if r < 64 else ())
              for r, w in enumerate(rel_cols)]
-    first_scans = [(w, [icol[c] for c in w], 0, ()) for w in sub_cols] + scans
+    first_scans = [(w, 0, ()) for w in sub_cols] + scans
     # the marks of a coset that needs none of the scans
-    bits = [bit for _, _, bit, _ in scans]
+    bits = [bit for _, bit, _ in scans]
     every = sum(bits) if bits and all(bits) else -1
     # path[k] is the coset alpha w[:k] that a scan of w from alpha visits
     path = [0] * (max(map(len, rel_cols + sub_cols), default=0) + 1)
@@ -752,8 +751,7 @@ def todd_coxeter(pres, subgroup=(), max_cosets=None, variant=0):
                 delta = row[x]
                 if delta < 0:
                     continue
-                ix = icol[x]
-                table[delta][ix] = -1
+                table[delta][x] = -1
                 # read the representatives inline and walk a path only where
                 # there is one; gamma is dead, so its parent is the first step
                 mu = parent[gamma]
@@ -762,10 +760,10 @@ def todd_coxeter(pres, subgroup=(), max_cosets=None, variant=0):
                 nu = delta if parent[delta] == delta else rep(delta)
                 t = table[mu][x]
                 if t < 0:
-                    t = table[nu][ix]
+                    t = table[nu][x]
                     if t < 0:
                         table[mu][x] = nu
-                        table[nu][ix] = mu
+                        table[nu][x] = mu
                         continue
                     a = mu
                 else:
@@ -790,7 +788,7 @@ def todd_coxeter(pres, subgroup=(), max_cosets=None, variant=0):
             # its later scans read
             closed = marks[alpha]
             todo = first_scans if alpha == 0 else () if closed == every else scans
-            for w, iw, bit, cuts in todo:
+            for w, bit, cuts in todo:
                 if closed & bit:
                     continue
                 # HLT scan: walk w forwards and backwards from alpha, keeping
@@ -808,7 +806,7 @@ def todd_coxeter(pres, subgroup=(), max_cosets=None, variant=0):
                         i += 1
                         path[i] = f
                     while j >= i:
-                        prv = table[b][iw[j]]
+                        prv = table[b][w[j]]
                         if prv < 0:
                             break
                         b = path[j] = prv
@@ -817,20 +815,20 @@ def todd_coxeter(pres, subgroup=(), max_cosets=None, variant=0):
                         break
                     if i == j:
                         table[f][w[i]] = b
-                        table[b][iw[i]] = f
+                        table[b][w[i]] = f
                         break
                     # define along the gap w[i..j-1] while neither walk could
                     # move: a new row holds only the entry back to its parent,
                     # so stop once it holds the next letter, or after one
                     # definition if that writes the entry the backward walk
                     # stopped on
-                    last = i + 1 if f == b and w[i] == iw[j] else j
+                    last = i + 1 if f == b and w[i] == w[j] else j
                     while True:
                         n = len(table)
                         if n - ndead >= max_cosets:
                             raise _Overflow
                         row = [-1] * ncols
-                        row[iw[i]] = f
+                        row[w[i]] = f
                         table.append(row)
                         parent.append(n)
                         marks.append(0)
@@ -838,7 +836,7 @@ def todd_coxeter(pres, subgroup=(), max_cosets=None, variant=0):
                         f = n
                         i += 1
                         path[i] = f
-                        if i == last or w[i] == iw[i - 1]:
+                        if i == last or w[i] == w[i - 1]:
                             break
                 if j < i and f != b:
                     ndead += coincidence(f, b)
@@ -861,15 +859,14 @@ def todd_coxeter(pres, subgroup=(), max_cosets=None, variant=0):
                         if n - ndead >= max_cosets:
                             raise _Overflow
                         new = [-1] * ncols
-                        new[icol[x]] = alpha
+                        new[x] = alpha
                         table.append(new)
                         parent.append(n)
                         marks.append(0)
                         row[x] = n
             alpha += 1
     except _Overflow:
-        return CosetTable(pres, subgroup, [], ncols, involution_mode,
-                          False, len(table), variant)
+        return CosetTable(pres, subgroup, [], ncols, False, len(table))
 
     # compact live cosets in place, preserving first-touch order; a live
     # row holds live cosets only, as each coincidence moves every entry
@@ -881,5 +878,4 @@ def todd_coxeter(pres, subgroup=(), max_cosets=None, variant=0):
             live.append(row)
     for row in live:
         row[:] = map(remap.__getitem__, row)
-    return CosetTable(pres, subgroup, live, ncols, involution_mode,
-                      True, len(table), variant)
+    return CosetTable(pres, subgroup, live, ncols, True, len(table))

@@ -140,6 +140,45 @@ def test_p2_dual_counts():
         assert len(p2.lines_through(x)) == 2
 
 
+def _subspace_closure_reference(space, points):
+    """The closure that the one-pass walk replaced: each round pairs the
+    points found in the round before with every point so far, through the
+    ``collinear`` and ``wedge`` methods."""
+    current = set(points)
+    frontier = sorted(current)
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for y in sorted(current):
+                if x != y and space.collinear(x, y):
+                    z = space.wedge(x, y)
+                    if z not in current:
+                        current.add(z)
+                        fresh.append(z)
+        frontier = fresh
+    return current
+
+
+def test_subspace_closure_matches_the_frontier_loop():
+    rng = random.Random(1729)
+    spaces = [sp for _, sp in _constructed_spaces()]
+    spaces += [gamma_of_rootsystem(root_system_from_name(n)) for n in ("D6", "E8")]
+    spaces += [_random_triple_system(rng) for _ in range(200)]
+    sizes = set()
+    for space in spaces:
+        # the closures that is_fischer takes, then random point sets
+        cases = [set(l1) | set(l2) for l1, l2 in combinations(space.lines, 2)
+                 if set(l1) & set(l2)][:300]
+        for _ in range(20 if space.n_points < 20 else 300):
+            k = rng.randint(0, min(9, space.n_points))
+            cases.append(rng.sample(range(space.n_points), k))
+        for points in cases:
+            closure = subspace_closure(space, points)
+            assert closure == _subspace_closure_reference(space, points), points
+            sizes.add(len(closure))
+    assert {0, 1, 3, 6, 9, 12, 120} <= sizes
+
+
 def test_closure_of_point_and_line():
     p3 = build_p3()
     assert subspace_closure(p3, {0}) == {0}
@@ -177,7 +216,7 @@ def _is_fischer_reference(space):
     for l1, l2 in combinations(space.lines, 2):
         if not set(l1) & set(l2):
             continue
-        closure = subspace_closure(space, set(l1) | set(l2))
+        closure = _subspace_closure_reference(space, set(l1) | set(l2))
         index = {p: i for i, p in enumerate(sorted(closure))}
         sub = PartialTripleSystem(len(closure), [
             tuple(index[p] for p in line) for line in space.lines

@@ -550,8 +550,58 @@ def _agrees_with_reference(pres, subgroup=(), max_cosets=2_000_000, variant=0):
 
 _SYM5 = coxeter_presentation(["a", "b", "c", "d"],
                              [("a", "b"), ("b", "c"), ("c", "d")])
+# The Coxeter group B3, of order 48, with inverse letters in its relators; an
+# inverse letter reads the same column as its generator.
+_B3_INVERSE_LETTERS = parse_presentation(
+    "gens a b c\na^2\nb^-2\nc^2\n(a b^-1)^4\n(b c^-1)^3\n(a^-1 c)^2")
+# Presentations whose generators are not all involutions, which the
+# enumerator refuses: a of order 3 in Sym(4), b of order 3 in A5.
 _NON_INVOLUTION = parse_presentation("gens a b\na^3\nb^2\n(a b)^4")
-_TRIANGLE_235 = parse_presentation("gens a b\na^2\nb^3\n(a b)^5")  # A5
+_TRIANGLE_235 = parse_presentation("gens a b\na^2\nb^3\n(a b)^5")
+
+
+@pytest.mark.parametrize("pres, name", [
+    (_NON_INVOLUTION, "a"),
+    (_TRIANGLE_235, "b"),
+    (parse_presentation("gens a\na"), "a"),
+    (parse_presentation("gens a b\na^2\nb a b^-1 a"), "b"),
+    (Presentation(["a", "b"], [()]), "a"),
+    # a a^-1 reduces to the empty word, which is no square
+    (Presentation(["a"], [(0, 1)]), "a"),
+])
+def test_enumerator_refuses_a_generator_without_a_square_relator(pres, name):
+    message = "generator %r has no square relator" % name
+    with pytest.raises(GroupError, match=message):
+        todd_coxeter(pres)
+    with pytest.raises(GroupError, match=message):
+        todd_coxeter(pres, [(0,)], max_cosets=1, variant=1)
+
+
+def test_enumerator_refuses_before_defining_a_coset(monkeypatch):
+    # the budget would run out at the first definition
+    monkeypatch.setenv("MATSUO_MAX_COSETS", "1")
+    with pytest.raises(GroupError, match="generator 'a' has no square relator"):
+        todd_coxeter(_NON_INVOLUTION)
+    assert not todd_coxeter(_SYM5).complete
+
+
+_COXETER_GRAPHS = [
+    (["a"], []),
+    (["a", "b"], []),
+    (["a", "b", "c"], [("a", "b"), ("b", "c")]),
+    (["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")]),
+]
+
+
+def test_every_presentation_built_passes_the_square_check():
+    built = [coxeter_presentation(names, edges) for names, edges in _COXETER_GRAPHS]
+    built += [su32_quotient_presentation(), hall_quotient_presentation()]
+    for pres in built:
+        squares = {w[0] >> 1 for w in pres.relators if len(w) == 2 and w[0] == w[1]}
+        assert squares == set(range(pres.ngens))
+        # one coset of budget: the enumerator starts, then runs out
+        tab = todd_coxeter(pres, max_cosets=1)
+        assert not tab.complete and tab.ncols == pres.ngens
 
 
 @pytest.mark.parametrize("variant", [0, 1])
@@ -567,11 +617,11 @@ def test_marked_enumeration_matches_reference_on_rank4_groups(variant):
 
 @pytest.mark.parametrize("variant", [0, 1])
 def test_marked_enumeration_matches_reference_on_small_groups(variant):
-    assert _agrees_with_reference(_SYM5, variant=variant).n_cosets == 120
-    tab = _agrees_with_reference(_NON_INVOLUTION, variant=variant)
-    assert not tab.involution_mode and tab.n_cosets == 24
-    sub = [parse_word("a", ["a", "b"])]
-    assert _agrees_with_reference(_NON_INVOLUTION, sub, variant=variant).n_cosets == 8
+    tab = _agrees_with_reference(_B3_INVERSE_LETTERS, variant=variant)
+    assert tab.ncols == 3 and tab.n_cosets == 48
+    sub = [parse_word("a^-1", ["a", "b", "c"])]
+    assert _agrees_with_reference(_B3_INVERSE_LETTERS, sub,
+                                  variant=variant).n_cosets == 24
     # 80 relators: more than the 64 that carry marks
     many = Presentation(_SYM5.generator_names, _SYM5.relators * 8)
     assert _agrees_with_reference(many, variant=variant).n_cosets == 120
@@ -579,10 +629,9 @@ def test_marked_enumeration_matches_reference_on_small_groups(variant):
     # coincidence that kills a coset the scan walked through at a cut
     # position of its relator; their marks come from a walk over the merged
     # table.
-    for words, index in [([], 60), (["a"], 30), (["b"], 20)]:
-        sub = [parse_word(w, ["a", "b"]) for w in words]
-        assert _agrees_with_reference(_TRIANGLE_235, sub,
-                                      variant=variant).n_cosets == index
+    for words, index in [([], 120), (["b"], 60), (["c"], 60)]:
+        sub = [parse_word(w, _SYM5.generator_names) for w in words]
+        assert _agrees_with_reference(_SYM5, sub, variant=variant).n_cosets == index
 
 
 @pytest.mark.parametrize("cap", [200, 2000])
@@ -595,12 +644,14 @@ def test_marked_enumeration_runs_out_where_reference_does(cap):
 
 @st.composite
 def _small_presentations(draw):
-    """Coxeter-like relators on up to three generators, some not involutions,
-    plus short free words and subgroup words that may use inverse letters."""
+    """The square of every generator, written with its letter or its inverse
+    letter, Coxeter-like relators on up to three generators, plus short free
+    words and subgroup words that may use inverse letters."""
     n = draw(st.integers(1, 3))
     letters = st.integers(0, 2 * n - 1)
-    relators = [(2 * i,) * draw(st.sampled_from([2, 2, 3, 4])) for i in range(n)
-                if draw(st.booleans())]
+    relators = [(2 * i + draw(st.integers(0, 1)),) * 2 for i in range(n)]
+    relators += [(2 * i,) * draw(st.sampled_from([3, 4])) for i in range(n)
+                 if draw(st.booleans())]
     relators += [(2 * i, 2 * j) * draw(st.integers(2, 5))
                  for i in range(n) for j in range(i + 1, n) if draw(st.booleans())]
     relators += draw(st.lists(st.lists(letters, min_size=1, max_size=8).map(tuple),
@@ -630,12 +681,12 @@ def _with_relator(pres, expr):
 
 
 # A scan defines a run of cosets along a gap and stops where a walk could
-# move again.  A doubled letter in involution mode puts the next letter in the
-# row just defined (Sym(4) with the true relators a b b a and a b c c b a);
-# over <a> in Sym(4) and <b> in Sym(5) some gap has its two ends at one coset
-# and begins with the letter its backward walk stopped on, so the first
-# definition closes that end.  Each case, in one variant or both, enumerates
-# differently if the run ignores the stop.
+# move again.  A doubled letter puts the next letter in the row just defined
+# (Sym(4) with the true relators a b b a and a b c c b a); over <a> in Sym(4)
+# and <b> in Sym(5) some gap has its two ends at one coset and begins with
+# the letter its backward walk stopped on, so the first definition closes
+# that end.  Each case, in one variant or both, enumerates differently if the
+# run ignores the stop.
 _DEFINE_RUN_CASES = [
     (_with_relator(_SYM4, "a b b a"), [], 24),
     (_with_relator(_SYM4, "a b c c b a"), ["b"], 12),
@@ -650,7 +701,7 @@ def test_define_run_stops_where_a_walk_would_move(case, variant):
     pres, words, index = _DEFINE_RUN_CASES[case]
     sub = [parse_word(w, pres.generator_names) for w in words]
     tab = _agrees_with_reference(pres, sub, variant=variant)
-    assert tab.involution_mode and tab.n_cosets == index
+    assert tab.n_cosets == index
     assert tab.verify()
 
 
@@ -675,13 +726,13 @@ def _verify_reference(tab):
     for w in tab.presentation.relator_words():
         acc = idx
         for letter in w:
-            acc = [columns[tab._column_of_letter(letter)][x] for x in acc]
+            acc = [columns[letter >> 1][x] for x in acc]
         if acc != idx:
             return False
     for w in tab.subgroup_words:
         acc = 0
         for letter in w:
-            acc = tab.table[acc][tab._column_of_letter(letter)]
+            acc = tab.table[acc][letter >> 1]
         if acc != 0:
             return False
     return True
@@ -691,16 +742,14 @@ def _tampered(tab, table=None, subgroup_words=None):
     return CosetTable(tab.presentation,
                       tab.subgroup_words if subgroup_words is None else subgroup_words,
                       [list(row) for row in tab.table] if table is None else table,
-                      tab.ncols, tab.involution_mode, tab.complete,
-                      tab.total_defined, tab.variant)
+                      tab.ncols, tab.complete, tab.total_defined)
 
 
 def test_verify_matches_letter_by_letter_reference(su32_table):
     hall = hall_quotient_presentation()
     over_abc = todd_coxeter(hall, subgroup=[parse_word("a b c", hall.generator_names)])
-    inverse_letters = parse_presentation("gens a b\na^3\nb^2\n(a b)^4\n(a^-1 b)^4")
-    tables = [su32_table, over_abc, todd_coxeter(_NON_INVOLUTION),
-              todd_coxeter(inverse_letters)]
+    tables = [su32_table, over_abc, todd_coxeter(_SYM5),
+              todd_coxeter(_B3_INVERSE_LETTERS)]
     for tab in tables:
         assert tab.complete
         assert tab.verify() is _verify_reference(tab) is True
@@ -716,21 +765,23 @@ def test_verify_matches_letter_by_letter_reference(su32_table):
 
 
 def test_verify_gather_edge_cases_match_reference():
-    trivial = todd_coxeter(parse_presentation("gens a\na"))
-    assert trivial.table == [[0, 0]]
+    trivial = todd_coxeter(parse_presentation("gens a\na^2\na"))
+    assert trivial.table == [[0]]
     # one coset, and a map composed with itself: a^3 after the square
     cube = todd_coxeter(parse_presentation("gens a\na^2\na^3"))
     assert cube.table == [[0]]
-    # b a b^-1 a is not a proper power: its shortest period is itself
-    dihedral = todd_coxeter(parse_presentation("gens a b\na^3\nb^2\n(a b)^2\nb a b^-1 a"))
-    assert dihedral.n_cosets == 6
-    # no relator but the empty word: the subgroup words alone close the table
-    free = Presentation(["a", "b"], [()])
-    free_words = [parse_word(w, ["a", "b"]) for w in ("a^2", "b", "a b a^-1")]
+    # b a c a^-1 c b^-1 is not a proper power: its shortest period is itself
+    sym4 = todd_coxeter(_with_relator(_SYM4, "b a c a^-1 c b^-1"))
+    assert sym4.n_cosets == 24
+    # no relator but the squares and the empty word: the subgroup words alone
+    # close the table
+    free = Presentation(["a", "b"], [(0, 0), (2, 2), ()])
+    free_words = [parse_word(w, ["a", "b"]) for w in ("b", "a b a^-1")]
     over_free = todd_coxeter(free, free_words)
     assert over_free.n_cosets == 2
-    over_inverse = todd_coxeter(_NON_INVOLUTION, [parse_word("a^-1 b a b", ["a", "b"])])
-    for tab in (trivial, cube, dihedral, over_free, over_inverse):
+    over_inverse = todd_coxeter(_B3_INVERSE_LETTERS,
+                                [parse_word("a^-1 b a b^-1", ["a", "b", "c"])])
+    for tab in (trivial, cube, sym4, over_free, over_inverse):
         assert tab.complete
         assert tab.verify() is _verify_reference(tab) is True
         hole = _tampered(tab)
@@ -747,10 +798,21 @@ def test_single_involution():
     assert tab.complete and tab.n_cosets == 2
 
 
-def test_order_three_generator_uses_inverse_columns():
-    tab = todd_coxeter(parse_presentation("gens a\na^3"))
-    assert tab.complete and tab.n_cosets == 3
-    assert not tab.involution_mode
+def test_order_three_generator_is_refused():
+    with pytest.raises(GroupError) as err:
+        todd_coxeter(parse_presentation("gens a\na^3"))
+    assert str(err.value) == ("generator 'a' has no square relator; the coset "
+                              "enumerator takes involutions only")
+
+
+def test_inverse_letters_read_the_generator_columns():
+    # a^-1 b^-1 is a b in the table: Sym(3) over <a b^-1> has index 2
+    pres = parse_presentation("gens a b\na^-2\nb^2\n(a^-1 b^-1)^3")
+    tab = todd_coxeter(pres)
+    assert tab.complete and tab.ncols == 2 and tab.n_cosets == 6
+    assert tab.table == todd_coxeter(coxeter_presentation(["a", "b"], [("a", "b")])).table
+    over = todd_coxeter(pres, [parse_word("a b^-1", ["a", "b"])])
+    assert over.complete and over.n_cosets == 2
 
 
 def test_sym4_coxeter_matches_permutation_count():
@@ -809,7 +871,7 @@ def test_hall_quotient_variant_order_agrees(hall_table):
 
 def test_coset_table_of_an_involution():
     tab = todd_coxeter(parse_presentation("gens a\na^2"))
-    assert tab.involution_mode and tab.complete
+    assert tab.complete and tab.ncols == 1
     assert tab.table == [[1], [0]]
 
 
@@ -845,7 +907,7 @@ def _tuple_word_realization(tab):
     def inv(x):
         c = 0
         for col in reversed(words[x]):
-            c = tab.table[c][tab._icol(col)]
+            c = tab.table[c][col]
         return c
     return mul, inv
 
@@ -863,9 +925,8 @@ def _assert_matches_tuple_words(tab, group, pairs, inverted):
 
 def test_regular_realization_matches_the_tuple_words(su32_table, su32_group):
     _assert_matches_tuple_words(su32_table, su32_group, 2000, range(su32_table.n_cosets))
-    # a table whose generators are not involutions, so inverses use other columns
-    tab = todd_coxeter(_NON_INVOLUTION)
-    assert not tab.involution_mode
+    # a table built from relators with inverse letters
+    tab = todd_coxeter(_B3_INVERSE_LETTERS)
     _assert_matches_tuple_words(tab, tab.group(), 2000, range(tab.n_cosets))
 
 
