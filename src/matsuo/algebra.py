@@ -822,4 +822,8 @@ def algebra_to_json(A):
 
 
 def algebra_from_json(text):
-    return algebra_from_json_dict(json.loads(text))
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise AlgebraError("input too large: JSON nested too deep") from None
+    return algebra_from_json_dict(data)

@@ -4,9 +4,10 @@ constructed algebras to a deterministic pass/fail report."""
 import json
 import time
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations_with_replacement
 
-from .fields import Rationals, field_from_name
+from .fields import field_from_name
 from .linalg import Matrix, Subspace, rref, unit_vector
 from .fischer import (
     build_p3,
@@ -16,6 +17,7 @@ from .fischer import (
     P3_PARALLEL_CLASSES,
 )
 from .groups import (
+    ClosureBudgetError,
     _perm_mul,
     build_wk_affine_a,
     hall_quotient_presentation,
@@ -81,30 +83,23 @@ def _chk(checks, description, expected, computed):
     checks.append(Check(description, e, c, e == c))
 
 
-def _fields_for(field_name):
-    if field_name:
-        return [field_from_name(field_name)]
-    return [field_from_name("Q"), field_from_name("F5")]
-
-
 def _half(f):
     return f.div(f.one, f.from_int(2))
 
 
 # ---------------------------------------------------------------------------
-# Claim runners
+# Claim runners, called as run(fields, n) with the Field objects and size
+# that ``run_claim`` resolved from CLAIMS; each returns (anchors, checks).
 
 
-def _claim_sym_zero_sum(claim_id, n, field_name):
+def _claim_sym_zero_sum(fields, n):
     anchors = [
         "the half-parameter Matsuo algebra of the symmetric-group triple "
         "system is the Jordan algebra of zero-sum symmetric matrices",
     ]
-    if n is not None and n < 2:
-        raise ValueError("%s needs n >= 2, got %d" % (claim_id, n))
     checks = []
     ns = [n] if n is not None else [2, 3, 4, 5, 6]
-    for f in _fields_for(field_name):
+    for f in fields:
         for m in ns:
             rs, zs, iso = cons.an_isomorphism(f, m)
             gam = gamma_of_rootsystem(rs)
@@ -123,10 +118,10 @@ def _claim_sym_zero_sum(claim_id, n, field_name):
     return anchors, checks
 
 
-def _claim_p3_unit(claim_id, n, field_name):
+def _claim_p3_unit(fields, n):
     anchors = ["one third of the point sum is the unit of the plane algebra"]
     checks = []
-    for f in _fields_for(field_name):
+    for f in fields:
         A = cons.matsuo_algebra(build_p3(), _half(f), f)
         u = cons.p3_unit(f)
         ok = all(
@@ -137,13 +132,13 @@ def _claim_p3_unit(claim_id, n, field_name):
     return anchors, checks
 
 
-def _claim_p3_line_idempotents(claim_id, n, field_name):
+def _claim_p3_line_idempotents(fields, n):
     anchors = [
         "each line yields an idempotent pair",
         "idempotents of parallel lines are orthogonal",
     ]
     checks = []
-    for f in _fields_for(field_name):
+    for f in fields:
         A = cons.matsuo_algebra(build_p3(), _half(f), f)
         plane = build_p3()
         idem = 0
@@ -166,13 +161,13 @@ def _claim_p3_line_idempotents(claim_id, n, field_name):
     return anchors, checks
 
 
-def _claim_p3_eigendims(claim_id, n, field_name):
+def _claim_p3_eigendims(fields, n):
     anchors = [
         "line idempotents diagonalize with eigenspace dimensions 1, 4, 4",
         "points diagonalize with the same dimensions",
     ]
     checks = []
-    for f in _fields_for(field_name):
+    for f in fields:
         A = cons.matsuo_algebra(build_p3(), _half(f), f)
 
         def dims_144(e):
@@ -187,7 +182,7 @@ def _claim_p3_eigendims(claim_id, n, field_name):
     return anchors, checks
 
 
-def _claim_p3_peirce(claim_id, n, field_name):
+def _claim_p3_peirce(fields, n):
     anchors = [
         "six-piece decomposition from each parallel class: three idempotent "
         "lines and three two-dimensional intersections, summing directly to "
@@ -195,7 +190,7 @@ def _claim_p3_peirce(claim_id, n, field_name):
         "each off-diagonal piece is the zero-sum space of the complementary line",
     ]
     checks = []
-    for f in _fields_for(field_name):
+    for f in fields:
         ok_classes = 0
         desc_ok = 0
         for cls in P3_PARALLEL_CLASSES:
@@ -220,7 +215,7 @@ def _claim_p3_peirce(claim_id, n, field_name):
     return anchors, checks
 
 
-def _claim_p3_h3_iso(claim_id, n, field_name):
+def _claim_p3_h3_iso(fields, n):
     anchors = [
         "the plane algebra is isomorphic to the hermitian 3x3 matrices over "
         "the quadratic extension by the square root of -3",
@@ -229,7 +224,7 @@ def _claim_p3_h3_iso(claim_id, n, field_name):
         "algebra up to the coordinate translation",
     ]
     checks = []
-    for f in _fields_for(field_name):
+    for f in fields:
         A = cons.matsuo_algebra(build_p3(), _half(f), f)
         H = cons.h3_algebra(f)
         eta = cons.eta_matrix(f)
@@ -260,16 +255,16 @@ def _claim_p3_h3_iso(claim_id, n, field_name):
     return anchors, checks
 
 
-def _claim_h3_jordan(claim_id, n, field_name):
+def _claim_h3_jordan(fields, n):
     anchors = ["the hermitian 3x3 algebra satisfies the Jordan identity"]
     checks = []
-    for f in _fields_for(field_name):
+    for f in fields:
         H = cons.h3_algebra(f)
         _chk(checks, "Jordan identity (%s)" % f.name, True, bool(jordan_check(H)))
     return anchors, checks
 
 
-def _claim_p3_char3_chain(claim_id, n, field_name):
+def _claim_p3_char3_chain(fields, n):
     anchors = [
         "over characteristic 3 the plane algebra is a non-unital Jordan "
         "algebra with ideal chain 0 < Z < T < R of dimensions 1, 6, 8",
@@ -277,7 +272,7 @@ def _claim_p3_char3_chain(claim_id, n, field_name):
         "trivial, line sums are absolute zero divisors, and the quotient by "
         "R is the one-dimensional unital algebra",
     ]
-    f = field_from_name(field_name or "F3")
+    (f,) = fields
     ch = cons.p3_char3_chain(f)  # refuses a field of another characteristic
     checks = []
     A = ch.algebra
@@ -311,14 +306,7 @@ def count_linearized_quadruples(A):
     return A.dim ** 4, failed
 
 
-_RANK4_EXPECTED = {
-    "rank4-W2A3": ("3/8", "7/16"),
-    "rank4-W3A3": ("13/32", "7/16"),
-}
-
-
-def _claim_rank4_wk(claim_id, n, field_name):
-    k = int(claim_id[7])
+def _claim_rank4_wk(fields, n, k, expected):
     anchors = [
         "for x = a+b+c and the fourth generator d, the two associations of "
         "the cubic expression differ already in the coefficient of a",
@@ -326,42 +314,37 @@ def _claim_rank4_wk(claim_id, n, field_name):
     checks = []
     grp = build_wk_affine_a(k, 3)
     rep = cons.rank4_check(grp)
-    exp_left, exp_right = _RANK4_EXPECTED[claim_id]
+    exp_left, exp_right = expected
     _chk(checks, "coefficient of a in ((xx)d)x", exp_left, rep.coeff_a_left)
     _chk(checks, "coefficient of a in (xx)(dx)", exp_right, rep.coeff_a_right)
     _chk(checks, "the two sides differ", True, rep.jordan_violated())
-    A = cons.matsuo_algebra(gamma_of_group(grp), _half(Rationals()), Rationals())
+    (f,) = fields
+    A = cons.matsuo_algebra(gamma_of_group(grp), _half(f), f)
     jc = jordan_check(A)
     _chk(checks, "full table refuses the Jordan identity", False, bool(jc))
     return anchors, checks
 
 
-_COSET_GOLDEN = {"rank4-su32": 6912, "rank4-hall": 118098}
-
-
-def _presented_group(claim_id):
-    """The claim's presented group from its coset table, or None when the
-    enumeration runs out of budget."""
-    pres = (su32_quotient_presentation() if claim_id == "rank4-su32"
-            else hall_quotient_presentation())
-    table = todd_coxeter(pres)
+def _presented_group(presentation):
+    """The group that ``presentation()`` presents, from its coset table, or
+    None when the enumeration runs out of budget."""
+    table = todd_coxeter(presentation())
     return table.group() if table.complete else None
 
 
-def _claim_rank4_presented(claim_id, n, field_name):
+def _claim_rank4_presented(fields, n, presentation, order):
     anchors = [
         "the coset enumeration of the presented rank-4 group completes",
         "the conjugate point a^(cdb) receives coefficient -1/32 in ((xx)d)x "
         "and does not occur in (xx)(dx)",
     ]
     checks = []
-    group = _presented_group(claim_id)
+    group = _presented_group(presentation)
     if group is None:
         _chk(checks, "enumeration completes within budget", "complete",
              "incomplete")
         return anchors, checks
-    _chk(checks, "group order from the enumeration",
-         _COSET_GOLDEN[claim_id], group.order())
+    _chk(checks, "group order from the enumeration", order, group.order())
     rep = cons.rank4_check(group)
     _chk(checks, "coefficient of a^(cdb) in ((xx)d)x", "-1/32",
          rep.coeff_acdb_left)
@@ -390,12 +373,12 @@ def _axis_fixtures(f):
                    phi_alpha(f, alpha))
 
 
-def _claim_fusion_axes(claim_id, n, field_name):
+def _claim_fusion_axes(fields, n):
     anchors = [
         "every point of a Matsuo algebra is an axis for the three-eigenvalue "
         "fusion rules at its parameter",
     ]
-    f = field_from_name(field_name or "Q")
+    (f,) = fields
     checks = []
     for name, alpha_str, A, rules in _axis_fixtures(f):
         good = sum(map(bool, basis_axis_checks(A, rules)))
@@ -404,14 +387,14 @@ def _claim_fusion_axes(claim_id, n, field_name):
     return anchors, checks
 
 
-def _claim_miyamoto(claim_id, n, field_name):
+def _claim_miyamoto(fields, n):
     anchors = [
         "each point induces an automorphism of order at most 2 fixing the 1- "
         "and 0-eigenspaces and negating the third",
         "products of two such maps have order at most 3, and the assignment "
         "is injective on points",
     ]
-    f = field_from_name(field_name or "Q")
+    (f,) = fields
     checks = []
     for name, alpha_str, A, rules in _axis_fixtures(f):
         involutions, orders, distinct = _miyamoto_verdicts(
@@ -443,7 +426,7 @@ def _miyamoto_verdicts(perms):
             len(set(perms)) == len(perms))
 
 
-def _claim_root_projections(claim_id, n, field_name):
+def _claim_root_projections(fields, n):
     anchors = [
         "the projections of two roots multiply by the closed three-case "
         "formula, with weight the squared length ratio",
@@ -451,7 +434,7 @@ def _claim_root_projections(claim_id, n, field_name):
         "the triangle-system algebra of the rank-4 doubled system maps onto "
         "its projection algebra with a two-dimensional kernel",
     ]
-    f = field_from_name(field_name or "Q")
+    (f,) = fields
     checks = []
     for name in ("A2", "B2", "G2"):
         rs = root_system_from_name(name)
@@ -479,8 +462,7 @@ def _claim_root_projections(claim_id, n, field_name):
     return anchors, checks
 
 
-def _claim_embed(claim_id, n, field_name):
-    k = int(claim_id[7])
+def _claim_embed(fields, n, k, expected):
     anchors = [
         "the four block matrices inside the larger affine group replay the "
         "small one up to a central kernel, with the same triple system and "
@@ -496,7 +478,7 @@ def _claim_embed(claim_id, n, field_name):
          rep.small_rank4.coeff_a_left, rep.embedded_rank4.coeff_a_left)
     _chk(checks, "coefficient of a in (xx)(dx) transfers",
          rep.small_rank4.coeff_a_right, rep.embedded_rank4.coeff_a_right)
-    exp_left, exp_right = _RANK4_EXPECTED["rank4-W%dA3" % k]
+    exp_left, exp_right = expected
     _chk(checks, "left coefficient equals the small-group value", exp_left,
          rep.embedded_rank4.coeff_a_left)
     _chk(checks, "right coefficient equals the small-group value", exp_right,
@@ -510,70 +492,51 @@ def _claim_embed(claim_id, n, field_name):
 # Registry
 
 
+@dataclass(frozen=True)
+class Claim:
+    """A claim's runner, with its own parameters bound, and the policy that
+    ``run_claim`` applies before calling it.  ``fields`` names the fields it
+    runs over by default.  ``admits`` tests the characteristic (0 for Q) of a
+    field asked for; None means the claim takes no field.  ``min_n`` is the
+    least size parameter; None means the claim takes none.  A refused field
+    gets ``refusal``, or else one message naming the claim and the field."""
+    run: object
+    fields: tuple = ("Q", "F5")
+    # every claim but sym-zero-sum and the chain divides by 3 or meets a root
+    # of length 0 in characteristic 3
+    admits: object = lambda p: p != 3
+    min_n: int = None
+    refusal: str = None
+
+
+# coefficients of a in ((xx)d)x and in (xx)(dx)
+_W2A3 = ("3/8", "7/16")
+_W3A3 = ("13/32", "7/16")
+
 CLAIMS = {
-    "sym-zero-sum": _claim_sym_zero_sum,
-    "p3-unit": _claim_p3_unit,
-    "p3-line-idempotents": _claim_p3_line_idempotents,
-    "p3-eigendims": _claim_p3_eigendims,
-    "p3-peirce": _claim_p3_peirce,
-    "p3-h3-iso": _claim_p3_h3_iso,
-    "h3-jordan": _claim_h3_jordan,
-    "p3-char3-chain": _claim_p3_char3_chain,
-    "rank4-W2A3": _claim_rank4_wk,
-    "rank4-W3A3": _claim_rank4_wk,
-    "rank4-su32": _claim_rank4_presented,
-    "rank4-hall": _claim_rank4_presented,
-    "fusion-axes": _claim_fusion_axes,
-    "miyamoto": _claim_miyamoto,
-    "root-projections": _claim_root_projections,
-    "embed-W2A3-r5": _claim_embed,
-    "embed-W3A3-r5": _claim_embed,
-}
-
-
-# The claims whose runner reads the size parameter n.
-SIZED_CLAIMS = ("sym-zero-sum",)
-
-def _char_3(p):
-    return p == 3
-
-
-def _away_from_3(p):
-    return p != 3
-
-
-# The claims whose runner reads the field name, each with a test of the
-# characteristics it admits (0 for Q).  The chain lives in characteristic 3;
-# every other claim but sym-zero-sum divides by 3 or meets a root of length
-# 0 there, and refuses it.
-FIELD_CLAIMS = {
-    "fusion-axes": _away_from_3,
-    "h3-jordan": _away_from_3,
-    "miyamoto": _away_from_3,
-    "p3-char3-chain": _char_3,
-    "p3-eigendims": _away_from_3,
-    "p3-h3-iso": _away_from_3,
-    "p3-line-idempotents": _away_from_3,
-    "p3-peirce": _away_from_3,
-    "p3-unit": _away_from_3,
-    "root-projections": _away_from_3,
-    "sym-zero-sum": lambda p: True,
-}
-
-
-def admits_field(claim_id, field_name):
-    """Whether a field is given and the claim reads and admits it, so that
-    ``verify --all --field`` passes it; the other claims run without it."""
-    admits = FIELD_CLAIMS.get(claim_id)
-    return (bool(field_name) and admits is not None
-            and admits(field_from_name(field_name).characteristic))
-
-
-# A refused field gets one message, which names the claim and the field,
-# before any work; these two claims keep the reason their constructions give.
-_REFUSALS = {
-    "p3-char3-chain": "the chain lives in characteristic 3",
-    "p3-unit": "no unit in characteristic 3: the point sum annihilates",
+    "sym-zero-sum": Claim(_claim_sym_zero_sum, admits=lambda p: True, min_n=2),
+    "p3-unit": Claim(_claim_p3_unit, refusal="no unit in characteristic 3: "
+                     "the point sum annihilates"),
+    "p3-line-idempotents": Claim(_claim_p3_line_idempotents),
+    "p3-eigendims": Claim(_claim_p3_eigendims),
+    "p3-peirce": Claim(_claim_p3_peirce),
+    "p3-h3-iso": Claim(_claim_p3_h3_iso),
+    "h3-jordan": Claim(_claim_h3_jordan),
+    "p3-char3-chain": Claim(_claim_p3_char3_chain, ("F3",), lambda p: p == 3,
+                            refusal="the chain lives in characteristic 3"),
+    "rank4-W2A3": Claim(partial(_claim_rank4_wk, k=2, expected=_W2A3), ("Q",),
+                        None),
+    "rank4-W3A3": Claim(partial(_claim_rank4_wk, k=3, expected=_W3A3), ("Q",),
+                        None),
+    "rank4-su32": Claim(partial(_claim_rank4_presented, order=6912,
+                                presentation=su32_quotient_presentation), (), None),
+    "rank4-hall": Claim(partial(_claim_rank4_presented, order=118098,
+                                presentation=hall_quotient_presentation), (), None),
+    "fusion-axes": Claim(_claim_fusion_axes, ("Q",)),
+    "miyamoto": Claim(_claim_miyamoto, ("Q",)),
+    "root-projections": Claim(_claim_root_projections, ("Q",)),
+    "embed-W2A3-r5": Claim(partial(_claim_embed, k=2, expected=_W2A3), (), None),
+    "embed-W3A3-r5": Claim(partial(_claim_embed, k=3, expected=_W3A3), (), None),
 }
 
 
@@ -582,19 +545,44 @@ def claim_ids():
 
 
 def run_claim(claim_id, n=None, field_name=None):
-    if claim_id not in CLAIMS:
-        raise KeyError(claim_id)
-    if n is not None and claim_id not in SIZED_CLAIMS:
+    """The report of one claim.  A size parameter or a field that the claim
+    does not take or admit is refused with ValueError before any work; a
+    closure that outgrows its budget gives one failing check, "incomplete",
+    and no verdict."""
+    claim = CLAIMS[claim_id]
+    if n is not None and claim.min_n is None:
         raise ValueError("claim %s takes no size parameter n" % claim_id)
-    if field_name is not None and claim_id not in FIELD_CLAIMS:
+    if field_name is not None and claim.admits is None:
         raise ValueError("claim %s takes no field parameter" % claim_id)
-    if field_name and not admits_field(claim_id, field_name):
-        raise ValueError(_REFUSALS.get(claim_id) or "claim %s does not admit "
-                         "the field %s" % (claim_id, field_name))
+    fields = [field_from_name(name) for name in
+              ([field_name] if field_name else claim.fields)]
+    if field_name and not claim.admits(fields[0].characteristic):
+        raise ValueError(claim.refusal or "claim %s does not admit the field %s"
+                         % (claim_id, field_name))
+    if n is not None and n < claim.min_n:
+        raise ValueError("%s needs n >= %d, got %d" % (claim_id, claim.min_n, n))
     start = time.monotonic()
-    anchors, checks = CLAIMS[claim_id](claim_id, n, field_name)
+    try:
+        anchors, checks = claim.run(fields, n)
+    except ClosureBudgetError:
+        anchors, checks = [], [Check("closure completes within budget",
+                                     "complete", "incomplete", False)]
     ms = int((time.monotonic() - start) * 1000)
     return VerificationReport(claim_id, anchors, checks, ms)
+
+
+def run_all(n=None, field_name=None):
+    """Every claim's report, for ``verify --all``: n goes only to the claims
+    that take a size, and the field only to those that admit it; the others
+    run with their defaults."""
+    p = field_from_name(field_name).characteristic if field_name else None
+    reports = []
+    for cid in claim_ids():
+        claim = CLAIMS[cid]
+        admitted = p is not None and claim.admits is not None and claim.admits(p)
+        reports.append(run_claim(cid, n=None if claim.min_n is None else n,
+                                 field_name=field_name if admitted else None))
+    return reports
 
 
 # ---------------------------------------------------------------------------

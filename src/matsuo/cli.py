@@ -68,13 +68,7 @@ def _cmd_verify(args):
         sys.stdout.write("\n".join(claims.claim_ids()) + "\n")
         return 0
     if args.all:
-        reports = [
-            claims.run_claim(
-                cid, n=args.n if cid in claims.SIZED_CLAIMS else None,
-                field_name=(args.field if claims.admits_field(cid, args.field)
-                            else None))
-            for cid in claims.claim_ids()
-        ]
+        reports = claims.run_all(n=args.n, field_name=args.field)
         payload = [r.to_json_dict(mask_runtime=args.mask_runtime) for r in reports]
         sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return 0 if all(r.passed for r in reports) else 1

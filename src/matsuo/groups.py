@@ -32,10 +32,14 @@ class GroupError(ValueError):
     pass
 
 
+class ClosureBudgetError(GroupError):
+    """A closure outgrew ``ELEMENT_CAP``: its answer is unknown, not wrong."""
+
+
 def _closure(seeds, step, what):
     """The elements reached from the seeds by repeated ``step(x)``, which
     gives the neighbours of x, in breadth-first discovery order.  Raises
-    GroupError, naming the closure as ``what``, past ``ELEMENT_CAP``
+    ClosureBudgetError, naming the closure as ``what``, past ``ELEMENT_CAP``
     elements."""
     seen = dict.fromkeys(seeds)
     queue = list(seen)
@@ -43,7 +47,8 @@ def _closure(seeds, step, what):
         for y in step(x):
             if y not in seen:
                 if len(seen) >= ELEMENT_CAP:
-                    raise GroupError("%s exceeded cap %d" % (what, ELEMENT_CAP))
+                    raise ClosureBudgetError("%s exceeded cap %d"
+                                             % (what, ELEMENT_CAP))
                 seen[y] = None
                 queue.append(y)
     return queue
@@ -51,7 +56,7 @@ def _closure(seeds, step, what):
 
 def mulclose(gens, mul, identity):
     """Breadth-first closure of generators; deterministic discovery order.
-    Raises GroupError past ``ELEMENT_CAP`` elements."""
+    Raises ClosureBudgetError past ``ELEMENT_CAP`` elements."""
     return _closure([identity], lambda x: [mul(x, g) for g in gens],
                     "element closure")
 
@@ -676,7 +681,8 @@ def todd_coxeter(pres, subgroup=(), max_cosets=None, variant=0):
 
     Every generator must be an involution: a presentation in which some
     generator has no square relator is refused with GroupError before any
-    coset is defined.  So the table has one column per generator, each
+    coset is defined, as is a relator or subgroup letter outside
+    ``range(2 * ngens)``.  So the table has one column per generator, each
     generator its own inverse, and a letter's column is ``letter >> 1``.
     Relator-driven filling with first-touch coset numbering; coincidences are
     processed through a union-find with path compression.  Once a relator
@@ -696,6 +702,11 @@ def todd_coxeter(pres, subgroup=(), max_cosets=None, variant=0):
         max_cosets = _coset_budget()
     subgroup = subgroup or ()
     ncols = pres.ngens
+    bad = [l for w in [*pres.relator_words(), *subgroup] for l in w
+           if not 0 <= l < 2 * ncols]
+    if bad:
+        raise GroupError("letter %r names no generator; letters run over "
+                         "range(%d)" % (bad[0], 2 * ncols))
     relators = [_free_reduce(w) for w in pres.relator_words()]
     squares = {w[0] >> 1 for w in relators if len(w) == 2 and w[0] == w[1]}
     for i, name in enumerate(pres.generator_names):

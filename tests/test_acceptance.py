@@ -6,6 +6,7 @@ from fractions import Fraction
 
 from matsuo import claims
 from matsuo import constructions as cons
+from matsuo.groups import hall_quotient_presentation, su32_quotient_presentation
 
 import test_properties as props
 
@@ -80,7 +81,8 @@ def test_criterion_05_presented_rank4_quotients(su32_table, hall_table,
                                                 monkeypatch):
     t0 = time.monotonic()
     # the claims read the groups that session-scoped fixtures enumerated
-    session = {"rank4-su32": su32_group, "rank4-hall": hall_group}
+    session = {su32_quotient_presentation: su32_group,
+               hall_quotient_presentation: hall_group}
     monkeypatch.setattr(claims, "_presented_group", session.__getitem__)
     ok, bad = _run_claims(["rank4-su32", "rank4-hall"])
     elapsed = (time.monotonic() - t0

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -11,11 +12,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matsuo import claims
+from matsuo import claims, groups
 from matsuo import constructions as cons
 from matsuo.algebra import AlgebraError
 from matsuo.cli import main
 from matsuo.fischer import root_system_from_name
+from matsuo.groups import hall_quotient_presentation
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -138,8 +140,11 @@ def test_verify_rejects_n_on_claims_without_size(capsys, claim):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("claim", ["rank4-W2A3", "rank4-W3A3", "rank4-su32",
-                                   "rank4-hall", "embed-W2A3-r5", "embed-W3A3-r5"])
+_NO_FIELD = ["rank4-W2A3", "rank4-W3A3", "rank4-su32", "rank4-hall", "embed-W2A3-r5",
+             "embed-W3A3-r5"]
+
+
+@pytest.mark.parametrize("claim", _NO_FIELD)
 def test_verify_rejects_field_on_claims_without_field(capsys, claim):
     rc, out, err = run_cli(capsys, "verify", claim, "--field", "F5")
     assert rc == 2
@@ -164,6 +169,23 @@ def test_verify_reports_incomplete_under_a_budget_too_small(capsys, monkeypatch,
     assert rc == 1
     assert not err
     assert json.loads(out)["checks"][0]["computed"] == "incomplete"
+
+
+def test_verify_reports_an_incomplete_closure_under_a_small_cap(capsys, monkeypatch):
+    monkeypatch.setattr(groups, "ELEMENT_CAP", 5)
+    rc, out, err = run_cli(capsys, "verify", "rank4-W2A3", "--mask-runtime")
+    assert (rc, err) == (1, "")
+    report = json.loads(out)
+    assert report["checks"] == [{"description": "closure completes within budget",
+                                 "expected": "complete", "computed": "incomplete",
+                                 "pass": False}]
+    assert report["anchors"] == [] and report["pass"] is False
+
+
+def test_build_refuses_a_group_past_the_closure_cap(capsys, monkeypatch):
+    monkeypatch.setattr(groups, "ELEMENT_CAP", 5)
+    rc, out, err = run_cli(capsys, "build", "--group", "W2A3")
+    assert (rc, out, err) == (2, "", "error: conjugacy closure exceeded cap 5\n")
 
 
 def test_verify_all_passes_field_to_field_claims_only(capsys, monkeypatch):
@@ -197,8 +219,8 @@ def test_verify_all_runs_claims_that_refuse_the_field_without_it(
         return run_claim(cid, **kwargs)
 
     monkeypatch.setattr(claims, "run_claim", recording)
-    monkeypatch.setattr(claims, "claim_ids",
-                        lambda: sorted(claims.FIELD_CLAIMS) + ["rank4-W2A3"])
+    monkeypatch.setattr(claims, "claim_ids", lambda: sorted(
+        _REFUSE_F3 | {"p3-char3-chain", "sym-zero-sum", "rank4-W2A3"}))
     rc, out, err = run_cli(capsys, "verify", "--all", "--field", field,
                            "--mask-runtime")
     assert rc == 0 and not err
@@ -222,17 +244,30 @@ def test_verify_one_claim_refuses_a_field_it_does_not_admit(
     assert not scans  # the chain refuses the field before its 9-dim scan
 
 
-@pytest.mark.parametrize("claim", sorted(
-    cid for cid, admits in claims.FIELD_CLAIMS.items()
-    if admits is claims._away_from_3))
+@pytest.mark.parametrize("claim", sorted(_REFUSE_F3))
 def test_verify_claim_refuses_characteristic_3_before_it_runs(
         capsys, monkeypatch, claim):
-    monkeypatch.setitem(claims.CLAIMS, claim, pytest.fail)
+    monkeypatch.setitem(claims.CLAIMS, claim,
+                        dataclasses.replace(claims.CLAIMS[claim], run=pytest.fail))
     rc, out, err = run_cli(capsys, "verify", claim, "--field", "F3")
     message = ("no unit in characteristic 3: the point sum annihilates"
                if claim == "p3-unit"
                else "claim %s does not admit the field F3" % claim)
     assert (rc, out, err) == (2, "", "error: %s\n" % message)
+
+
+def test_claim_table_matches_the_field_and_size_policy():
+    # every claim, one added later too, must sit in exactly one of these sets
+    table = claims.CLAIMS
+    no_field = {cid for cid, claim in table.items() if claim.admits is None}
+    assert no_field == set(_NO_FIELD)
+    refuse_f3 = {cid for cid, claim in table.items()
+                 if claim.admits is not None and not claim.admits(3)}
+    assert refuse_f3 == _REFUSE_F3
+    assert set(table) - no_field - refuse_f3 == {"p3-char3-chain", "sym-zero-sum"}
+    assert not table["p3-char3-chain"].admits(0) and table["sym-zero-sum"].admits(3)
+    assert {cid for cid, claim in table.items() if claim.min_n is not None} == {
+        "sym-zero-sum"}
 
 
 def test_verify_all_passes_n_to_sym_zero_sum_only(capsys, monkeypatch):
@@ -478,6 +513,24 @@ def test_verify_miyamoto_golden(capsys):
     assert out == (GOLDEN / "verify-miyamoto.json").read_text()
 
 
+@pytest.mark.parametrize("claim_id", ["fusion-axes", "h3-jordan", "p3-eigendims",
+                                      "p3-h3-iso", "p3-line-idempotents", "p3-peirce",
+                                      "rank4-su32"])
+def test_verify_claim_golden(capsys, claim_id):
+    rc, out, err = run_cli(capsys, "verify", claim_id, "--mask-runtime")
+    assert rc == 0 and not err
+    assert out == (GOLDEN / ("verify-%s.json" % claim_id)).read_text()
+
+
+def test_verify_rank4_hall_golden(capsys, monkeypatch, hall_group):
+    # the claim reads the group that the session-scoped fixture enumerated
+    monkeypatch.setattr(claims, "_presented_group",
+                        {hall_quotient_presentation: hall_group}.__getitem__)
+    rc, out, err = run_cli(capsys, "verify", "rank4-hall", "--mask-runtime")
+    assert rc == 0 and not err
+    assert out == (GOLDEN / "verify-rank4-hall.json").read_text()
+
+
 def test_verify_with_field_restriction(capsys):
     rc, out, _ = run_cli(capsys, "verify", "sym-zero-sum", "--n", "4",
                          "--field", "Q")
@@ -674,6 +727,18 @@ def test_help_still_prints_usage(capsys):
         main(["verify", "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: matsuo verify")
+
+
+@pytest.mark.parametrize("opener", ["[", '{"a": '])
+def test_axes_refuses_deeply_nested_json(capsys, monkeypatch, tmp_path, opener):
+    text = opener * 200000
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    for source in (str(path), "-"):
+        rc, out, err = run_cli(capsys, "axes", source)
+        assert (rc, out, err) == (2, "", "error: input too large: JSON nested too "
+                                         "deep\n")
 
 
 def test_axes_missing_file(capsys):

@@ -1,5 +1,6 @@
 import copy
 import random
+import re
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -9,6 +10,7 @@ from matsuo import groups
 from matsuo.groups import (
     MAX_NESTING,
     MAX_WORD_LENGTH,
+    ClosureBudgetError,
     CosetTable,
     GroupError,
     Presentation,
@@ -585,6 +587,30 @@ def test_enumerator_refuses_before_defining_a_coset(monkeypatch):
     assert not todd_coxeter(_SYM5).complete
 
 
+_SYM4 = coxeter_presentation(["a", "b", "c"], [("a", "b"), ("b", "c")])
+
+
+@pytest.mark.parametrize("pres, relator, subgroup, letter", [
+    (_SYM4, (), [(7,)], 7),
+    (_SYM4, (), [(-1,)], -1),
+    (_SYM4, (0, 6), [], 6),
+    (_SYM4, (-2, 0), [(0,)], -2),
+    (Presentation(["a"], [(0, 0)]), (5,), [], 5),
+], ids=["subgroup-past-the-end", "subgroup-negative", "relator-past-the-end",
+        "relator-negative", "one-generator"])
+def test_enumerator_refuses_a_letter_that_names_no_generator(
+        monkeypatch, pres, relator, subgroup, letter):
+    # the budget would run out at the first definition, so a refusal made
+    # after one would show as an incomplete table instead
+    monkeypatch.setenv("MATSUO_MAX_COSETS", "1")
+    pres = Presentation(pres.generator_names, pres.relators + [relator])
+    message = "letter %d names no generator; letters run over range(%d)" % (
+        letter, 2 * pres.ngens)
+    for variant in (0, 1):
+        with pytest.raises(GroupError, match=re.escape(message)):
+            todd_coxeter(pres, subgroup, variant=variant)
+
+
 _COXETER_GRAPHS = [
     (["a"], []),
     (["a", "b"], []),
@@ -942,15 +968,15 @@ def test_su32_class_size(su32_group):
 def test_mulclose_cap(monkeypatch):
     g = build_sym(5)
     monkeypatch.setattr(groups, "ELEMENT_CAP", 10)
-    with pytest.raises(GroupError, match="cap 10"):
+    with pytest.raises(ClosureBudgetError, match="^element closure exceeded cap 10$"):
         mulclose(g.generators, g.mul, g.identity)
-    with pytest.raises(GroupError, match="cap 10"):
+    with pytest.raises(ClosureBudgetError, match="cap 10"):
         g.order()
     # the other two closures share the one check
     g6 = build_sym(6)  # 15 transpositions
-    with pytest.raises(GroupError, match="cap 10"):
+    with pytest.raises(ClosureBudgetError, match="^conjugacy closure exceeded cap 10$"):
         conjugacy_closure(g6._d_seeds, g6.generators, g6.mul, g6.inv)
-    with pytest.raises(GroupError, match="cap 10"):
+    with pytest.raises(ClosureBudgetError, match="cap 10"):
         generator_homomorphism(g, build_sym(5))
 
 
