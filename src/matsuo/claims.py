@@ -18,9 +18,13 @@ from .fischer import (
 )
 from .groups import (
     ClosureBudgetError,
+    GroupRealization,
+    Presentation,
+    _perm_inv,
     _perm_mul,
     build_wk_affine_a,
     hall_quotient_presentation,
+    mulclose,
     su32_quotient_presentation,
     todd_coxeter,
 )
@@ -325,11 +329,33 @@ def _claim_rank4_wk(fields, n, k, expected):
     return anchors, checks
 
 
-def _presented_group(presentation):
-    """The group that ``presentation()`` presents, from its coset table, or
-    None when the enumeration runs out of budget."""
-    table = todd_coxeter(presentation())
-    return table.group() if table.complete else None
+def _presented_action(pres):
+    """The group G that ``pres`` presents, as it permutes the cosets of
+    H = <a, b, c>, its first three generators, with the numbers that prove
+    its order: (group, [G : H], |K|, |pi(H)|), or None when an enumeration
+    runs out of budget.
+
+    K, presented by the relators of ``pres`` in a, b, c alone, maps onto H,
+    so |G| = [G : H]|H| <= [G : H]|K|.  G permutes the cosets transitively
+    and pi(H) fixes the coset H, so |G| >= |pi(G)| >= [G : H]|pi(H)|.  When
+    |pi(H)| = |K| the bounds meet: |G| = [G : H]|K|, and pi is faithful.
+    The group's elements are never closed: for Hall's group that would be
+    118098 permutations of 2187 points."""
+    over_h = todd_coxeter(pres, subgroup=[(0,), (2,), (4,)])
+    if not over_h.complete:
+        return None
+    # letters below 6 spell a, b, c and their inverses
+    k_relators = [w for w in pres.relators if all(l < 6 for l in w)]
+    k = todd_coxeter(Presentation(pres.generator_names[:3], k_relators))
+    if not k.complete:
+        return None
+    columns = [tuple(col) for col in zip(*over_h.table)]
+    identity = tuple(range(over_h.n_cosets))
+    pi_h = mulclose(columns[:3], _perm_mul, identity)
+    group = GroupRealization(
+        "presented<%s>" % ",".join(pres.generator_names), identity,
+        _perm_mul, _perm_inv, columns, d_seeds=columns)
+    return group, over_h.n_cosets, k.n_cosets, len(pi_h)
 
 
 def _claim_rank4_presented(fields, n, presentation, order):
@@ -339,12 +365,17 @@ def _claim_rank4_presented(fields, n, presentation, order):
         "and does not occur in (xx)(dx)",
     ]
     checks = []
-    group = _presented_group(presentation)
-    if group is None:
+    action = _presented_action(presentation())
+    if action is None:
         _chk(checks, "enumeration completes within budget", "complete",
              "incomplete")
         return anchors, checks
-    _chk(checks, "group order from the enumeration", order, group.order())
+    group, index, k_order, h_order = action
+    if h_order != k_order:
+        _chk(checks, "group order proved by the coset action", "proved",
+             "unproved: |pi(H)| = %d, |K| = %d" % (h_order, k_order))
+        return anchors, checks
+    _chk(checks, "group order from the enumeration", order, index * k_order)
     rep = cons.rank4_check(group)
     _chk(checks, "coefficient of a^(cdb) in ((xx)d)x", "-1/32",
          rep.coeff_acdb_left)
@@ -544,6 +575,12 @@ def claim_ids():
     return sorted(CLAIMS)
 
 
+def _refuse_small_n(claim_id, n):
+    min_n = CLAIMS[claim_id].min_n
+    if n is not None and min_n is not None and n < min_n:
+        raise ValueError("%s needs n >= %d, got %d" % (claim_id, min_n, n))
+
+
 def run_claim(claim_id, n=None, field_name=None):
     """The report of one claim.  A size parameter or a field that the claim
     does not take or admit is refused with ValueError before any work; a
@@ -559,8 +596,7 @@ def run_claim(claim_id, n=None, field_name=None):
     if field_name and not claim.admits(fields[0].characteristic):
         raise ValueError(claim.refusal or "claim %s does not admit the field %s"
                          % (claim_id, field_name))
-    if n is not None and n < claim.min_n:
-        raise ValueError("%s needs n >= %d, got %d" % (claim_id, claim.min_n, n))
+    _refuse_small_n(claim_id, n)
     start = time.monotonic()
     try:
         anchors, checks = claim.run(fields, n)
@@ -574,8 +610,11 @@ def run_claim(claim_id, n=None, field_name=None):
 def run_all(n=None, field_name=None):
     """Every claim's report, for ``verify --all``: n goes only to the claims
     that take a size, and the field only to those that admit it; the others
-    run with their defaults."""
+    run with their defaults.  An n that some claim refuses is refused before
+    the first claim runs."""
     p = field_from_name(field_name).characteristic if field_name else None
+    for cid in claim_ids():
+        _refuse_small_n(cid, n)
     reports = []
     for cid in claim_ids():
         claim = CLAIMS[cid]

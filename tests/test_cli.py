@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -17,7 +18,6 @@ from matsuo import constructions as cons
 from matsuo.algebra import AlgebraError
 from matsuo.cli import main
 from matsuo.fischer import root_system_from_name
-from matsuo.groups import hall_quotient_presentation
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -171,6 +171,75 @@ def test_verify_reports_incomplete_under_a_budget_too_small(capsys, monkeypatch,
     assert json.loads(out)["checks"][0]["computed"] == "incomplete"
 
 
+def _collapsing_presentation():
+    """Involutions a, b, c, d with (ab)^3, (bc)^3, (ac)^2, ad and bd.  The
+    relators in a, b, c alone present K = Sym(4), of order 24, but ad and bd
+    give a = b = d, and then c = a: the group has order 2, H = <a, b, c> is
+    all of it, and pi(H) acts on one coset."""
+    pres = groups.Presentation(list("abcd"), [(2 * i, 2 * i) for i in range(4)])
+    pres.relators += [(0, 2) * 3, (2, 4) * 3, (0, 4) * 2, (0, 6), (2, 6)]
+    return pres
+
+
+def _point_rank4_su32_at(monkeypatch, presentation):
+    claim = claims.CLAIMS["rank4-su32"]
+    monkeypatch.setitem(claims.CLAIMS, "rank4-su32", dataclasses.replace(
+        claim, run=functools.partial(claim.run, presentation=presentation)))
+
+
+def test_verify_refuses_an_order_the_coset_action_does_not_prove(capsys,
+                                                                  monkeypatch):
+    _, index, k_order, h_order = claims._presented_action(_collapsing_presentation())
+    assert (index, k_order, h_order) == (1, 24, 1)
+    _point_rank4_su32_at(monkeypatch, _collapsing_presentation)
+    rc, out, err = run_cli(capsys, "verify", "rank4-su32", "--mask-runtime")
+    assert (rc, err) == (1, "")
+    assert json.loads(out)["checks"] == [{
+        "description": "group order proved by the coset action",
+        "expected": "proved", "computed": "unproved: |pi(H)| = 1, |K| = 24",
+        "pass": False}]
+
+
+@pytest.mark.parametrize("presentation, budget, over_h_fits", [
+    (groups.su32_quotient_presentation, 100, False),  # G over H needs 377 cosets
+    (_collapsing_presentation, 10, True),  # K needs 24
+], ids=["G_over_H", "K"])
+def test_verify_reports_incomplete_when_one_enumeration_runs_out(
+        capsys, monkeypatch, presentation, budget, over_h_fits):
+    over_h = groups.todd_coxeter(presentation(), subgroup=[(0,), (2,), (4,)],
+                                 max_cosets=budget)
+    assert over_h.complete == over_h_fits
+    _point_rank4_su32_at(monkeypatch, presentation)
+    monkeypatch.setenv("MATSUO_MAX_COSETS", str(budget))
+    rc, out, err = run_cli(capsys, "verify", "rank4-su32", "--mask-runtime")
+    assert (rc, err) == (1, "")
+    assert json.loads(out)["checks"] == [{
+        "description": "enumeration completes within budget",
+        "expected": "complete", "computed": "incomplete", "pass": False}]
+
+
+def test_verify_reports_an_incomplete_coset_action_under_a_small_cap(capsys,
+                                                                     monkeypatch):
+    monkeypatch.setattr(groups, "ELEMENT_CAP", 10)  # pi(H) has 24 elements
+    rc, out, err = run_cli(capsys, "verify", "rank4-su32", "--mask-runtime")
+    assert (rc, err) == (1, "")
+    assert json.loads(out)["checks"] == [{
+        "description": "closure completes within budget",
+        "expected": "complete", "computed": "incomplete", "pass": False}]
+
+
+@pytest.mark.parametrize("name", ["su32", "hall"])
+def test_presented_action_agrees_with_the_regular_enumeration(request, name):
+    # the oracle: every coset of the trivial subgroup, multiplied through
+    # CosetTable.group()
+    table = request.getfixturevalue(name + "_table")
+    regular = request.getfixturevalue(name + "_group")
+    group, index, k_order, h_order = claims._presented_action(table.presentation)
+    assert h_order == k_order
+    assert index * k_order == table.n_cosets
+    assert cons.rank4_check(group) == cons.rank4_check(regular)
+
+
 def test_verify_reports_an_incomplete_closure_under_a_small_cap(capsys, monkeypatch):
     monkeypatch.setattr(groups, "ELEMENT_CAP", 5)
     rc, out, err = run_cli(capsys, "verify", "rank4-W2A3", "--mask-runtime")
@@ -268,6 +337,16 @@ def test_claim_table_matches_the_field_and_size_policy():
     assert not table["p3-char3-chain"].admits(0) and table["sym-zero-sum"].admits(3)
     assert {cid for cid, claim in table.items() if claim.min_n is not None} == {
         "sym-zero-sum"}
+
+
+def test_verify_all_refuses_a_small_n_before_any_claim_runs(capsys, monkeypatch):
+    ran = []
+    for cid, claim in list(claims.CLAIMS.items()):
+        monkeypatch.setitem(claims.CLAIMS, cid, dataclasses.replace(
+            claim, run=lambda fields, n, cid=cid: ran.append(cid)))
+    rc, out, err = run_cli(capsys, "verify", "--all", "--n", "1")
+    assert (rc, out, err) == (2, "", "error: sym-zero-sum needs n >= 2, got 1\n")
+    assert ran == []
 
 
 def test_verify_all_passes_n_to_sym_zero_sum_only(capsys, monkeypatch):
@@ -522,10 +601,13 @@ def test_verify_claim_golden(capsys, claim_id):
     assert out == (GOLDEN / ("verify-%s.json" % claim_id)).read_text()
 
 
-def test_verify_rank4_hall_golden(capsys, monkeypatch, hall_group):
-    # the claim reads the group that the session-scoped fixture enumerated
-    monkeypatch.setattr(claims, "_presented_group",
-                        {hall_quotient_presentation: hall_group}.__getitem__)
+def test_verify_rank4_hall_golden(capsys, monkeypatch):
+    # the claim proves the order without closing the group: its elements
+    # would be 118098 permutations of 2187 points
+    def refuse(self):
+        raise AssertionError("the presented group was closed")
+    monkeypatch.setattr(groups.GroupRealization, "elements", refuse)
+    monkeypatch.setattr(groups.GroupRealization, "D", property(refuse))
     rc, out, err = run_cli(capsys, "verify", "rank4-hall", "--mask-runtime")
     assert rc == 0 and not err
     assert out == (GOLDEN / "verify-rank4-hall.json").read_text()
