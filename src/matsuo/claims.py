@@ -5,10 +5,10 @@ import json
 import time
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 from .fields import field_from_name
-from .linalg import Matrix, Subspace, rref, unit_vector
+from .linalg import Matrix, Subspace, _int_apply, rref, unit_vector
 from .fischer import (
     build_p3,
     gamma_of_group,
@@ -20,6 +20,7 @@ from .groups import (
     ClosureBudgetError,
     GroupRealization,
     Presentation,
+    _closure,
     _perm_inv,
     _perm_mul,
     build_wk_affine_a,
@@ -35,8 +36,10 @@ from .algebra import (
     iso_check,
     is_multiplicative,
     jordan_check,
-    linearized_gap,
     phi_alpha,
+    _orbit_minima,
+    _reduced,
+    _table_automorphisms,
 )
 from . import constructions as cons
 
@@ -137,53 +140,92 @@ def _claim_p3_unit(fields, n):
 
 
 def _claim_p3_line_idempotents(fields, n):
+    """Each check is decided once per orbit of G, the group that
+    ``_table_automorphisms`` proves generated by automorphisms of the table,
+    and weighted by the orbit's size.  That is exact: e_L is symmetric in the
+    points of L, so a basis permutation sigma in G carries e_L and f_L to
+    e_sigma(L) and f_sigma(L), and as sigma(x)sigma(y) = sigma(xy) it keeps
+    idempotency and orthogonality.  sigma maps lines to lines, the third point
+    of the line through x and y being the one index of supp(b_x b_y) outside
+    {x, y}, and so parallel lines to parallel ones: each orbit lies among the
+    lines, or the pairs, that the checks count."""
     anchors = [
         "each line yields an idempotent pair",
         "idempotents of parallel lines are orthogonal",
     ]
     checks = []
+    plane = build_p3()
+    pairs = [pair for cls in P3_PARALLEL_CLASSES
+             for pair in combinations(sorted(cls), 2)]
     for f in fields:
-        A = cons.matsuo_algebra(build_p3(), _half(f), f)
-        plane = build_p3()
+        A = cons.matsuo_algebra(plane, _half(f), f)
+        gens = _table_automorphisms(A)
         idem = 0
-        for line in plane.lines:
-            e, fl = cons.line_idempotents(f, line)
+        for orbit in _set_orbits(plane.lines, gens):
+            e, fl = cons.line_idempotents(f, orbit[0])
             if A.is_idempotent(e) and A.is_idempotent(fl):
-                idem += 1
+                idem += len(orbit)
         _chk(checks, "idempotent pairs over the 12 lines (%s)" % f.name, 12, idem)
         orth = 0
-        pairs = 0
-        for cls in P3_PARALLEL_CLASSES:
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    pairs += 1
-                    e1, _ = cons.line_idempotents(f, cls[i])
-                    e2, _ = cons.line_idempotents(f, cls[j])
-                    if all(c == f.zero for c in A.mul(e1, e2)):
-                        orth += 1
-        _chk(checks, "orthogonal parallel pairs (%s)" % f.name, pairs, orth)
+        for orbit in _set_orbits(pairs, gens):
+            e1, e2 = (cons.line_idempotents(f, line)[0] for line in orbit[0])
+            if all(c == f.zero for c in A.mul(e1, e2)):
+                orth += len(orbit)
+        _chk(checks, "orthogonal parallel pairs (%s)" % f.name, len(pairs), orth)
     return anchors, checks
 
 
 def _claim_p3_eigendims(fields, n):
+    """Each line idempotent and each point is decided once per orbit of the
+    proved automorphisms and weighted by the orbit's size, as in
+    ``_claim_p3_line_idempotents``: sigma carries e_L to e_sigma(L) and b_i
+    to b_sigma(i), and conjugates ad(e) to ad(sigma e), which keeps
+    diagonalizability and the eigenspace dimensions."""
     anchors = [
         "line idempotents diagonalize with eigenspace dimensions 1, 4, 4",
         "points diagonalize with the same dimensions",
     ]
     checks = []
+    plane = build_p3()
     for f in fields:
-        A = cons.matsuo_algebra(build_p3(), _half(f), f)
+        A = cons.matsuo_algebra(plane, _half(f), f)
+        gens = _table_automorphisms(A)
 
         def dims_144(e):
             dec = eigen_decomposition(A, e, candidates=[f.one, f.zero, _half(f)])
             return dec.diagonalizable and dec.dims() == (1, 4, 4)
 
-        good = sum(dims_144(cons.line_idempotents(f, line)[0])
-                   for line in build_p3().lines)
+        good = sum(len(orbit) * dims_144(cons.line_idempotents(f, orbit[0])[0])
+                   for orbit in _set_orbits(plane.lines, gens))
         _chk(checks, "line idempotents with dims (1,4,4) (%s)" % f.name, 12, good)
-        pts = sum(dims_144(unit_vector(f, 9, i)) for i in range(9))
+        rep = _orbit_minima(9, gens)
+        pts = sum(rep.count(r) * dims_144(unit_vector(f, 9, r))
+                  for r in sorted(set(rep)))
         _chk(checks, "points with dims (1,4,4) (%s)" % f.name, 9, pts)
     return anchors, checks
+
+
+def _moved(g, x):
+    """The image under the basis permutation g of x, a point, or a set of
+    points or of such sets given as a sorted tuple, in the same form."""
+    if isinstance(x, int):
+        return g[x]
+    return tuple(sorted(_moved(g, y) for y in x))
+
+
+def _set_orbits(sets, gens):
+    """The orbits of the group the basis permutations gens generate on the
+    given sets (sorted tuples, as ``_moved`` takes them), each a list led by
+    its first member in ``sets``, in that order.  With no gens every set is
+    its own orbit."""
+    orbits, seen = [], set()
+    for x in sets:
+        if x not in seen:
+            orbit = _closure([x], lambda z: [_moved(g, z) for g in gens],
+                             "orbit closure")
+            seen.update(orbit)
+            orbits.append(orbit)
+    return orbits
 
 
 def _claim_p3_peirce(fields, n):
@@ -301,12 +343,30 @@ def count_linearized_quadruples(A):
     basis quadruples (i, j, y, k).  The gap is a cyclic sum over the
     commutative table, so symmetric in i, j, k: each i <= j <= k is evaluated
     once per y and weighted by its 1, 3 or 6 orderings.  No automorphism is
-    used, unlike in ``jordan_check``."""
+    used, unlike in ``jordan_check``.
+
+    Each term ((ab)y)c - (ab)(yc) of ``linearized_gap`` is the sum over s of
+    (b_a b_b)_s [s, y, c], with the associator [s, y, c] = (b_s b_y) b_c -
+    b_s (b_y b_c).  So for each y the dim**2 associators are built once, in
+    plain ints on ``A.int_view()`` and scaled as the gap is, and every triple
+    sums three of their combinations; only one y's associators are held."""
+    view = A.int_view()
+    rows, p = view.rows, view.modulus
+    triples = [(ijk, (1, 3, 6)[len(set(ijk)) - 1])
+               for ijk in combinations_with_replacement(range(A.dim), 3)]
     failed = 0
-    for i, j, k in combinations_with_replacement(range(A.dim), 3):
-        arrangements = (1, 3, 6)[len({i, j, k}) - 1]
-        failed += arrangements * sum(
-            1 for y in range(A.dim) if linearized_gap(A, i, j, y, k))
+    for y, row_y in enumerate(rows):
+        # assoc[c][s] = [s, y, c]
+        assoc = [[_reduced(_int_apply(row_c, row_s[y],
+                                      out=_int_apply(row_s, row_y[c], -1)), p)
+                  for row_s in rows]
+                 for c, row_c in enumerate(rows)]
+        for (i, j, k), weight in triples:
+            gap = _int_apply(assoc[k], rows[i][j])
+            _int_apply(assoc[i], rows[j][k], out=gap)
+            _int_apply(assoc[j], rows[k][i], out=gap)
+            if _reduced(gap, p):
+                failed += weight
     return A.dim ** 4, failed
 
 

@@ -761,14 +761,14 @@ def embedding_check(k, r):
     counterexample coefficients transfer unchanged."""
     small = build_wk_affine_a(k, 3)
     sub = wk_embedding_subgroup(k, r)
-    small_order = small.order()
     hom = generator_homomorphism(sub, small)
     central = False
     kernel_size = 0
     if hom is None:
-        sub_order = sub.order()
+        small_order, sub_order = small.order(), sub.order()
     else:
-        sub_order = len(hom)
+        # the paired generators generate small, so hom's values are all of it
+        small_order, sub_order = len(set(hom.values())), len(hom)
         kernel = [x for x, y in hom.items() if y == small.identity]
         kernel_size = len(kernel)
         central = all(

@@ -353,9 +353,14 @@ def _failing_multiplicities(A):
 
 
 def test_linearized_count_matches_the_ordered_count():
+    third = {f: f.div(f.one, f.from_int(3)) for f in (Q, F5)}
     for A, expected in ((p3_algebra(F3), (6561, 0)),
                         (_root_matsuo("D4", HALF, Q), (20736, 5184)),
-                        (_root_matsuo("A2", Q.parse("1/3"), Q), (81, 54))):
+                        (_root_matsuo("A2", Q.parse("1/3"), Q), (81, 54)),
+                        *((_root_matsuo("A4", third[f], f), (10000, 3780))
+                          for f in (Q, F5)),
+                        *((_root_matsuo("D4", third[f], f), (20736, 13824))
+                          for f in (Q, F5))):
         assert count_linearized_quadruples(A) == expected
         assert _count_linearized_quadruples_reference(A) == expected
     # seeded tables on which every class of triples (i, j, k) has a failure

@@ -23,13 +23,17 @@ from matsuo.algebra import (
     is_multiplicative,
     iso_check,
     jordan_check,
+    _orbit_minima,
+    _table_automorphisms,
 )
+from matsuo import claims
 from matsuo import constructions as cons
 
 Q = Rationals()
 F3 = PrimeField(3)
 F5 = PrimeField(5)
 F7 = PrimeField(7)
+F11 = PrimeField(11)
 HALF = Q.parse("1/2")
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -259,6 +263,79 @@ def test_line_idempotent_pair_sums_to_unit():
     e, fl = cons.line_idempotents(Q, (0, 1, 2))
     u = cons.p3_unit(Q)
     assert [Q.add(a, b) for a, b in zip(e, fl)] == u
+
+
+def _p3_over(f):
+    return cons.matsuo_algebra(build_p3(), f.div(f.one, f.from_int(2)), f)
+
+
+def _p3_line_idempotents_reference(f):
+    """Oracle for p3-line-idempotents: every line and every pair of parallel
+    lines, with no automorphism."""
+    A = _p3_over(f)
+    checks = []
+    idem = 0
+    for line in build_p3().lines:
+        e, fl = cons.line_idempotents(f, line)
+        if A.is_idempotent(e) and A.is_idempotent(fl):
+            idem += 1
+    claims._chk(checks, "idempotent pairs over the 12 lines (%s)" % f.name, 12, idem)
+    orth = 0
+    pairs = 0
+    for cls in P3_PARALLEL_CLASSES:
+        for i in range(3):
+            for j in range(i + 1, 3):
+                pairs += 1
+                e1, _ = cons.line_idempotents(f, cls[i])
+                e2, _ = cons.line_idempotents(f, cls[j])
+                if all(c == f.zero for c in A.mul(e1, e2)):
+                    orth += 1
+    claims._chk(checks, "orthogonal parallel pairs (%s)" % f.name, pairs, orth)
+    return checks
+
+
+def _p3_eigendims_reference(f):
+    """Oracle for p3-eigendims: every line idempotent and every point."""
+    A = _p3_over(f)
+    half = f.div(f.one, f.from_int(2))
+
+    def dims_144(e):
+        dec = eigen_decomposition(A, e, candidates=[f.one, f.zero, half])
+        return dec.diagonalizable and dec.dims() == (1, 4, 4)
+
+    checks = []
+    good = sum(dims_144(cons.line_idempotents(f, line)[0])
+               for line in build_p3().lines)
+    claims._chk(checks, "line idempotents with dims (1,4,4) (%s)" % f.name, 12, good)
+    pts = sum(dims_144(unit_vector(f, 9, i)) for i in range(9))
+    claims._chk(checks, "points with dims (1,4,4) (%s)" % f.name, 9, pts)
+    return checks
+
+
+@pytest.mark.parametrize("field", [Q, F5, F7, F11], ids=lambda f: f.name)
+def test_p3_claims_once_per_orbit_match_the_per_line_loops(field):
+    assert (claims._claim_p3_line_idempotents([field], None)[1]
+            == _p3_line_idempotents_reference(field))
+    assert (claims._claim_p3_eigendims([field], None)[1]
+            == _p3_eigendims_reference(field))
+
+
+@pytest.mark.parametrize("field", [Q, F5], ids=lambda f: f.name)
+def test_p3_orbits_are_the_parallel_classes_and_one_point_orbit(field):
+    lines = build_p3().lines
+    gens = _table_automorphisms(_p3_over(field))
+    orbits = claims._set_orbits(lines, gens)
+    assert ({frozenset(orbit) for orbit in orbits}
+            == {frozenset(cls) for cls in P3_PARALLEL_CLASSES})
+    assert len(set(_orbit_minima(9, gens))) == 1
+    # the 12 pairs of parallel lines: one orbit of 3 per class
+    pairs = [tuple(sorted((cls[i], cls[j])))
+             for cls in P3_PARALLEL_CLASSES for i, j in ((0, 1), (0, 2), (1, 2))]
+    pair_orbits = claims._set_orbits(pairs, gens)
+    assert sorted(map(len, pair_orbits)) == [3] * 4
+    assert sorted(p for orbit in pair_orbits for p in orbit) == sorted(pairs)
+    # with no automorphism every line is its own orbit
+    assert claims._set_orbits(lines, ()) == [[line] for line in lines]
 
 
 def test_p3_peirce_rejects_non_parallel_lines():

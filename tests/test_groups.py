@@ -1100,6 +1100,7 @@ def test_embedding_exact_bijection_agrees_with_generator_bijection(k):
     rep = embedding_check(k, 5)
     assert (rep.kernel_size == 1) == (generator_bijection(small, sub) is not None)
     assert rep.embedded_order == sub.order()
+    assert rep.small_order == small.order()
 
 
 def test_generator_maps():
