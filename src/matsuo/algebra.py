@@ -5,11 +5,13 @@ verification, Miyamoto maps, U-operators, ideals and quotients.
 Vectors are coordinate lists over the algebra's field.  The multiplication
 table is stored sparsely, each product b_i b_j once for both orders, as the
 dict of its nonzero coordinates; every product of algebra elements (``mul``,
-``ad``, the Jordan scan, the fusion test of ``check_axis``) runs on one
-integer view of it (``AlgebraTable.int_view``) through linalg's kernels
-``_int_lift``, ``_int_apply`` and ``_from_int_rows``: over Q every structure
-constant is scaled by the lcm of the table's denominators, over F_p the
-constants are their residues and reduction waits until the end.
+``ad``, ``u_operator``, ``subspace_product``, ``is_ideal``, the Jordan scan,
+the fusion test of ``check_axis``) runs on one integer view of it
+(``AlgebraTable.int_view``) through linalg's kernels ``_int_lift``,
+``_int_apply`` and ``_from_int_rows``: over Q every structure constant is
+scaled by the lcm of the table's denominators, over F_p the constants are
+their residues and reduction waits until the end.  ``_int_products`` forms
+every u v for u in one list and v in another, each operand lifted once.
 
 The Jordan verdict is exact: the linearized identity on basis quadruples,
 then, over F_3 only, the identity itself on the diagonal pairs (b_i, b_y),
@@ -21,8 +23,8 @@ import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
-from .linalg import (Matrix, Subspace, _from_int_rows, _int_apply, _int_lift, kernel,
-                     rref, unit_vector)
+from .linalg import (Matrix, Subspace, _from_int_rows, _from_int_vectors, _int_apply,
+                     _int_lift, kernel, rref, unit_vector)
 from .fields import field_from_name
 from .groups import _perm_inv, _perm_mul
 
@@ -71,14 +73,13 @@ class AlgebraTable:
         return out
 
     def mul(self, x, y):
-        """Bilinear extension of the table to coordinate vectors, on the
-        integer view: the columns x b_t for t in the support of y, applied."""
+        """Bilinear extension of the table to coordinate vectors, by
+        ``_int_products`` on the integer view."""
         view = self.int_view()
         lifted_x, scale_x = self._lift(x)
         lifted_y, scale_y = self._lift(y)
-        cols = {t: _int_apply(view.rows[t], lifted_x) for t in lifted_y}
-        return _from_int_rows(self.field, [_int_apply(cols, lifted_y)], self.dim,
-                              scale_x * scale_y * view.scale).rows[0]
+        return _from_int_vectors(self.field, _int_products(view, [lifted_x], [lifted_y]),
+                                 self.dim, scale_x * scale_y * view.scale)[0]
 
     def ad(self, x):
         """Matrix of left multiplication by x (columns are x * b_j): the rows
@@ -100,6 +101,20 @@ class AlgebraTable:
 
     def __repr__(self):
         return "AlgebraTable(%s, dim=%d)" % (self.field.name, self.dim)
+
+
+def _int_products(view, us, vs):
+    """Every product u v with u in us and v in vs, sparse int vectors on the
+    integer view, u-major and not reduced, scaled as u, v and the view are.
+    For each u the columns u b_t over the support of vs are formed once, and
+    each v sums them."""
+    rows = view.rows
+    support = set().union(*vs)
+    out = []
+    for u in us:
+        cols = {t: _int_apply(rows[t], u) for t in support}
+        out += [_int_apply(cols, v) for v in vs]
+    return out
 
 
 @dataclass(frozen=True)
@@ -191,7 +206,7 @@ def jordan_check(A):
     first failure is the witness.  The coefficient of x_i^3 is the gap at the
     diagonal pair (b_i, b_y), which ``linearized_gap(i, i, y, i)`` holds
     times 3.  Outside characteristic 3 a passing scan has therefore tested
-    it, and the verdict is Jordan.  Over F_3 ``_diagonal_gap`` evaluates it
+    it, and the verdict is Jordan.  Over F_3 ``_diagonal_step`` evaluates it
     next, and a failure there is reported as (i, i, y, i); there "for all x"
     agrees with "as an identity": reducing x_i^3 to x_i leaves distinct
     monomials, so a cubic form that vanishes on F_3^n is zero.
@@ -210,16 +225,23 @@ def jordan_check(A):
     """
     gens = _table_automorphisms(A)
     witness = _quadruple_scan(A, gens)
-    if witness is not None:
-        return JordanCheck(False, witness)
-    if A.field.characteristic != 3:
-        return JordanCheck(True)
+    if witness is None and A.field.characteristic == 3:
+        witness = _diagonal_step(A, gens)
+    return JordanCheck(False, witness) if witness else JordanCheck(True)
+
+
+def _diagonal_step(A, gens):
+    """The F_3 step of ``jordan_check`` alone: the first diagonal pair
+    (b_r, b_y), r least in its orbit under G = <gens> and y least in its
+    orbit under the stabiliser G_r, at which ``_diagonal_gap`` is nonzero, as
+    the quadruple (r, r, y, r), or None.  It decides the verdict only after
+    every linearized gap has been found zero."""
     for r in sorted(set(_orbit_minima(A.dim, gens))):
         rep_r = _orbit_minima(A.dim, _stabiliser_generators(A.dim, r, gens))
         for y in sorted(set(rep_r)):
             if _diagonal_gap(A, r, y):
-                return JordanCheck(False, (r, r, y, r))
-    return JordanCheck(True)
+                return (r, r, y, r)
+    return None
 
 
 def _quadruple_scan(A, gens):
@@ -629,9 +651,18 @@ def miyamoto(A, e, rules):
 
 
 def u_operator(A, a):
-    """U_a(b) = 2a(ab) - (aa)b as a matrix: 2 ad(a)^2 - ad(a^2)."""
-    ad_a = A.ad(a)
-    return (ad_a * ad_a).scale(A.field.from_int(2)) - A.ad(A.mul(a, a))
+    """U_a(b) = 2a(ab) - (aa)b as a matrix, 2 ad(a)^2 - ad(a^2), on the
+    integer view: a lifted once (by L), its columns a b_t formed once, a^2
+    summed from them, and column t, 2 a(a b_t) - a^2 b_t, formed at the
+    scale (L D)^2 and converted once."""
+    view = A.int_view()
+    lifted, scale = A._lift(a)
+    cols = _int_columns(view.rows, lifted, view.modulus)  # a b_t, times L D
+    square = _int_apply(cols, lifted)                      # a a, times L^2 D
+    return _from_int_rows(
+        A.field, [_int_apply(cols, col, 2, out=_int_apply(row, square, -1))
+                  for col, row in zip(cols, view.rows)],
+        A.dim, (scale * view.scale) ** 2).transpose()
 
 
 def is_absolute_zero_divisor(A, a):
@@ -643,15 +674,31 @@ def is_trivial_element(A, a):
 
 
 def subspace_product(A, s, t):
-    """Span of all products of a basis of s with a basis of t."""
-    vecs = [A.mul(u, v) for u in s.rows for v in t.rows]
-    return Subspace.from_vectors(A.field, A.dim, vecs)
+    """Span of all products of a basis of s with a basis of t, each basis
+    lifted once and multiplied by ``_int_products``.  The products come out
+    times one nonzero scale, which leaves their span as it is."""
+    view = A.int_view()
+    products = _int_products(view, _int_lift(s.rows)[0], _int_lift(t.rows)[0])
+    return Subspace.span_of_int_vectors(A.field, A.dim, products)
 
 
 def is_ideal(A, s):
-    """Whether every basis vector times every row of s lies in s."""
-    return all(s.contains(A.mul(unit_vector(A.field, A.dim, i), v))
-               for i in range(A.dim) for v in s.rows)
+    """Whether every basis vector times every row of s lies in s, on the
+    integer view: the rows of s lifted once, to R_r = L row_r, and each
+    product w = v b_i, for v such a lifted row, formed by ``_int_products``.
+    As the rows are in reduced echelon form, w lies in s exactly when it is
+    the combination of them that its pivot entries name:
+    L w = sum_r w[pivot_r] R_r, tested in ints (over F_p mod p)."""
+    view = A.int_view()
+    rows, scale = _int_lift(s.rows)
+    basis = [{i: 1} for i in range(A.dim)]
+    for v in rows:
+        for w in _int_products(view, [v], basis):
+            pick = {r: w[pc] for r, pc in enumerate(s.pivots) if pc in w}
+            gap = {k: scale * x for k, x in w.items()}
+            if _reduced(_int_apply(rows, pick, -1, out=gap), view.modulus):
+                return False
+    return True
 
 
 def solvable_chain(A, s):

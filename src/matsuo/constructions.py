@@ -8,9 +8,11 @@ counterexample coefficients.
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 
 from .fields import check_digits
-from .linalg import Matrix, Subspace, jordan_product, span_coordinates, unit_vector
+from .linalg import (Matrix, Subspace, _int_lift, _lifted_jordan, span_coordinates,
+                     unit_vector)
 from .fischer import (
     MAX_NAMED_POINTS,
     build_p2_dual,
@@ -107,10 +109,12 @@ def jordan_from_roots(field, rs):
 def _product_table(field, basis, extra=()):
     """Coordinates on the independent matrices of basis of the symmetrized
     product of each pair of them, and of each matrix in extra, from one
-    elimination; returns ({(i, j): coords}, [coords of each extra matrix])."""
+    elimination; returns ({(i, j): coords}, [coords of each extra matrix]).
+    Each basis matrix is lifted to ints once, not once per pair."""
     k = len(basis)
     pairs = [(i, j) for i in range(k) for j in range(i, k)]
-    mats = basis + [jordan_product(basis[i], basis[j]) for i, j in pairs]
+    lifted = [_int_lift(m.rows) for m in basis]
+    mats = basis + [_lifted_jordan(field, lifted[i], lifted[j]) for i, j in pairs]
     found, coords = span_coordinates(field, [_flatten(m) for m in mats + list(extra)])
     if found != list(range(k)):
         raise AlgebraError("a product leaves the span of the basis matrices")
@@ -136,16 +140,18 @@ def verify_projection_products(field, rs):
     the direct symmetrized matrix product, for every pair of positive roots:
     m_a for equal roots, 0 for orthogonal ones, and otherwise
     (1/4)(m_a + k m_b - m_c) with b the longer root, k the squared length
-    ratio, and c the root among a+-b lying in the subsystem spanned by a, b."""
+    ratio, and c the root among a+-b lying in the subsystem spanned by a, b.
+    Each projection is lifted to ints once for all its products."""
     f = field
     quarter = f.inv(f.from_int(4))
     mats = {r: proj_matrix(f, r) for r in rs.positive}
+    lifted = {r: _int_lift(m.rows) for r, m in mats.items()}
     all_roots = rs.root_set()
     cases = []
     for i, a in enumerate(rs.positive):
         for j in range(i, len(rs.positive)):
             b = rs.positive[j]
-            direct = jordan_product(mats[a], mats[b])
+            direct = _lifted_jordan(f, lifted[a], lifted[b])
             if a == b:
                 cases.append(ProjectionCase((a, b), "same", ok=direct == mats[a]))
                 continue
@@ -427,66 +433,77 @@ def h3_algebra(field, model=None):
     return AlgebraTable(field, h3_labels(model), products)
 
 
-def h3_rule_check(field, model=None):
-    """The five defining multiplication rules of the hermitian algebra,
-    checked on the basis {1, g} of the extension (enough by bilinearity)."""
-    model = model or zeta_model(field)
+def _h3_coordinates(model, x, i, j):
+    """x[ij] for x in the extension, in the coordinates of ``h3_labels``:
+    u 1[ij] + v g[ij] for x = u + v g and i < j, sigma(x)[ij] for x[ji],
+    and (x + sigma x) e_ii on the diagonal, which a model whose x + sigma x
+    leaves the field does not have."""
+    f = model.field
+    out = [f.zero] * 9
+    if i == j:
+        trace, outside = model.add(x, model.sigma(x))
+        if outside:
+            raise AlgebraError("x + sigma(x) lies outside the field")
+        out[i] = trace
+        return out
+    if i > j:
+        i, j, x = j, i, model.sigma(x)
+    slot = 3 + 2 * _H3_OFF.index((i, j))
+    out[slot], out[slot + 1] = x
+    return out
+
+
+def h3_rule_check(H, model=None):
+    """The five defining multiplication rules of the hermitian algebra, read
+    off the table H that ``h3_algebra(H.field, model)`` built, for x and y
+    in the basis {1, g} of the extension (enough by bilinearity).
+
+    Each brace has exact coordinates on H's basis (``_h3_coordinates``).
+    ``_product_table`` raises when a product of two basis matrices leaves
+    their span, so H's structure constants are the exact coordinates of
+    those products, and by bilinearity H.mul of two braces is the coordinate
+    vector of their symmetrized matrix product.  Both sides of a rule lie in
+    the span of the basis matrices, which are independent, so a rule holds
+    in H exactly when it holds for the matrices."""
+    f = H.field
+    model = model or zeta_model(f)
     els = [model.one(), model.gen()]
     idx = range(3)
 
-    # 2 x[ij] . y[jk] = (xy)[ik] for distinct i, j, k
-    for i in idx:
-        for j in idx:
-            for k in idx:
-                if len({i, j, k}) != 3:
-                    continue
-                for x in els:
-                    for y in els:
-                        lhs = jordan_product(_brace(model, x, i, j),
-                                             _brace(model, y, j, k), 1)
-                        if lhs != _brace(model, model.mul(x, y), i, k):
-                            return False
-    # 2 x[ii] . y[ij] = ((x + sigma x) y)[ij] for i != j
-    for i in idx:
-        for j in idx:
-            if i == j:
-                continue
-            for x in els:
-                for y in els:
-                    lhs = jordan_product(_brace(model, x, i, i),
-                                         _brace(model, y, i, j), 1)
-                    tr = model.add(x, model.sigma(x))
-                    if lhs != _brace(model, model.mul(tr, y), i, j):
-                        return False
-    # 2 x[ij] . y[ij] = (x sigma(y))[ii] + (x sigma(y))[jj] for i != j
-    for i, j in _H3_OFF:
-        for x in els:
-            for y in els:
-                lhs = jordan_product(_brace(model, x, i, j),
-                                     _brace(model, y, i, j), 1)
-                w = model.mul(x, model.sigma(y))
-                if lhs != _brace(model, w, i, i) + _brace(model, w, j, j):
+    def brace(x, i, j):
+        return _h3_coordinates(model, x, i, j)
+
+    def twice(x, i, j, y, k, l):
+        """2 x[ij] . y[kl], the 2 carried by x."""
+        return H.mul(brace(model.add(x, x), i, j), brace(y, k, l))
+
+    for x in els:
+        for y in els:
+            xy = model.mul(x, y)
+            # 2 x[ij] . y[jk] = (xy)[ik] for distinct i, j, k
+            for i, j, k in permutations(idx):
+                if twice(x, i, j, y, j, k) != brace(xy, i, k):
                     return False
-    # 2 x[ii] . y[ii] = ((x + sigma x)(y + sigma y))[ii]
-    for i in idx:
-        for x in els:
-            for y in els:
-                lhs = jordan_product(_brace(model, x, i, i),
-                                     _brace(model, y, i, i), 1)
-                w = model.mul(model.add(x, model.sigma(x)),
-                              model.add(y, model.sigma(y)))
-                if lhs != _brace(model, w, i, i):
+            # 2 x[ii] . y[ij] = ((x + sigma x) y)[ij] for i != j
+            tr_y = model.mul(model.add(x, model.sigma(x)), y)
+            for i, j in permutations(idx, 2):
+                if twice(x, i, i, y, i, j) != brace(tr_y, i, j):
                     return False
-    # x[ii] . y[kl] = 0 when i is outside {k, l}
-    for i in idx:
-        for k, l in _H3_OFF + [(t, t) for t in idx]:
-            if i in (k, l):
-                continue
-            for x in els:
-                for y in els:
-                    prod = jordan_product(_brace(model, x, i, i),
-                                          _brace(model, y, k, l))
-                    if not prod.is_zero():
+            # 2 x[ij] . y[ij] = (x sigma(y))[ii] + (x sigma(y))[jj] for i != j
+            w = model.mul(x, model.sigma(y))
+            for i, j in _H3_OFF:
+                rhs = [f.add(a, b) for a, b in zip(brace(w, i, i), brace(w, j, j))]
+                if twice(x, i, j, y, i, j) != rhs:
+                    return False
+            # 2 x[ii] . y[ii] = ((x + sigma x)(y + sigma y))[ii]
+            w = model.mul(model.add(x, model.sigma(x)), model.add(y, model.sigma(y)))
+            for i in idx:
+                if twice(x, i, i, y, i, i) != brace(w, i, i):
+                    return False
+            # x[ii] . y[kl] = 0 when i is outside {k, l}
+            for i in idx:
+                for k, l in _H3_OFF + [(t, t) for t in idx]:
+                    if i not in (k, l) and any(H.mul(brace(x, i, i), brace(y, k, l))):
                         return False
     return True
 
@@ -649,6 +666,9 @@ def p3_char3_chain(field):
         and subspace_product(A, t_space, t_space) == z_space
         and subspace_product(A, z_space, z_space).is_zero()
     )
+    # with R^2 = T, T^2 = Z and Z^2 = 0 formed above, R > T > Z > 0 is R's
+    # derived chain, so only a failed check needs it formed again
+    r_solvable = squares_ok or is_solvable(A, r_space)
     z_trivial = is_trivial_element(A, z_vec)
 
     t_zero_divisors = _all_absolute_zero_divisors(A, t_space)
@@ -663,7 +683,7 @@ def p3_char3_chain(field):
         ideals_ok, squares_ok, z_trivial, t_zero_divisors,
         qa.dim, quotient_unital,
         not is_solvable(A, Subspace.full(f, 9)),
-        is_solvable(A, r_space),
+        r_solvable,
     )
 
 

@@ -4,7 +4,7 @@ and subspaces stored canonically as reduced row-echelon bases.
 Everything is deterministic and exact; there is no pivoting heuristic beyond
 "first nonzero entry", which is all an exact field needs.  The elimination runs
 on integer rows, over Q primitive ones made Fractions once at the end.  Matrix
-products (``Matrix.__mul__`` and the fused ``jordan_product``) run on sparse
+products (``Matrix.__mul__`` and the fused ``_lifted_jordan``) run on sparse
 integer rows: each operand is lifted once by ``_int_lift`` (over Q times the
 lcm of its denominators, over F_p its residues), only nonzero entry products
 are summed in plain ints, and each output entry is converted once.
@@ -101,18 +101,25 @@ class Matrix:
 
 
 def jordan_product(m1, m2, divisor=2):
-    """(m1 m2 + m2 m1) / divisor for two square matrices of one size, in one
-    fused pass: each operand lifted once, row i summed as a_i B + b_i A in
-    ints and divided by divisor * D1 * D2 once.  The default divisor gives the
-    Jordan product, divisor 1 twice it."""
+    """(m1 m2 + m2 m1) / divisor for two square matrices of one size: each
+    operand lifted once by ``_int_lift``, then ``_lifted_jordan``.  The
+    default divisor gives the Jordan product, divisor 1 twice it."""
     n = m1.nrows
     if not (m1.ncols == m2.nrows == m2.ncols == n):
         raise ValueError("dimension mismatch in Jordan product")
-    a, da = _int_lift(m1.rows)
-    b, db = _int_lift(m2.rows)
-    return _from_int_rows(m1.field, [_int_apply(a, rb, out=_int_apply(b, ra))
-                                     for ra, rb in zip(a, b)],
-                          n, divisor * da * db)
+    return _lifted_jordan(m1.field, _int_lift(m1.rows), _int_lift(m2.rows), divisor)
+
+
+def _lifted_jordan(field, lifted1, lifted2, divisor=2):
+    """(m1 m2 + m2 m1) / divisor for two square matrices of one size given
+    as their ``_int_lift`` pairs (sparse int rows a, scale D1) and (b, D2),
+    in one fused pass: row i summed as a_i B + b_i A in ints and divided by
+    divisor * D1 * D2 once.  A caller that multiplies one matrix many times
+    lifts it once."""
+    (a, da), (b, db) = lifted1, lifted2
+    return _from_int_rows(field, [_int_apply(a, rb, out=_int_apply(b, ra))
+                                  for ra, rb in zip(a, b)],
+                          len(a), divisor * da * db)
 
 
 def _int_lift(vectors):
@@ -121,6 +128,8 @@ def _int_lift(vectors):
     F_p 1, the residues themselves.  Returns the list of vectors and L."""
     sparse = [{k: c for k, c in enumerate(v) if c} for v in vectors]
     scale = lcm(*(c.denominator for w in sparse for c in w.values()))
+    if scale == 1:
+        return [{k: c.numerator for k, c in w.items()} for w in sparse], 1
     return [{k: c.numerator * (scale // c.denominator) for k, c in w.items()}
             for w in sparse], scale
 
@@ -140,19 +149,29 @@ def _int_apply(cols, v, factor=1, out=None):
 
 
 def _from_int_rows(field, rows, ncols, d):
-    """The matrix of sparse int rows divided by the positive int d, one
-    conversion per entry: Fraction(s, d) over Q, s / d mod p over F_p."""
+    """The matrix of sparse int rows divided by the positive int d, its rows
+    from ``_from_int_vectors``, taken without a copy or a width check."""
+    out = Matrix.__new__(Matrix)
+    out.field, out.nrows, out.ncols = field, len(rows), ncols
+    out.rows = _from_int_vectors(field, rows, ncols, d)
+    return out
+
+
+def _from_int_vectors(field, vectors, n, d):
+    """The coordinate lists of length n of sparse int vectors divided by the
+    positive int d, one conversion per entry: Fraction(s, d) over Q, s / d
+    mod p over F_p."""
     p = field.characteristic
     inv = field.inv(d) if p else None
     out = []
-    for acc in rows:
-        row = [field.zero] * ncols
+    for acc in vectors:
+        row = [field.zero] * n
         for k, s in acc.items():
             s = s * inv % p if p else Fraction(s, d)
             if s:
                 row[k] = s
         out.append(row)
-    return Matrix(field, out, ncols)
+    return out
 
 
 def _rref_rows(field, rows):
@@ -269,6 +288,16 @@ class Subspace:
             return cls.zero(field, ambient)
         rows, pivots = _rref_rows(field, vectors)
         return cls(field, ambient, rows[:len(pivots)], pivots)
+
+    @classmethod
+    def span_of_int_vectors(cls, field, ambient, vectors):
+        """The span of sparse int vectors {k: int}, read over F_p mod p and
+        over Q as they are: ``_rref_rows`` lifts rational rows to ints, so
+        int entries need no conversion to Fraction."""
+        p = field.characteristic
+        return cls.from_vectors(field, ambient, [
+            [w.get(k, 0) % p if p else w.get(k, 0) for k in range(ambient)]
+            for w in vectors])
 
     @classmethod
     def zero(cls, field, ambient):

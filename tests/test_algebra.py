@@ -7,7 +7,7 @@ from itertools import combinations, product
 import pytest
 
 from matsuo.fields import PrimeField, Rationals, field_from_name, scalar_from_string
-from matsuo.linalg import Matrix, Subspace, unit_vector
+from matsuo.linalg import Matrix, Subspace, kernel, unit_vector
 from matsuo.fischer import (PartialTripleSystem, build_p3, gamma_of_group,
                             gamma_of_rootsystem, root_system_from_name)
 from matsuo import algebra
@@ -1558,6 +1558,85 @@ def test_u_operator_matches_the_column_loop():
             zero += got.is_zero()
             nonzero += not got.is_zero()
     assert zero and nonzero
+
+
+def _subspace_product_reference(A, s, t):
+    return Subspace.from_vectors(A.field, A.dim,
+                                 [A.mul(u, v) for u in s.rows for v in t.rows])
+
+
+def _is_ideal_reference(A, s):
+    return all(s.contains(A.mul(unit_vector(A.field, A.dim, i), v))
+               for i in range(A.dim) for v in s.rows)
+
+
+def _u_operator_by_mul(A, a):
+    """2 a(a b_j) - (aa) b_j column by column, each product one ``A.mul``."""
+    f = A.field
+    two = f.from_int(2)
+    aa = A.mul(a, a)
+    cols = []
+    for j in range(A.dim):
+        b = unit_vector(f, A.dim, j)
+        t, u = A.mul(a, A.mul(a, b)), A.mul(aa, b)
+        cols.append([f.sub(f.mul(two, x), y) for x, y in zip(t, u)])
+    return Matrix(f, [list(r) for r in zip(*cols)])
+
+
+def _radical(A, alpha):
+    """The radical of the Frobenius form: the kernel of I + (alpha/2) Adj,
+    Adj the collinearity graph's adjacency matrix, read off the table."""
+    f = A.field
+    weight = f.div(alpha, f.from_int(2))
+    gram = [[f.one if i == j else (weight if len(A.table[i][j]) == 3 else f.zero)
+             for j in range(A.dim)] for i in range(A.dim)]
+    return kernel(Matrix(f, gram))
+
+
+def _product_kernel_cases():
+    """(table, subspaces) over Q, F3 and F5: the half-parameter Matsuo
+    algebras of P3 and D4 with the zero subspace, the whole space, spans of
+    seeded vectors, and the radical of the Frobenius form."""
+    cases = []
+    for f in (Q, F3, F5):
+        half = f.div(f.one, f.from_int(2))
+        for A in (p3_algebra(f), _root_matsuo("D4", half, f)):
+            vecs = _seeded_vectors(f, A.dim, seed=11, count=6)
+            spaces = [Subspace.zero(f, A.dim), Subspace.full(f, A.dim),
+                      Subspace.from_vectors(f, A.dim, vecs[:2]),
+                      Subspace.from_vectors(f, A.dim, vecs[2:6]),
+                      _radical(A, half)]
+            cases.append((A, spaces))
+    return cases
+
+
+def test_product_kernel_matches_per_pair_mul():
+    ideals = {True: 0, False: 0}
+    proper_ideals = 0
+    for A, spaces in _product_kernel_cases():
+        for s in spaces:
+            for t in spaces:
+                assert subspace_product(A, s, t) == _subspace_product_reference(A, s, t)
+            verdict = is_ideal(A, s)
+            assert verdict == _is_ideal_reference(A, s)
+            ideals[verdict] += 1
+            proper_ideals += verdict and 0 < s.dim < A.dim
+            for a in s.rows[:3]:
+                assert u_operator(A, a) == _u_operator_by_mul(A, a)
+    # the fixtures reach both verdicts, and ideals other than 0 and A
+    assert ideals[True] and ideals[False] and proper_ideals
+
+
+def test_count_then_diagonal_step_matches_jordan_check():
+    # once count_linearized_quadruples finds no failure, the diagonal step
+    # alone gives jordan_check's verdict and witness
+    for A in (p3_algebra(F3), _f3_diagonal_failure()):
+        total, failed = count_linearized_quadruples(A)
+        assert (total, failed) == (A.dim ** 4, 0)
+        witness = algebra._diagonal_step(A, _table_automorphisms(A))
+        res = jordan_check(A)
+        assert (res.is_jordan, res.witness) == (witness is None, witness or ())
+    assert witness == (9, 9, 9, 9)
 
 
 def test_char3_trivial_and_zero_divisors():

@@ -358,11 +358,102 @@ def test_p3_peirce_explicit_piece():
 
 # --- hermitian 3x3 model ----------------------------------------------------------
 
+def _h3_rule_check_reference(field, model):
+    """The five hermitian rules checked on the 6x6 block matrices of the
+    braces, each product formed from its two matrices."""
+    brace = cons._brace
+    els = [model.one(), model.gen()]
+    idx = range(3)
+
+    # 2 x[ij] . y[jk] = (xy)[ik] for distinct i, j, k
+    for i in idx:
+        for j in idx:
+            for k in idx:
+                if len({i, j, k}) != 3:
+                    continue
+                for x in els:
+                    for y in els:
+                        lhs = jordan_product(brace(model, x, i, j),
+                                             brace(model, y, j, k), 1)
+                        if lhs != brace(model, model.mul(x, y), i, k):
+                            return False
+    # 2 x[ii] . y[ij] = ((x + sigma x) y)[ij] for i != j
+    for i in idx:
+        for j in idx:
+            if i == j:
+                continue
+            for x in els:
+                for y in els:
+                    lhs = jordan_product(brace(model, x, i, i),
+                                         brace(model, y, i, j), 1)
+                    tr = model.add(x, model.sigma(x))
+                    if lhs != brace(model, model.mul(tr, y), i, j):
+                        return False
+    # 2 x[ij] . y[ij] = (x sigma(y))[ii] + (x sigma(y))[jj] for i != j
+    for i, j in cons._H3_OFF:
+        for x in els:
+            for y in els:
+                lhs = jordan_product(brace(model, x, i, j),
+                                     brace(model, y, i, j), 1)
+                w = model.mul(x, model.sigma(y))
+                if lhs != brace(model, w, i, i) + brace(model, w, j, j):
+                    return False
+    # 2 x[ii] . y[ii] = ((x + sigma x)(y + sigma y))[ii]
+    for i in idx:
+        for x in els:
+            for y in els:
+                lhs = jordan_product(brace(model, x, i, i),
+                                     brace(model, y, i, i), 1)
+                w = model.mul(model.add(x, model.sigma(x)),
+                              model.add(y, model.sigma(y)))
+                if lhs != brace(model, w, i, i):
+                    return False
+    # x[ii] . y[kl] = 0 when i is outside {k, l}
+    for i in idx:
+        for k, l in cons._H3_OFF + [(t, t) for t in idx]:
+            if i in (k, l):
+                continue
+            for x in els:
+                for y in els:
+                    prod = jordan_product(brace(model, x, i, i),
+                                          brace(model, y, k, l))
+                    if not prod.is_zero():
+                        return False
+    return True
+
+
 def test_h3_rules_hold_in_both_models():
-    assert cons.h3_rule_check(Q)
-    assert cons.h3_rule_check(Q, cons.beta_model(Q))
-    assert cons.h3_rule_check(F5)
-    assert cons.h3_rule_check(F7, cons.beta_model(F7))
+    assert cons.h3_rule_check(cons.h3_algebra(Q))
+    assert cons.h3_rule_check(cons.h3_algebra(Q, cons.beta_model(Q)), cons.beta_model(Q))
+    assert cons.h3_rule_check(cons.h3_algebra(F5))
+    assert cons.h3_rule_check(cons.h3_algebra(F7, cons.beta_model(F7)),
+                              cons.beta_model(F7))
+
+
+@pytest.mark.parametrize("field", [Q, F5, F7], ids=["Q", "F5", "F7"])
+@pytest.mark.parametrize("make_model", [cons.zeta_model, cons.beta_model],
+                         ids=["zeta", "beta"])
+def test_h3_rules_on_the_table_agree_with_the_block_matrices(field, make_model):
+    model = make_model(field)
+    H = cons.h3_algebra(field, model)
+    assert cons.h3_rule_check(H, model) == _h3_rule_check_reference(field, model)
+    assert _h3_rule_check_reference(field, model)
+
+
+@pytest.mark.parametrize("field", [Q, F5], ids=["Q", "F5"])
+def test_h3_rules_on_the_table_refuse_any_changed_structure_constant(field):
+    # the five rules fix every product of two basis braces, so changing any
+    # one coordinate of any one product breaks a rule
+    H = cons.h3_algebra(field)
+    for i in range(9):
+        for j in range(i, 9):
+            for k in (0, 4, 8):
+                products = {(a, b): dict(H.table[a][b])
+                            for a in range(9) for b in range(a, 9)}
+                old = products[(i, j)].get(k, field.zero)
+                products[(i, j)][k] = field.add(old, field.one)
+                bent = AlgebraTable(field, H.labels, products)
+                assert not cons.h3_rule_check(bent), (i, j, k)
 
 
 @pytest.mark.parametrize("field, model, name", [
@@ -384,10 +475,24 @@ class _NegatingConjugation(cons.EtaleModel):
 
 def test_h3_refuses_a_conjugation_that_is_not_an_automorphism():
     model = _NegatingConjugation(Q, "beta", 1, 1)
-    assert not cons.h3_rule_check(Q, model)
-    # g[12] . g[12] puts -g^2 = 1 + g on the diagonal, outside F
+    assert not _h3_rule_check_reference(Q, model)
+    # g[12] . g[12] puts -g^2 = 1 + g on the diagonal, outside F, so there is
+    # no table to read the rules off
     with pytest.raises(AlgebraError, match="leaves the span"):
         cons.h3_algebra(Q, model)
+
+
+class _FixedConjugation(cons.EtaleModel):
+    # the identity fixes g, so g + sigma(g) = 2g is no scalar
+    def sigma(self, x):
+        return x
+
+
+def test_h3_coordinates_refuse_a_diagonal_entry_outside_the_field():
+    model = _FixedConjugation(Q, "zeta", 0, 3)
+    assert cons._h3_coordinates(model, model.one(), 1, 1)[1] == 2
+    with pytest.raises(AlgebraError, match="outside the field"):
+        cons._h3_coordinates(model, model.gen(), 1, 1)
 
 
 def test_h3_rejects_characteristic_three():
