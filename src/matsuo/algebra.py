@@ -723,6 +723,11 @@ def quotient(A, s):
     columns."""
     if not is_ideal(A, s):
         raise AlgebraError("quotient requires an ideal")
+    return _quotient_table(A, s)
+
+
+def _quotient_table(A, s):
+    """``quotient`` for a subspace the caller has already found an ideal."""
     f = A.field
     comp = [i for i in range(A.dim) if i not in s.pivots]
     labels = [A.labels[i] for i in comp]

@@ -40,6 +40,7 @@ from .algebra import (
     is_absolute_zero_divisor,
     quotient,
     subspace_product,
+    _quotient_table,
 )
 
 
@@ -673,7 +674,8 @@ def p3_char3_chain(field):
 
     t_zero_divisors = _all_absolute_zero_divisors(A, t_space)
 
-    qa = quotient(A, r_space)
+    # ideals_ok has already tested R
+    qa = (_quotient_table if ideals_ok else quotient)(A, r_space)
     quotient_unital = (
         qa.dim == 1 and qa.mul_basis(0, 0) == [f.one]
     )
@@ -689,33 +691,6 @@ def p3_char3_chain(field):
 
 # ---------------------------------------------------------------------------
 # Rank-4 counterexample coefficients (sparse over the points actually touched)
-
-
-def _sparse_point_product(group, u, v):
-    if u == v:
-        return {u: Fraction(1)}
-    k = group.order_of_product(u, v)
-    if k == 2:
-        return {}
-    if k != 3:
-        raise AlgebraError("pair of involutions with product order %d" % k)
-    w = group.conjugate(u, v)
-    q = Fraction(1, 4)
-    return {u: q, v: q, w: -q}
-
-
-def _sparse_mul(group, x, y):
-    out = {}
-    for u, cu in x.items():
-        for v, cv in y.items():
-            c = cu * cv
-            for p, w in _sparse_point_product(group, u, v).items():
-                t = out.get(p, 0) + c * w
-                if t:
-                    out[p] = t
-                else:
-                    out.pop(p, None)
-    return out
 
 
 @dataclass
@@ -734,29 +709,55 @@ def rank4_check(group):
     """For generators a, b, c, d and x = a + b + c in the half-parameter
     Matsuo algebra of the group, the coefficients of the basis points a and
     a^(cdb) on the two sides of ((xx)d)x = (xx)(dx).  The computation is
-    sparse: only points reached through repeated wedges are materialized."""
+    sparse: only points reached through repeated wedges are materialized.
+
+    Products run in ints at scale 4: b_u b_v is 4 b_u for u = v, 0 when uv
+    has order 2, b_u + b_v - b_(u^v) when it has order 3, and any other
+    order raises AlgebraError.  Every point reached is a conjugate of an
+    involutory generator, so u^v is read as vuv.  One memo per call forms
+    each point product once for (u, v) and (v, u); both sides come out at
+    scale 4^3 = 64."""
     if len(group.generators) != 4:
         raise AlgebraError("rank-4 check needs exactly four generators")
     a, b, c, d = group.generators
     if len({a, b, c, d}) != 4:
         raise AlgebraError("degenerate generator set")
+    mul = group.mul
     for g in (a, b, c, d):
-        if group.mul(g, g) != group.identity:
+        if mul(g, g) != group.identity:
             raise AlgebraError("generators must be involutions")
-    one = Fraction(1)
-    x = {a: one, b: one, c: one}
-    dd = {d: one}
-    xx = _sparse_mul(group, x, x)
-    left = _sparse_mul(group, _sparse_mul(group, xx, dd), x)
-    right = _sparse_mul(group, xx, _sparse_mul(group, dd, x))
-    w = group.mul(group.mul(c, d), b)
-    acdb = group.mul(group.mul(group.inv(w), a), w)
-    return Rank4Report(
-        left.get(a, Fraction(0)),
-        right.get(a, Fraction(0)),
-        left.get(acdb, Fraction(0)),
-        right.get(acdb, Fraction(0)),
-    )
+    memo = {}
+
+    def point_product(u, v):
+        if u == v:
+            return {u: 4}
+        k = group.order_of_product(u, v)
+        if k == 2:
+            return {}
+        if k != 3:
+            raise AlgebraError("pair of involutions with product order %d" % k)
+        return {u: 1, v: 1, mul(mul(v, u), v): -1}
+
+    def product(x, y):
+        out = {}
+        for u, cu in x.items():
+            for v, cv in y.items():
+                uv = memo.get((u, v))
+                if uv is None:
+                    uv = memo[u, v] = memo[v, u] = point_product(u, v)
+                cuv = cu * cv
+                for p, w in uv.items():
+                    out[p] = out.get(p, 0) + cuv * w
+        return {p: w for p, w in out.items() if w}
+
+    x, dd = {a: 1, b: 1, c: 1}, {d: 1}
+    xx = product(x, x)
+    left = product(product(xx, dd), x)
+    right = product(xx, product(dd, x))
+    w = mul(mul(c, d), b)
+    acdb = mul(mul(group.inv(w), a), w)
+    return Rank4Report(*(Fraction(side.get(p, 0), 64)
+                         for p in (a, acdb) for side in (left, right)))
 
 
 @dataclass
@@ -781,6 +782,9 @@ def embedding_check(k, r):
     counterexample coefficients transfer unchanged."""
     small = build_wk_affine_a(k, 3)
     sub = wk_embedding_subgroup(k, r)
+    # the graph of hom, |sub| pairs, is the largest structure: built last
+    spaces_iso = pts_isomorphic(gamma_of_group(small), gamma_of_group(sub)) is not None
+    rank4 = rank4_check(small), rank4_check(sub)
     hom = generator_homomorphism(sub, small)
     central = False
     kernel_size = 0
@@ -796,13 +800,12 @@ def embedding_check(k, r):
             for z in kernel
             for g in sub.generators
         )
-    spaces_iso = pts_isomorphic(gamma_of_group(small), gamma_of_group(sub)) is not None
     return EmbeddingReport(
         k, r, small_order, sub_order,
         hom is not None and central,
         kernel_size,
         spaces_iso,
-        rank4_check(small), rank4_check(sub),
+        *rank4,
     )
 
 

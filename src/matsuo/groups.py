@@ -1,19 +1,15 @@
 """Finite group realizations and coset enumeration.
 
-Three kinds of realization share one duck-typed surface (identity, mul, inv,
-generators, D): permutations as tuples, affine maps over F_k modulo the
-diagonal translation subgroup, and cosets of a finitely presented group
-coming out of the Todd-Coxeter enumerator.  Elements are always hashable
-values with structural equality.
+Two kinds of realization share one duck-typed surface (identity, mul, inv,
+generators, D): permutation tuples on one product and one inverse, and
+cosets of a finitely presented group coming out of the Todd-Coxeter
+enumerator.  Elements are always hashable values with structural equality.
+Sym(n) and 3^2:2 permute points; W_k(affine A_n) = k^(n+1):Sym(n+1)
+permutes the sets {x : x_j - x_i = a}, faithfully modulo the diagonal.
 
 The enumerator takes involutory presentations only, those in which every
 generator has a square relator, as the generators of a 3-transposition group
 are involutions.  Its table has one column per generator.
-
-An element of W_k(affine A_n) = k^(n+1):Sym(n+1) is a pair (p, t): a
-permutation tuple p, composed by the same kernel as Sym(n), and a
-translation tuple t over range(k), shifted so that t[0] = 0 to pick one
-representative modulo the diagonal.
 """
 
 import os
@@ -259,38 +255,30 @@ def _affine_generators(k, m, n):
 
 def _affine_group(name, k, n, raw_gens):
     """The group generated by (permutation, translation) pairs on n
-    coordinates over F_k, modulo the diagonal translation.
+    coordinates over F_k, modulo the diagonal translation, acting on the
+    n(n-1)k/2 points (i, j, a) with i < j and a in range(k): the sets
+    {x : x_j - x_i = a}, which (j, i, -a) names too.
 
     The pair (p, t) is the map x -> xP + t, where row i of the permutation
-    matrix P has its 1 in column p[i].  So (p, s)(q, t) = (pq, sQ + t), and
-    sQ moves entry j of s to coordinate q[j].  Each element is kept as the
-    representative of its coset with t[0] = 0 and t over range(k)."""
-
-    def canonical(p, t):
-        t0 = t[0]
-        return p, tuple([(x - t0) % k for x in t])
-
-    def mul(a, b):
-        p, s = a
-        q, t = b
-        t = list(t)
-        for j, x in enumerate(s):
-            t[q[j]] += x
-        return canonical(_perm_mul(p, q), t)
-
-    def inv(a):
-        p, s = a
-        return canonical(_perm_inv(p), [-s[j] for j in p])
-
-    identity = (tuple(range(n)), (0,) * n)
-    gens = [canonical(*g) for g in raw_gens]
-    return GroupRealization(name, identity, mul, inv, gens, d_seeds=gens)
+    matrix P has its 1 in column p[i]; it sends {x : x_j - x_i = a} to
+    (p[i], p[j], a + t[p[j]] - t[p[i]]), so maps applied one after the other
+    compose as ``_perm_mul`` does.  For n >= 3 only the pairs with p = 1 and
+    t constant fix every point: the action is faithful modulo the diagonal."""
+    points = [(i, j, a) for i in range(n) for j in range(i + 1, n)
+              for a in range(k)]
+    index = {}
+    for x, (i, j, a) in enumerate(points):
+        index[i, j, a] = index[j, i, -a % k] = x
+    gens = [tuple(index[p[i], p[j], (a + t[p[j]] - t[p[i]]) % k]
+                  for i, j, a in points) for p, t in raw_gens]
+    return GroupRealization(name, tuple(range(len(points))), _perm_mul,
+                            _perm_inv, gens, d_seeds=gens)
 
 
 def build_wk_affine_a(k, n):
     """The 3-transposition group W_k(affine A_n): the F_k-permutation module
     extension of Sym(n+1), modulo the diagonal translation.  Elements are
-    canonical (permutation, translation) pairs on n+1 coordinates."""
+    permutations of the (n+1)nk/2 points of ``_affine_group``."""
     if n < 2:
         raise GroupError("build_wk_affine_a needs n >= 2")
     if not _is_prime(k):

@@ -46,6 +46,8 @@ def test_workload_jobs_reach_their_expected_verdicts(monkeypatch, tmp_path):
         workloads.verify_job(("p3-unit",)),
         workloads.verify_job(("miyamoto", "--field", "F5")),
         workloads.verify_job(("p3-char3-chain",)),
+        workloads.verify_job(("embed-W3A3-r5",)),
+        workloads.verify_job(("rank4-W2A3",)),
     ]
     for job in jobs:
         assert job.run() == job.expected, job.name

@@ -13,7 +13,13 @@ from matsuo.fischer import (
     root_system_from_name,
     P3_PARALLEL_CLASSES,
 )
-from matsuo.groups import build_wk_affine_a
+from matsuo.groups import (
+    _perm_mul,
+    build_sym,
+    build_wk_affine_a,
+    su32_quotient_presentation,
+    wk_embedding_subgroup,
+)
 from matsuo.algebra import (
     AlgebraError,
     AlgebraTable,
@@ -26,7 +32,7 @@ from matsuo.algebra import (
     _orbit_minima,
     _table_automorphisms,
 )
-from matsuo import claims
+from matsuo import algebra, claims
 from matsuo import constructions as cons
 
 Q = Rationals()
@@ -646,6 +652,36 @@ def test_zero_divisor_span_check_is_the_exhaustive_one():
     assert ch.t_space.dim == 6 and ch.t_zero_divisors
 
 
+def _counting_is_ideal(monkeypatch, refuse_dim=None):
+    """Count the ideal tests of constructions and of ``quotient``, refusing
+    the subspace of dimension ``refuse_dim`` in constructions only."""
+    calls = []
+    real = algebra.is_ideal
+
+    def is_ideal(A, s):
+        calls.append(s.dim)
+        return real(A, s)
+    monkeypatch.setattr(algebra, "is_ideal", is_ideal)
+    monkeypatch.setattr(cons, "is_ideal",
+                        lambda A, s: is_ideal(A, s) and s.dim != refuse_dim)
+    return calls
+
+
+def test_char3_chain_tests_each_ideal_once(monkeypatch):
+    calls = _counting_is_ideal(monkeypatch)
+    ch = cons.p3_char3_chain(F3)
+    assert calls == [1, 6, 8]
+    assert ch.ideals_ok and (ch.quotient_dim, ch.quotient_unital) == (1, True)
+
+
+def test_char3_chain_quotient_tests_r_when_the_ideal_check_failed(monkeypatch):
+    # Z refused: the short-circuit leaves R untested, so quotient tests it
+    calls = _counting_is_ideal(monkeypatch, refuse_dim=1)
+    ch = cons.p3_char3_chain(F3)
+    assert calls == [1, 8]
+    assert not ch.ideals_ok and (ch.quotient_dim, ch.quotient_unital) == (1, True)
+
+
 def test_char3_chain_wrong_characteristic():
     with pytest.raises(AlgebraError):
         cons.p3_char3_chain(Q)
@@ -731,6 +767,64 @@ def test_rank4_rejects_degenerate_generators():
     )
     with pytest.raises(AlgebraError):
         cons.rank4_check(broken)
+
+
+def _rank4_reference(group):
+    """The Fraction walk that ``rank4_check`` replaced: each point product
+    formed anew wherever it is needed, u^v read as conjugation by v."""
+    def point_product(u, v):
+        if u == v:
+            return {u: Fraction(1)}
+        k = group.order_of_product(u, v)
+        if k == 2:
+            return {}
+        assert k == 3
+        q = Fraction(1, 4)
+        return {u: q, v: q, group.conjugate(u, v): -q}
+
+    def mul(x, y):
+        out = {}
+        for u, cu in x.items():
+            for v, cv in y.items():
+                for p, w in point_product(u, v).items():
+                    out[p] = out.get(p, 0) + cu * cv * w
+        return out
+
+    a, b, c, d = group.generators
+    x = {a: 1, b: 1, c: 1}
+    xx = mul(x, x)
+    left = mul(mul(xx, {d: 1}), x)
+    right = mul(xx, mul({d: 1}, x))
+    w = group.mul(group.mul(c, d), b)
+    acdb = group.conjugate(a, w)
+    return [Fraction(side.get(p, 0)) for p in (a, acdb) for side in (left, right)]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_wk_affine_a(2, 3),
+    lambda: build_wk_affine_a(3, 3),
+    lambda: wk_embedding_subgroup(2, 5),
+    lambda: wk_embedding_subgroup(3, 5),
+    lambda: build_sym(5),
+    lambda: claims._presented_action(su32_quotient_presentation())[0],
+], ids=["W2A3", "W3A3", "W2-block", "W3-block", "Sym5", "su32-cosets"])
+def test_rank4_check_matches_the_fraction_walk(build):
+    grp = build()
+    rep = cons.rank4_check(grp)
+    assert [rep.coeff_a_left, rep.coeff_a_right, rep.coeff_acdb_left,
+            rep.coeff_acdb_right] == _rank4_reference(grp)
+
+
+def test_rank4_refuses_a_reached_pair_of_product_order_4():
+    # in Sym(4), (1 2)(0 1)(2 3) is a 4-cycle, and d meets b in xx d
+    sym4 = build_sym(4)
+    a, b, c = sym4.generators
+    d = _perm_mul(a, c)
+    grp = type(sym4)("bad", sym4.identity, sym4.mul, sym4.inv,
+                     [a, b, c, d], d_seeds=[a])
+    assert grp.order_of_product(b, d) == 4
+    with pytest.raises(AlgebraError, match="order 4"):
+        cons.rank4_check(grp)
 
 
 # --- embeddings ------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import copy
+import functools
 import random
 import re
 
@@ -201,14 +202,33 @@ def _matrix(pair):
 
 
 def _pair(m, k):
-    """The pair of a block matrix [[P, 0], [t, 1]] over F_k, as the group
-    keeps it modulo the diagonal: t shifted so that t[0] = 0."""
+    """The pair of a block matrix [[P, 0], [t, 1]] over F_k, as one
+    representative modulo the diagonal: t shifted so that t[0] = 0."""
     n = len(m) - 1
     assert [row[n] for row in m] == [0] * n + [1]
     p = tuple(row.index(1) for row in m[:n])
     assert sorted(p) == list(range(n)) and all(sum(row) == 1 for row in m[:n])
     t0 = m[n][0]
     return p, tuple((x - t0) % k for x in m[n][:n])
+
+
+def _encode(pair, k):
+    """The permutation of the points (i, j, a), i < j, the sets
+    {x : x_j - x_i = a}, that the pair induces, read off its dense matrix: the
+    set holds x = a e_j, and its image is the set through x's image y,
+    {y : y_p[j] - y_p[i] = b}, named with its smaller coordinate first."""
+    m = _matrix(pair)
+    n = len(m) - 1
+    points = [(i, j, a) for i in range(n) for j in range(i + 1, n)
+              for a in range(k)]
+    index = {pt: x for x, pt in enumerate(points)}
+    col = [row.index(1) for row in m[:n]]
+    reps = [tuple(a * (c == j) for c in range(n)) + (1,) for _, j, a in points]
+    images = []
+    for (i, j, _), y in zip(points, _mat_mul_mod(reps, m, k)):
+        lo, hi = sorted((col[i], col[j]))
+        images.append((lo, hi, (y[hi] - y[lo]) % k))
+    return tuple(index[pt] for pt in images)
 
 
 def _printed_generators(k):
@@ -225,7 +245,7 @@ def test_printed_generators_canonicalize_to_generators():
         assert len(printed) == len(g.generators)
         # a, b, c, d are the generators in order
         for raw, gen in zip(printed.values(), g.generators):
-            assert _pair(raw, k) == gen
+            assert _encode(_pair(raw, k), k) == gen
 
 
 def test_printed_d_matrix_shape():
@@ -252,46 +272,82 @@ def _dense_mul(k):
     return lambda a, b: _pair(_mat_mul_mod(_matrix(a), _matrix(b), k), k)
 
 
-def _assert_all_pairs_dense(group, k):
+@functools.lru_cache(maxsize=None)
+def _dense_group(k, m, n):
+    """The group that `_affine_generators(k, m, n)` generates, closed as
+    pairs under the dense product, and the encoding of each pair.  Cached
+    across tests, which only read the list and the dict."""
+    swaps, d = _affine_generators(k, m, n)
+    gens = [_pair(_matrix(g), k) for g in swaps + [d]]
+    pairs = mulclose(gens, _dense_mul(k), (tuple(range(n)), (0,) * n))
+    return pairs, {x: _encode(x, k) for x in pairs}
+
+
+@pytest.mark.parametrize("k, m, n", [(2, 4, 4), (3, 4, 4), (5, 4, 4),
+                                     (2, 4, 5), (3, 4, 5)])
+def test_encoding_is_injective_and_keeps_the_identity(k, m, n):
+    # W_k(affA3) and the block subgroups inside W_k(affA4)
+    pairs, code = _dense_group(k, m, n)
+    assert len(set(code.values())) == len(pairs)
+    identity = (tuple(range(n)), (0,) * n)
+    assert code[identity] == tuple(range(n * (n - 1) * k // 2))
+    # the diagonal translation acts trivially
+    swaps, d = _affine_generators(k, m, n)
+    for p, t in [identity] + swaps + [d]:
+        shifted = (p, tuple((x + 1) % k for x in t))
+        assert _encode(shifted, k) == _encode((p, t), k)
+
+
+def _assert_all_pairs_dense(group, k, m, n):
     # row i of ab is row i of a times b, so the dense oracle runs once per
     # distinct row of the elements and b, not once per pair
-    els = group.elements()
-    mats = {x: _matrix(x) for x in els}
-    for b in els:
+    pairs, code = _dense_group(k, m, n)
+    mats = {x: _matrix(x) for x in pairs}
+    for b in pairs:
         row_times_b = {}
-        for a in els:
+        for a in pairs:
             rows = []
             for row in mats[a]:
                 if row not in row_times_b:
                     row_times_b[row] = _mat_mul_mod((row,), mats[b], k)[0]
                 rows.append(row_times_b[row])
-            assert group.mul(a, b) == _pair(tuple(rows), k)
+            assert group.mul(code[a], code[b]) == code[_pair(tuple(rows), k)]
 
 
 def test_affine_product_matches_dense_oracle_on_all_pairs():
-    _assert_all_pairs_dense(build_wk_affine_a(2, 3), 2)
+    _assert_all_pairs_dense(build_wk_affine_a(2, 3), 2, 4, 4)
     for k in (2, 3):
-        _assert_all_pairs_dense(wk_embedding_subgroup(k, 5), k)
+        _assert_all_pairs_dense(wk_embedding_subgroup(k, 5), k, 4, 5)
 
 
 @pytest.mark.parametrize("k", [3, 5])
 def test_affine_product_matches_dense_oracle_on_seeded_pairs(k):
     g = build_wk_affine_a(k, 3)
-    els = g.elements()
+    pairs, code = _dense_group(k, 4, 4)
     rng = random.Random(k)
     for _ in range(2000):
-        a, b = rng.choice(els), rng.choice(els)
-        assert g.mul(a, b) == _dense_mul(k)(a, b)
+        a, b = rng.choice(pairs), rng.choice(pairs)
+        assert g.mul(code[a], code[b]) == code[_dense_mul(k)(a, b)]
+
+
+def _assert_closure_and_inverse_dense(g, k, m, n):
+    pairs, code = _dense_group(k, m, n)
+    # the same discovery order: the encoding maps generators to generators
+    assert g.elements() == [code[x] for x in pairs]
+    assert len(pairs) == {(2, 4): 96, (3, 4): 648, (5, 4): 3000,
+                          (2, 5): 192, (3, 5): 648}[k, n]
+    for x in g.elements():
+        assert g.mul(g.inv(x), x) == g.identity == g.mul(x, g.inv(x))
 
 
 @pytest.mark.parametrize("k", [2, 3, 5])
 def test_affine_inverse_and_closure_match_dense_oracle(k):
-    g = build_wk_affine_a(k, 3)
-    els = g.elements()
-    assert els == mulclose(g.generators, _dense_mul(k), g.identity)
-    assert len(els) == {2: 96, 3: 648, 5: 3000}[k]
-    for x in els:
-        assert g.mul(g.inv(x), x) == g.identity
+    _assert_closure_and_inverse_dense(build_wk_affine_a(k, 3), k, 4, 4)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_block_subgroup_inverse_and_closure_match_dense_oracle(k):
+    _assert_closure_and_inverse_dense(wk_embedding_subgroup(k, 5), k, 4, 5)
 
 
 # --- word and presentation parsing ------------------------------------------
