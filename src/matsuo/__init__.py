@@ -26,7 +26,6 @@ from .groups import (
     coxeter_presentation,
     hall_quotient_presentation,
     is_3transposition,
-    parse_word,
     su32_quotient_presentation,
     todd_coxeter,
 )

@@ -7,13 +7,16 @@ enumerator.  Elements are always hashable values with structural equality.
 Sym(n) and 3^2:2 permute points; W_k(affine A_n) = k^(n+1):Sym(n+1)
 permutes the sets {x : x_j - x_i = a}, faithfully modulo the diagonal.
 
-The enumerator takes involutory presentations only, those in which every
-generator has a square relator, as the generators of a 3-transposition group
-are involutions.  Its table has one column per generator.
+Presentations are built in code: a relator is a tuple of letters, 2i for
+generator i and 2i + 1 for its inverse, and the extra relators of the two
+presented rank-4 groups are written as letter words of the shape (x^w y)^3.
+``parse_word`` reads only space-separated generator names.  The enumerator
+takes involutory presentations only, those in which every generator has a
+square relator, as the generators of a 3-transposition group are
+involutions.  Its table has one column per generator.
 """
 
 import os
-import re
 from array import array
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -345,131 +348,21 @@ def _invert_word(word):
     return tuple(l ^ 1 for l in reversed(word))
 
 
-# Exponents multiply word lengths, so a short text can name a word of any
-# length; the parser refuses one longer than this, and brackets nested deeper
-# than MAX_NESTING, before building it.
-MAX_WORD_LENGTH = 100_000
-MAX_NESTING = 100
-_EXPONENT = re.compile(r"-?[0-9]+")
-_GENERATOR_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
-
-def _check_length(n):
-    if n > MAX_WORD_LENGTH:
-        raise GroupError("input too large: a word of more than %d letters"
-                         % MAX_WORD_LENGTH)
-
-
-class _WordParser:
-    """Parses words over one list of generator names, one text at a time."""
-
-    def __init__(self, generator_names):
-        self.gen_index = {}
-        for i, name in enumerate(generator_names):
-            if not _GENERATOR_NAME.fullmatch(name):
-                raise GroupError("generator name %r is not an ASCII identifier" % name)
-            if name in self.gen_index:
-                raise GroupError("generator %r is named twice" % name)
-            self.gen_index[name] = i
-        self.name_lengths = sorted({len(n) for n in self.gen_index}, reverse=True)
-
-    def parse(self, text):
-        self.text = text
-        self.pos = 0
-        self.depth = 0
-        word = self.parse_sequence()
-        self._skip_ws()
-        if self.pos != len(text):
-            raise GroupError("trailing input in word %r" % text)
-        return _free_reduce(word)
-
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self._skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch):
-        if self.peek() != ch:
-            raise GroupError("expected %r at %r" % (ch, self.text[self.pos:]))
-        self.pos += 1
-
-    def parse_sequence(self, stop=""):
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise GroupError("input too large: brackets nested more than %d deep"
-                             % MAX_NESTING)
-        word = []
-        while True:
-            ch = self.peek()
-            if not ch or ch in stop:
-                self.depth -= 1
-                return tuple(word)
-            word.extend(self.parse_factor())
-            _check_length(len(word))
-
-    def parse_factor(self):
-        word = self.parse_atom()
-        while self.peek() == "^":
-            self.pos += 1
-            ch = self.peek()
-            if ch == "{":
-                self.pos += 1
-                conj = self.parse_sequence(stop="}")
-                self.expect("}")
-            elif ch.isalpha() or ch == "_":
-                conj = self.parse_name_word()
-            else:
-                n = self.parse_int()
-                if n < 0:
-                    word, n = _invert_word(word), -n
-                _check_length(len(word) * n)
-                word = _free_reduce(word * n)
-                continue
-            _check_length(2 * len(conj) + len(word))
-            word = _free_reduce(_invert_word(conj) + word + conj)
-        return word
-
-    def parse_atom(self):
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
-            inner = self.parse_sequence(stop=")")
-            self.expect(")")
-            return inner
-        if ch.isalpha() or ch == "_":
-            return self.parse_name_word()
-        raise GroupError("cannot parse word at %r" % self.text[self.pos:])
-
-    def parse_name_word(self):
-        # longest known generator name at this position, so that a brace
-        # group like {bc} splits into the two generators b and c
-        self._skip_ws()
-        for n in self.name_lengths:
-            name = self.text[self.pos:self.pos + n]
-            if name in self.gen_index:
-                self.pos += len(name)
-                return (2 * self.gen_index[name],)
-        raise GroupError("cannot read a generator at %r" % self.text[self.pos:])
-
-    def parse_int(self):
-        """An ASCII integer exponent, at most MAX_WORD_LENGTH in size."""
-        self._skip_ws()
-        m = _EXPONENT.match(self.text, self.pos)
-        if not m:
-            raise GroupError("expected an exponent at %r" % self.text[self.pos:])
-        self.pos = m.end()
-        if len(m[0]) > 12 or abs(int(m[0])) > MAX_WORD_LENGTH:
-            raise GroupError("input too large: exponent %s" % m[0][:12])
-        return int(m[0])
-
-
 def parse_word(expr, generator_names):
-    """Parse word sugar such as ``(a^b d)^3`` or ``a^{bc}`` into letters,
-    over generator names that are distinct ASCII identifiers."""
-    return _WordParser(generator_names).parse(expr)
+    """The word of space-separated generator names, such as ``"a b c"``, as
+    the letters 2i of the names' positions."""
+    index = {name: 2 * i for i, name in enumerate(generator_names)}
+    if len(index) != len(generator_names):
+        raise GroupError("a generator is named twice in %r" % (generator_names,))
+    try:
+        return tuple(index[t] for t in expr.split())
+    except KeyError as err:
+        raise GroupError("%r names no generator" % err.args[0]) from None
+
+
+def _cube_relator(x, w, y):
+    """The relator (x^w y)^3 over the letters 2i, where x^w = w^-1 x w."""
+    return _free_reduce((_invert_word(w) + (x,) + w + (y,)) * 3)
 
 
 def coxeter_presentation(names, edges):
@@ -494,8 +387,12 @@ def su32_quotient_presentation():
     names = ["a", "b", "c", "d"]
     edges = [("a", "b"), ("a", "c"), ("a", "d"), ("b", "d"), ("c", "d")]
     pres = coxeter_presentation(names, edges)
-    for expr in ["(a^b d)^3", "(a^c d)^3", "(a^{bc} d)^3"]:
-        pres.relators.append(parse_word(expr, names))
+    a, b, c, d = 0, 2, 4, 6
+    pres.relators += [
+        _cube_relator(a, (b,), d),  # (a^b d)^3
+        _cube_relator(a, (c,), d),  # (a^c d)^3
+        _cube_relator(a, (b, c), d),  # (a^{bc} d)^3
+    ]
     return pres
 
 
@@ -508,16 +405,16 @@ def hall_quotient_presentation():
         ("b", "c"), ("b", "d"), ("c", "d"),
     ]
     pres = coxeter_presentation(names, edges)
-    for expr in [
-        "(b^c d)^3",
-        "(a^b c)^3",
-        "(a^b d)^3",
-        "(a^c d)^3",
-        "(a^{bd} c)^3",
-        "(a^{cd} b)^3",
-        "(a^{dc} b)^3",
-    ]:
-        pres.relators.append(parse_word(expr, names))
+    a, b, c, d = 0, 2, 4, 6
+    pres.relators += [
+        _cube_relator(b, (c,), d),  # (b^c d)^3
+        _cube_relator(a, (b,), c),  # (a^b c)^3
+        _cube_relator(a, (b,), d),  # (a^b d)^3
+        _cube_relator(a, (c,), d),  # (a^c d)^3
+        _cube_relator(a, (b, d), c),  # (a^{bd} c)^3
+        _cube_relator(a, (c, d), b),  # (a^{cd} b)^3
+        _cube_relator(a, (d, c), b),  # (a^{dc} b)^3
+    ]
     return pres
 
 

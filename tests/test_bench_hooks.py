@@ -35,7 +35,8 @@ def test_tracer_finds_every_span_and_restores_the_package(monkeypatch):
 def test_workload_jobs_reach_their_expected_verdicts(monkeypatch, tmp_path):
     """One job of each workload kind, run as the benchmark runs it.  Besides
     the traced names, the jobs read ``AlgebraTable.table``,
-    ``fields.scalar_from_string`` and ``CosetTable.status``."""
+    ``fields.scalar_from_string``, ``CosetTable.status`` and
+    ``groups.parse_word``."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     workloads = importlib.import_module("workloads")
     rng = random.Random(7)
@@ -43,6 +44,8 @@ def test_workload_jobs_reach_their_expected_verdicts(monkeypatch, tmp_path):
         workloads.round_trip_job("D4", 12, str(tmp_path), rng),
         workloads.axes_job({"roots": "D4"}, "Q", "1/3", 12, str(tmp_path), rng),
         workloads.rank4_coset_job("su32", groups.su32_quotient_presentation(), 0, 6912),
+        workloads.subgroup_coset_job("hall", groups.hall_quotient_presentation(),
+                                     ["a b c"], 0, 19683),
         workloads.verify_job(("p3-unit",)),
         workloads.verify_job(("miyamoto", "--field", "F5")),
         workloads.verify_job(("p3-char3-chain",)),

@@ -9,8 +9,6 @@ from hypothesis import given, seed, settings, strategies as st
 from matsuo.constructions import embedding_check
 from matsuo import groups
 from matsuo.groups import (
-    MAX_NESTING,
-    MAX_WORD_LENGTH,
     ClosureBudgetError,
     CosetTable,
     GroupError,
@@ -28,24 +26,155 @@ from matsuo.groups import (
     su32_quotient_presentation,
     todd_coxeter,
     wk_embedding_subgroup,
-    _WordParser,
     _affine_generators,
     _free_reduce,
+    _invert_word,
     _perm_inv,
     _perm_mul,
 )
 
 
+# The relator sugar of the presentations in these tests: powers ``(a b)^3``
+# and ``a^-1``, conjugation ``a^b`` and brace groups ``a^{bc}``.  The package
+# writes its relators as letter tuples; this parser is fixture sugar and the
+# oracle for the ten built-in cube relators.  Exponents multiply word lengths,
+# so a short text can name a word of any length; the parser refuses one
+# longer than MAX_WORD_LENGTH, and brackets nested deeper than MAX_NESTING,
+# before building it.
+MAX_WORD_LENGTH = 100_000
+MAX_NESTING = 100
+_EXPONENT = re.compile(r"-?[0-9]+")
+_GENERATOR_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _check_length(n):
+    if n > MAX_WORD_LENGTH:
+        raise GroupError("input too large: a word of more than %d letters"
+                         % MAX_WORD_LENGTH)
+
+
+class _SugarParser:
+    """Parses words over one list of generator names, one text at a time."""
+
+    def __init__(self, generator_names):
+        self.gen_index = {}
+        for i, name in enumerate(generator_names):
+            if not _GENERATOR_NAME.fullmatch(name):
+                raise GroupError("generator name %r is not an ASCII identifier" % name)
+            if name in self.gen_index:
+                raise GroupError("generator %r is named twice" % name)
+            self.gen_index[name] = i
+        self.name_lengths = sorted({len(n) for n in self.gen_index}, reverse=True)
+
+    def parse(self, text):
+        self.text = text
+        self.pos = 0
+        self.depth = 0
+        word = self.parse_sequence()
+        self._skip_ws()
+        if self.pos != len(text):
+            raise GroupError("trailing input in word %r" % text)
+        return _free_reduce(word)
+
+    def _skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self):
+        self._skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def expect(self, ch):
+        if self.peek() != ch:
+            raise GroupError("expected %r at %r" % (ch, self.text[self.pos:]))
+        self.pos += 1
+
+    def parse_sequence(self, stop=""):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise GroupError("input too large: brackets nested more than %d deep"
+                             % MAX_NESTING)
+        word = []
+        while True:
+            ch = self.peek()
+            if not ch or ch in stop:
+                self.depth -= 1
+                return tuple(word)
+            word.extend(self.parse_factor())
+            _check_length(len(word))
+
+    def parse_factor(self):
+        word = self.parse_atom()
+        while self.peek() == "^":
+            self.pos += 1
+            ch = self.peek()
+            if ch == "{":
+                self.pos += 1
+                conj = self.parse_sequence(stop="}")
+                self.expect("}")
+            elif ch.isalpha() or ch == "_":
+                conj = self.parse_name_word()
+            else:
+                n = self.parse_int()
+                if n < 0:
+                    word, n = _invert_word(word), -n
+                _check_length(len(word) * n)
+                word = _free_reduce(word * n)
+                continue
+            _check_length(2 * len(conj) + len(word))
+            word = _free_reduce(_invert_word(conj) + word + conj)
+        return word
+
+    def parse_atom(self):
+        ch = self.peek()
+        if ch == "(":
+            self.pos += 1
+            inner = self.parse_sequence(stop=")")
+            self.expect(")")
+            return inner
+        if ch.isalpha() or ch == "_":
+            return self.parse_name_word()
+        raise GroupError("cannot parse word at %r" % self.text[self.pos:])
+
+    def parse_name_word(self):
+        # longest known generator name at this position, so that a brace
+        # group like {bc} splits into the two generators b and c
+        self._skip_ws()
+        for n in self.name_lengths:
+            name = self.text[self.pos:self.pos + n]
+            if name in self.gen_index:
+                self.pos += len(name)
+                return (2 * self.gen_index[name],)
+        raise GroupError("cannot read a generator at %r" % self.text[self.pos:])
+
+    def parse_int(self):
+        """An ASCII integer exponent, at most MAX_WORD_LENGTH in size."""
+        self._skip_ws()
+        m = _EXPONENT.match(self.text, self.pos)
+        if not m:
+            raise GroupError("expected an exponent at %r" % self.text[self.pos:])
+        self.pos = m.end()
+        if len(m[0]) > 12 or abs(int(m[0])) > MAX_WORD_LENGTH:
+            raise GroupError("input too large: exponent %s" % m[0][:12])
+        return int(m[0])
+
+
+def parse_sugar(expr, generator_names):
+    """Parse word sugar such as ``(a^b d)^3`` or ``a^{bc}`` into letters,
+    over generator names that are distinct ASCII identifiers."""
+    return _SugarParser(generator_names).parse(expr)
+
+
 def parse_presentation(text):
     """A presentation from text: a ``gens a b c`` header, then one relator a
-    line in the sugar that `parse_word` reads.  Only the tests read this
+    line in the sugar that `parse_sugar` reads.  Only the tests read this
     format; they use it to drive the enumerator and the word parser."""
     lines = [l.strip() for l in text.strip().splitlines() if l.strip()]
     header = lines[0].split() if lines else []
     if not header or header[0] != "gens":
         raise GroupError("expected a 'gens ...' header")
     names = header[1:]
-    parser = _WordParser(names)
+    parser = _SugarParser(names)
     return Presentation(names, [parser.parse(l) for l in lines[1:]])
 
 
@@ -351,31 +480,33 @@ def test_block_subgroup_inverse_and_closure_match_dense_oracle(k):
 
 
 # --- word and presentation parsing ------------------------------------------
+# The test_parse_word_* tests read the sugar through parse_sugar, the full
+# parser above; groups.parse_word reads only space-separated generator names.
 
 def test_parse_word_sugar():
     names = ["a", "b", "c", "d"]
-    w = parse_word("(a^b d)^3", names)
+    w = parse_sugar("(a^b d)^3", names)
     # b^-1 a b d repeated three times
     assert len(w) == 12
     assert w[:4] == (3, 0, 2, 6)
     # (bc)^-1 a (bc) = c^-1 b^-1 a b c
-    assert parse_word("a^{bc}", names) == (5, 3, 0, 2, 4)
+    assert parse_sugar("a^{bc}", names) == (5, 3, 0, 2, 4)
 
 
 def test_parse_word_powers_and_inverse():
     names = ["a", "b"]
-    assert parse_word("(a b)^2", names) == (0, 2, 0, 2)
-    assert parse_word("(a b)^-1", names) == (3, 1)
-    assert parse_word("a a^-1", names) == ()
+    assert parse_sugar("(a b)^2", names) == (0, 2, 0, 2)
+    assert parse_sugar("(a b)^-1", names) == (3, 1)
+    assert parse_sugar("a a^-1", names) == ()
 
 
 def test_parse_word_takes_the_longest_name_at_each_position():
     names = ["a", "ab", "abc"]
-    assert parse_word("abcab a abca", names) == (4, 2, 0, 4, 0)
-    assert parse_word("ab^-1 abc^2", names) == (3, 4, 4)
-    assert parse_word("(a ab)^{abc}", names) == (5, 0, 2, 4)
+    assert parse_sugar("abcab a abca", names) == (4, 2, 0, 4, 0)
+    assert parse_sugar("ab^-1 abc^2", names) == (3, 4, 4)
+    assert parse_sugar("(a ab)^{abc}", names) == (5, 0, 2, 4)
     with pytest.raises(GroupError):
-        parse_word("abd", names)
+        parse_sugar("abd", names)
 
 
 @pytest.mark.parametrize("names, message", [
@@ -387,7 +518,48 @@ def test_parse_word_takes_the_longest_name_at_each_position():
 def test_parse_word_refuses_bad_generator_names(names, message):
     # an empty name would match everywhere without consuming text
     with pytest.raises(GroupError, match=message):
-        parse_word("b", names)
+        parse_sugar("b", names)
+
+
+def test_thin_parse_word_reads_space_separated_names():
+    names = hall_quotient_presentation().generator_names
+    assert parse_word("a b c", names) == (0, 2, 4)
+    assert parse_word(" d\ta  a ", names) == (6, 0, 0)
+    assert parse_word("", names) == ()
+
+
+@pytest.mark.parametrize("expr, names, message", [
+    ("a e", ["a", "b", "c", "d"], "'e' names no generator"),
+    ("a^b", ["a", "b"], "'a\\^b' names no generator"),
+    ("a", ["a", "a"], "named twice"),
+])
+def test_thin_parse_word_refuses_with_one_group_error(expr, names, message):
+    with pytest.raises(GroupError, match=message):
+        parse_word(expr, names)
+
+
+# The ten extra cube relators of su32 and Hall's group as sugar text, read by
+# parse_sugar as the oracle for the letter words the package builds.
+_SU32_SUGAR = ["(a^b d)^3", "(a^c d)^3", "(a^{bc} d)^3"]
+_HALL_SUGAR = ["(b^c d)^3", "(a^b c)^3", "(a^b d)^3", "(a^c d)^3",
+               "(a^{bd} c)^3", "(a^{cd} b)^3", "(a^{dc} b)^3"]
+
+
+@pytest.mark.parametrize("build, edges, sugar", [
+    (su32_quotient_presentation,
+     [("a", "b"), ("a", "c"), ("a", "d"), ("b", "d"), ("c", "d")], _SU32_SUGAR),
+    (hall_quotient_presentation,
+     [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")],
+     _HALL_SUGAR),
+])
+def test_built_in_cube_relators_match_the_sugar_parser(build, edges, sugar):
+    pres = build()
+    names = ["a", "b", "c", "d"]
+    parsed = [parse_sugar(text, names) for text in sugar]
+    assert pres.generator_names == names
+    # the whole list, tuple for tuple: the Coxeter relators, then the sugar
+    assert pres.relators == coxeter_presentation(names, edges).relators + parsed
+    assert all(type(w) is tuple for w in pres.relators)
 
 
 def test_parse_presentation_with_2000_generators():
@@ -701,7 +873,7 @@ def test_marked_enumeration_matches_reference_on_rank4_groups(variant):
 def test_marked_enumeration_matches_reference_on_small_groups(variant):
     tab = _agrees_with_reference(_B3_INVERSE_LETTERS, variant=variant)
     assert tab.ncols == 3 and tab.n_cosets == 48
-    sub = [parse_word("a^-1", ["a", "b", "c"])]
+    sub = [parse_sugar("a^-1", ["a", "b", "c"])]
     assert _agrees_with_reference(_B3_INVERSE_LETTERS, sub,
                                   variant=variant).n_cosets == 24
     # 80 relators: more than the 64 that carry marks
@@ -759,7 +931,7 @@ _SYM4 = coxeter_presentation(["a", "b", "c"], [("a", "b"), ("b", "c")])
 
 def _with_relator(pres, expr):
     return Presentation(pres.generator_names, pres.relators
-                        + [parse_word(expr, pres.generator_names)])
+                        + [parse_sugar(expr, pres.generator_names)])
 
 
 # A scan defines a run of cosets along a gap and stops where a walk could
@@ -858,11 +1030,11 @@ def test_verify_gather_edge_cases_match_reference():
     # no relator but the squares and the empty word: the subgroup words alone
     # close the table
     free = Presentation(["a", "b"], [(0, 0), (2, 2), ()])
-    free_words = [parse_word(w, ["a", "b"]) for w in ("b", "a b a^-1")]
+    free_words = [parse_sugar(w, ["a", "b"]) for w in ("b", "a b a^-1")]
     over_free = todd_coxeter(free, free_words)
     assert over_free.n_cosets == 2
     over_inverse = todd_coxeter(_B3_INVERSE_LETTERS,
-                                [parse_word("a^-1 b a b^-1", ["a", "b", "c"])])
+                                [parse_sugar("a^-1 b a b^-1", ["a", "b", "c"])])
     for tab in (trivial, cube, sym4, over_free, over_inverse):
         assert tab.complete
         assert tab.verify() is _verify_reference(tab) is True
@@ -893,7 +1065,7 @@ def test_inverse_letters_read_the_generator_columns():
     tab = todd_coxeter(pres)
     assert tab.complete and tab.ncols == 2 and tab.n_cosets == 6
     assert tab.table == todd_coxeter(coxeter_presentation(["a", "b"], [("a", "b")])).table
-    over = todd_coxeter(pres, [parse_word("a b^-1", ["a", "b"])])
+    over = todd_coxeter(pres, [parse_sugar("a b^-1", ["a", "b"])])
     assert over.complete and over.n_cosets == 2
 
 
