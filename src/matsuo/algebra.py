@@ -12,12 +12,16 @@ the fusion test of ``check_axis``) runs on one integer view of it
 scaled by the lcm of the table's denominators, over F_p the constants are
 their residues and reduction waits until the end.  ``_int_products`` forms
 every u v for u in one list and v in another, each operand lifted once.
+An idempotent's ad(e) is formed once on that view, as integer columns
+(``_IntAdjoint``), and its eigenspaces, fusion test and Miyamoto map all
+read it.
 
 The Jordan verdict is exact: the linearized identity on basis quadruples,
 then, over F_3 only, the identity itself on the diagonal pairs (b_i, b_y),
 which test the x_i^3 terms that the linearization holds only times 3.
 """
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -443,6 +447,7 @@ class EigenDecomposition:
     eigenvalues: list
     spaces: list
     diagonalizable: bool
+    adjoint: object = dataclasses.field(default=None, compare=False, repr=False)
 
     def dims(self):
         return tuple(s.dim for s in self.spaces)
@@ -451,24 +456,66 @@ class EigenDecomposition:
         return self.spaces[self.eigenvalues.index(value)]
 
 
+class _IntAdjoint:
+    """unit * ad(e) on the integer view: ``cols[t]`` is unit * (e b_t) as a
+    sparse int vector, unit = L D for e lifted by L (``_int_lift``) and the
+    view's scale D; over F_p the columns are residues and unit is 1."""
+
+    __slots__ = ("cols", "unit", "modulus")
+
+    def __init__(self, A, e):
+        view = A.int_view()
+        lifted, scale = A._lift(e)
+        self.modulus = view.modulus
+        self.cols = _int_columns(view.rows, lifted, view.modulus)
+        self.unit = scale * view.scale
+
+    def shifted(self, w, nu):
+        """b (unit ad(e)) w - a unit w for nu = a/b (over F_p a residue, b = 1),
+        which is b unit (ad(e) - nu) w, without zeros and over F_p reduced."""
+        out = _int_apply(self.cols, w, nu.denominator)
+        c = nu.numerator * self.unit
+        get = out.get
+        for j, x in w.items():
+            out[j] = get(j, 0) - c * x
+        return _reduced(out, self.modulus)
+
+
 def eigen_decomposition(A, e, candidates):
     """Eigenspaces of ad(e) over a candidate eigenvalue set; diagonalizable iff
-    the dimensions add up to dim A."""
+    the dimensions add up to dim A.
+
+    ad(e) is formed once, as the integer columns of unit * ad(e)
+    (``_IntAdjoint``), which the decomposition keeps for ``check_axis`` and
+    ``miyamoto``.  For a candidate lam = a/b the eigenspace is the kernel of
+    the integer matrix b (unit ad(e)) - a unit I, a nonzero multiple of
+    ad(e) - lam; ``kernel`` converts to field scalars once, at the Subspace
+    it returns."""
     if not A.is_idempotent(e):
         raise AlgebraError("eigen decomposition requires an idempotent")
-    f = A.field
-    ad_e = A.ad(e)
+    ad = _IntAdjoint(A, e)
+    p, unit = ad.modulus, ad.unit
+    n = A.dim
+    rows = [{} for _ in range(n)]
+    for t, col in enumerate(ad.cols):
+        for k, x in col.items():
+            rows[k][t] = x
     values, spaces = [], []
     for lam in candidates:
-        m = Matrix(f, ad_e.rows)
-        for i, row in enumerate(m.rows):
-            row[i] = f.sub(row[i], lam)
-        spc = kernel(m)
+        b, a = lam.denominator, lam.numerator * unit
+        shifted = []
+        for k, row in enumerate(rows):
+            dense = [0] * n
+            for t, x in row.items():
+                dense[t] = b * x
+            dense[k] -= a
+            shifted.append([x % p for x in dense] if p else dense)
+        spc = kernel(Matrix(A.field, shifted, n))
         if spc.dim > 0:
             values.append(lam)
             spaces.append(spc)
     total = sum(s.dim for s in spaces)
-    return EigenDecomposition(values, spaces, total == A.dim)
+    return EigenDecomposition(values, spaces, total == n, ad)
 
 
 @dataclass
@@ -488,10 +535,10 @@ def check_axis(A, e, rules):
     every eigenvector product lands in the prescribed eigenspace sum.
 
     The eigenspaces come from ``eigen_decomposition``; the fusion test runs in
-    plain ints on ``A.int_view()``.  Each eigenvector and e are lifted to
-    ints (over Q scaled by the lcm of their denominators, over F_p their
-    residues), and so is ad(e), as ``unit * ad(e)`` with unit = D_e * D for
-    e's denominator lcm D_e and the view's scale D.  A product w = u v lies in
+    plain ints on ``A.int_view()``, on the integer ad(e) that the
+    decomposition formed (``_IntAdjoint``, unit * ad(e) with unit = D_e * D
+    for e's denominator lcm D_e and the view's scale D), with each
+    eigenvector lifted to ints.  A product w = u v lies in
     the sum of the eigenspaces A_nu, nu in S = ``rules.allowed(phi, psi)``
     among the present eigenvalues, exactly when the product of
     (ad(e) - nu), nu in S, kills w; each factor is applied for nu = a/b as
@@ -510,19 +557,25 @@ def check_axis(A, e, rules):
     (``basis_axis_checks``): an automorphism sigma conjugates ad(b_i) to
     ad(b_sigma(i)) and so carries eigenspaces and their products to those of
     b_sigma(i), which keeps the verdict, the dims and the eigenvalues."""
+    return _axis_and_decomposition(A, e, rules)[0]
+
+
+def _axis_and_decomposition(A, e, rules):
+    """``check_axis(A, e, rules)`` and the decomposition it read, None when
+    e is not idempotent."""
     try:
         dec = eigen_decomposition(A, e, candidates=list(rules.eigenvalues))
     except AlgebraError as err:
-        return AxisCheck(False, reason=str(err))
+        return AxisCheck(False, reason=str(err)), None
     present = tuple(dec.eigenvalues)
     if not dec.diagonalizable:
         return AxisCheck(False, dec.dims(), present,
-                         "eigenspaces do not span the algebra")
-    witness = _fusion_violation(A, e, rules, dec)
+                         "eigenspaces do not span the algebra"), dec
+    witness = _fusion_violation(A, rules, dec)
     if witness:
         return AxisCheck(False, dec.dims(), present, "fusion rule violated",
-                         witness)
-    return AxisCheck(True, dec.dims(), present)
+                         witness), dec
+    return AxisCheck(True, dec.dims(), present), dec
 
 
 def basis_axis_checks(A, rules):
@@ -569,25 +622,19 @@ def _column_permutation(m):
     return tuple(perm) if len(set(perm)) == len(perm) else None
 
 
-def _fusion_violation(A, e, rules, dec):
+def _fusion_violation(A, rules, dec):
     """The first (phi, psi, u, v) whose product u v leaves the eigenspace sum
     that ``rules.allowed(phi, psi)`` prescribes, or () when there is none.
-    The test is the annihilating product that ``check_axis`` describes."""
-    view = A.int_view()
-    rows, p = view.rows, view.modulus
-    (lifted_e,), scale_e = _int_lift([e])
-    ad_e = _int_columns(rows, lifted_e, p)
-    unit = scale_e * view.scale
+    The test is the annihilating product that ``check_axis`` describes, on
+    the decomposition's integer ad(e)."""
+    ad = dec.adjoint
+    rows, p = A.int_view().rows, ad.modulus
 
     def in_sum(w, values):
         for nu in values:
             if not w:
                 break
-            out = _int_apply(ad_e, w, nu.denominator)
-            c = nu.numerator * unit
-            for j, x in w.items():
-                out[j] = out.get(j, 0) - c * x
-            w = _reduced(out, p)
+            w = ad.shifted(w, nu)
         return not w
 
     present = dec.eigenvalues
@@ -626,19 +673,34 @@ def miyamoto(A, e, rules):
     It is 1 - 2P for the projection P onto the alpha-eigenspace along the
     others.  As ad(e) is diagonalizable over ``rules.eigenvalues``, P is the
     Lagrange polynomial in ad(e): the product of (ad(e) - mu) / (alpha - mu)
-    over the eigenvalues mu other than alpha, so no eigenbasis is inverted."""
-    axis = check_axis(A, e, rules)
+    over the eigenvalues mu other than alpha, so no eigenbasis is inverted.
+    The product runs in ints on the integer ad(e) of the axis check
+    (``_IntAdjoint.shifted``): column t of N = prod (b_mu unit ad(e) -
+    a_mu unit) is formed from the unit vector at t, so P = N / d with
+    d = prod b_mu unit (alpha - mu), and tau = 1 - 2N / d is converted
+    once."""
+    axis, dec = _axis_and_decomposition(A, e, rules)
     if not axis.ok:
         raise AlgebraError("miyamoto map needs an axis: %s" % axis.reason)
     f = A.field
-    ident = Matrix.identity(f, A.dim)
-    ad_e = A.ad(e)
-    proj = ident
-    for mu in rules.eigenvalues:
-        if mu != rules.alpha:
-            factor = f.inv(f.sub(rules.alpha, mu))
-            proj = proj * (ad_e - ident.scale(mu)).scale(factor)
-    tau = ident - proj.scale(f.from_int(2))
+    ad, p, n = dec.adjoint, dec.adjoint.modulus, A.dim
+    others = [mu for mu in rules.eigenvalues if mu != rules.alpha]
+    d = f.one
+    for mu in others:
+        d = f.mul(d, f.mul(f.from_int(mu.denominator * ad.unit), f.sub(rules.alpha, mu)))
+    # tau = 1 - 2N / d as (s - c N) / s in ints: over Q d = dn / dd gives
+    # s = dn, c = 2 dd, over F_p s = 1, c = 2 / d
+    s, c = (1, 2 * f.inv(d) % p) if p else (d.numerator, 2 * d.denominator)
+    cols = []
+    for t in range(n):
+        w = {t: 1}
+        for mu in others:
+            w = ad.shifted(w, mu)
+        col = {k: -c * x for k, x in w.items()}
+        col[t] = col.get(t, 0) + s
+        cols.append(_reduced(col, p))
+    tau = _from_int_rows(f, cols, n, s).transpose()
+    ident = Matrix.identity(f, n)
     if not (tau * tau == ident):
         raise AlgebraError("miyamoto map does not square to the identity")
     if not is_multiplicative(A, A, tau):

@@ -404,10 +404,17 @@ def _presented_action(pres):
     and pi(H) fixes the coset H, so |G| >= |pi(G)| >= [G : H]|pi(H)|.  When
     |pi(H)| = |K| the bounds meet: |G| = [G : H]|K|, and pi is faithful.
     The group's elements are never closed: for Hall's group that would be
-    118098 permutations of 2187 points."""
+    118098 permutations of 2187 points.
+
+    That G permutes the cosets is checked, not taken from the enumerator:
+    when the table over H fails ``CosetTable.verify()`` (a generator that is
+    no permutation, a relator that moves a coset, or H moving coset 0), the
+    group is None and nothing else is computed."""
     over_h = todd_coxeter(pres, subgroup=[(0,), (2,), (4,)])
     if not over_h.complete:
         return None
+    if not over_h.verify():
+        return None, over_h.n_cosets, None, None
     # letters below 6 spell a, b, c and their inverses
     k_relators = [w for w in pres.relators if all(l < 6 for l in w)]
     k = todd_coxeter(Presentation(pres.generator_names[:3], k_relators))
@@ -435,8 +442,10 @@ def _claim_rank4_presented(fields, n, presentation, order):
              "incomplete")
         return anchors, checks
     group, index, k_order, h_order = action
-    if h_order != k_order:
+    if group is None or h_order != k_order:
         _chk(checks, "group order proved by the coset action", "proved",
+             "unproved: the coset table over H fails its verification"
+             if group is None else
              "unproved: |pi(H)| = %d, |K| = %d" % (h_order, k_order))
         return anchors, checks
     _chk(checks, "group order from the enumeration", order, index * k_order)

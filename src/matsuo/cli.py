@@ -5,6 +5,7 @@ Exit codes: 0 all checks pass, 1 a check failed, 2 usage or input error.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -22,7 +23,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, "error: %s\n" % message)
 
 
+@functools.cache
 def _build_parser():
+    """The command-line parser, built once per process on first use: parsing
+    keeps no state in it, so every call of ``main`` can share it."""
     parser = _Parser(
         prog="matsuo",
         description="exact workbench for Matsuo algebras and their Jordan forms",

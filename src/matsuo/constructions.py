@@ -11,8 +11,8 @@ from fractions import Fraction
 from itertools import permutations
 
 from .fields import check_digits
-from .linalg import (Matrix, Subspace, _int_lift, _lifted_jordan, span_coordinates,
-                     unit_vector)
+from .linalg import (Matrix, Subspace, _int_jordan, _int_lift, _int_span_coordinates,
+                     _lifted_jordan, span_coordinates, unit_vector)
 from .fischer import (
     MAX_NAMED_POINTS,
     build_p2_dual,
@@ -111,15 +111,27 @@ def _product_table(field, basis, extra=()):
     """Coordinates on the independent matrices of basis of the symmetrized
     product of each pair of them, and of each matrix in extra, from one
     elimination; returns ({(i, j): coords}, [coords of each extra matrix]).
-    Each basis matrix is lifted to ints once, not once per pair."""
+    Each matrix is lifted to ints once, the products (m_i m_j + m_j m_i) / 2
+    stay in ints, at the scale 2 D_i D_j, and ``_int_span_coordinates``
+    eliminates them all with their scales."""
     k = len(basis)
     pairs = [(i, j) for i in range(k) for j in range(i, k)]
     lifted = [_int_lift(m.rows) for m in basis]
-    mats = basis + [_lifted_jordan(field, lifted[i], lifted[j]) for i, j in pairs]
-    found, coords = span_coordinates(field, [_flatten(m) for m in mats + list(extra)])
+    products = [(_int_jordan(lifted[i][0], lifted[j][0]), 2 * lifted[i][1] * lifted[j][1])
+                for i, j in pairs]
+    found, coords = _int_span_coordinates(field, [
+        (_int_flatten(rows), scale)
+        for rows, scale in lifted + products + [_int_lift(m.rows) for m in extra]])
     if found != list(range(k)):
         raise AlgebraError("a product leaves the span of the basis matrices")
-    return dict(zip(pairs, coords[k:])), coords[len(mats):]
+    return dict(zip(pairs, coords[k:])), coords[k + len(pairs):]
+
+
+def _int_flatten(rows):
+    """The sparse int rows of an n x n matrix as one sparse int vector of
+    length n * n, row after row."""
+    n = len(rows)
+    return {i * n + j: x for i, row in enumerate(rows) for j, x in row.items()}
 
 
 def jr_dimension(field, rs):

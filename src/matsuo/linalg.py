@@ -1,15 +1,25 @@
-"""Dense exact linear algebra: matrices, reduced echelon forms, kernels,
-and subspaces stored canonically as reduced row-echelon bases.
+"""Exact linear algebra: matrices, reduced echelon forms, kernels, and
+subspaces stored canonically as reduced row-echelon bases.
 
 Everything is deterministic and exact; there is no pivoting heuristic beyond
-"first nonzero entry", which is all an exact field needs.  The elimination runs
-on integer rows, over Q primitive ones made Fractions once at the end.  Matrix
-products (``Matrix.__mul__`` and the fused ``_lifted_jordan``) run on sparse
-integer rows: each operand is lifted once by ``_int_lift`` (over Q times the
-lcm of its denominators, over F_p its residues), only nonzero entry products
-are summed in plain ints, and each output entry is converted once.
+"first nonzero entry", which is all an exact field needs.  There is one
+elimination, ``_int_rref``, on sparse integer rows {col: int}: over F_p on
+residues with each lead made 1, over Q fraction-free (as in Bareiss, Math.
+Comp. 22, 1968), a row cleared at a pivot row as a*row - b*pivot_row for
+a, b = lead/g, x/g, g = gcd(lead, x), and kept primitive by dividing out the
+gcd of its entries rather than by Bareiss's exact division.  ``_rref_rows``
+(and so ``rref``, ``inverse`` and ``Subspace``), ``kernel`` and
+``span_coordinates`` lift their input rows to ints once and convert each
+entry to a field scalar once, at the Subspace or Matrix they return.
+
+Matrix products (``Matrix.__mul__`` and the fused ``_lifted_jordan``) run on
+sparse integer rows as well: each operand is lifted once by ``_int_lift``
+(over Q times the lcm of its denominators, over F_p its residues), only
+nonzero entry products are summed in plain ints, and each output entry is
+converted once.
 """
 
+from bisect import insort
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -117,9 +127,13 @@ def _lifted_jordan(field, lifted1, lifted2, divisor=2):
     divisor * D1 * D2 once.  A caller that multiplies one matrix many times
     lifts it once."""
     (a, da), (b, db) = lifted1, lifted2
-    return _from_int_rows(field, [_int_apply(a, rb, out=_int_apply(b, ra))
-                                  for ra, rb in zip(a, b)],
-                          len(a), divisor * da * db)
+    return _from_int_rows(field, _int_jordan(a, b), len(a), divisor * da * db)
+
+
+def _int_jordan(a, b):
+    """The sparse int rows of AB + BA for the sparse int rows a of A and b
+    of B, row i summed as a_i B + b_i A, not reduced."""
+    return [_int_apply(a, rb, out=_int_apply(b, ra)) for ra, rb in zip(a, b)]
 
 
 def _int_lift(vectors):
@@ -149,7 +163,7 @@ def _int_apply(cols, v, factor=1, out=None):
 
 
 def _from_int_rows(field, rows, ncols, d):
-    """The matrix of sparse int rows divided by the positive int d, its rows
+    """The matrix of sparse int rows divided by the nonzero int d, its rows
     from ``_from_int_vectors``, taken without a copy or a width check."""
     out = Matrix.__new__(Matrix)
     out.field, out.nrows, out.ncols = field, len(rows), ncols
@@ -159,7 +173,7 @@ def _from_int_rows(field, rows, ncols, d):
 
 def _from_int_vectors(field, vectors, n, d):
     """The coordinate lists of length n of sparse int vectors divided by the
-    positive int d, one conversion per entry: Fraction(s, d) over Q, s / d
+    nonzero int d, one conversion per entry: Fraction(s, d) over Q, s / d
     mod p over F_p."""
     p = field.characteristic
     inv = field.inv(d) if p else None
@@ -179,53 +193,89 @@ def _rref_rows(field, rows):
     (rows, pivots), where pivots[r] is the column of row r's leading one and
     the rows from len(pivots) on are zero.
 
-    One loop on plain ints serves both fields: over Q on primitive integer
-    rows (lifted by the lcm of their denominators, divided by the gcd of their
-    entries), over F_p on rows reduced mod p.  A row is cleared at the pivot
-    row as a*row - b*pivot_row, a, b = lead/g, factor/g, g = gcd(lead, factor).
-    At the end each pivot row is divided by its lead once, over Q in the one
-    conversion to Fraction per entry."""
-    p = field.characteristic
-
-    def tidy(row):
-        if p:
-            return [x % p for x in row]
-        g = gcd(*row)
-        return [x // g for x in row] if g > 1 else row
-
-    if not p:
-        for r, row in enumerate(rows):
-            scale = lcm(*(x.denominator for x in row))
-            rows[r] = tidy([x.numerator * (scale // x.denominator) for x in row])
+    The rows are lifted to sparse int rows once (``_int_lift``: over Q by
+    the lcm of their denominators, over F_p their residues), ``_int_rref``
+    eliminates, and each entry of a reduced row is converted once, divided by
+    the row's lead (``_from_int_vectors``)."""
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
-    pivots = []
-    for col in range(ncols):
-        piv_r = len(pivots)
-        src = next((r for r in range(piv_r, nrows) if rows[r][col]), None)
-        if src is None:
-            continue
-        rows[piv_r], rows[src] = rows[src], rows[piv_r]
-        pr = rows[piv_r]
-        lead = pr[col]
-        for r, row in enumerate(rows):
-            factor = row[col]
-            if factor and r != piv_r:
-                g = gcd(lead, factor)
-                a, b = lead // g, factor // g
-                rows[r] = tidy([a * x - b * y for x, y in zip(row, pr)])
-        pivots.append(col)
-        if len(pivots) == nrows:
-            break
-    for r, col in enumerate(pivots):
-        lead = rows[r][col]
-        if p:
-            inv = pow(lead, p - 2, p)
-            rows[r] = [x * inv % p for x in rows[r]]
-        else:
-            rows[r] = [Fraction(x, lead) if x else field.zero for x in rows[r]]
-    rows[len(pivots):] = [[field.zero] * ncols for _ in range(nrows - len(pivots))]
+    red, pivots = _int_rref(_int_lift(rows)[0], field.characteristic)
+    rows[:] = [_from_int_vectors(field, [row], ncols, row[c])[0]
+               for row, c in zip(red, pivots)]
+    rows += [[field.zero] * ncols for _ in range(nrows - len(red))]
     return rows, pivots
+
+
+def _int_rref(rows, p):
+    """The reduced echelon form of sparse int rows {col: int}, over F_p
+    (residues) when p > 0 and over Q when p is 0; returns (reduced, pivots)
+    with pivots ascending and reduced[r] the row whose lead is at pivots[r],
+    zero at every other pivot column.  Over F_p each lead is 1; over Q each
+    row is primitive, the RREF row being it divided by its lead.
+
+    Each row is reduced against the pivot rows found so far, at their columns
+    in ascending order (a pivot row holds only columns from its own on, so a
+    cleared column stays clear), and a row left nonzero becomes a pivot row
+    at its first column.  Back-substitution then clears each pivot column in
+    the rows above it, from the last pivot column back.  The dicts of rows
+    are reused."""
+    found = {}
+    cols = []
+    for row in rows:
+        if not p:
+            _divide_content(row)
+        for c in cols:
+            if c in row:
+                _clear(row, found[c], c, p)
+                if not row:
+                    break
+        if row:
+            c = min(row)
+            if p and row[c] != 1:
+                inv = pow(row[c], p - 2, p)
+                for k in row:
+                    row[k] = row[k] * inv % p
+            found[c] = row
+            insort(cols, c)
+    for i in range(len(cols) - 1, 0, -1):
+        c = cols[i]
+        piv = found[c]
+        for above in cols[:i]:
+            row = found[above]
+            if c in row:
+                _clear(row, piv, c, p)
+    return [found[c] for c in cols], cols
+
+
+def _clear(row, piv, col, p):
+    """Clear column col of the sparse int row in place by the pivot row piv,
+    whose lead is at col: a row - b piv with a, b = lead / g, x / g for
+    x = row[col] and g = gcd(lead, x), over F_p reduced mod p (the lead is 1,
+    so a is 1), over Q made primitive again."""
+    x, lead = row[col], piv[col]
+    g = gcd(lead, x)
+    a, b = lead // g, x // g
+    if a != 1:
+        for k in row:
+            row[k] *= a
+    for k, y in piv.items():
+        v = row.get(k, 0) - b * y
+        if p:
+            v %= p
+        if v:
+            row[k] = v
+        else:
+            del row[k]
+    if not p:
+        _divide_content(row)
+
+
+def _divide_content(row):
+    """Divide the sparse int row in place by the gcd of its entries."""
+    g = gcd(*row.values())
+    if g > 1:
+        for k in row:
+            row[k] //= g
 
 
 def rref(m):
@@ -235,20 +285,31 @@ def rref(m):
 
 
 def kernel(m):
-    """Right kernel {v : m v = 0} as a Subspace of dimension ncols - rank."""
+    """Right kernel {v : m v = 0} as a Subspace of dimension ncols - rank.
+
+    The rows are lifted to ints once (``_int_lift``) and eliminated by
+    ``_int_rref``; each free column j gives a basis vector in ints, d at j
+    and -x d / lead at the pivot column of each reduced row with x at j
+    (over Q d is the lcm of those leads, over F_p the leads are 1).  The
+    basis is then reduced once more, by ``Subspace.from_vectors``, and
+    converted there."""
     f = m.field
-    red, pivots = _rref_rows(f, [list(r) for r in m.rows])
+    p = f.characteristic
+    n = m.ncols
+    red, pivots = _int_rref(_int_lift(m.rows)[0], p)
     pivot_set = set(pivots)
     basis = []
-    for free in range(m.ncols):
+    for free in range(n):
         if free in pivot_set:
             continue
-        v = [f.zero] * m.ncols
-        v[free] = f.one
-        for row, pc in zip(red, pivots):
-            v[pc] = f.neg(row[free])
+        hits = [(row[free], row[pc], pc) for row, pc in zip(red, pivots) if free in row]
+        d = 1 if p else lcm(*(lead for _, lead, _ in hits))
+        v = [0] * n
+        v[free] = d
+        for x, lead, pc in hits:
+            v[pc] = -x % p if p else -x * d // lead
         basis.append(v)
-    return Subspace.from_vectors(f, m.ncols, basis)
+    return Subspace.from_vectors(f, n, basis)
 
 
 def span_coordinates(field, vectors):
@@ -256,12 +317,41 @@ def span_coordinates(field, vectors):
     coords): basis lists the indices of the first maximal independent subset
     (each vector kept when it is outside the span of those before it), and
     coords[k] holds the coefficients of vectors[k] on the vectors at basis.
+    It is ``_int_span_coordinates`` on the vectors lifted to ints."""
+    lifted, scale = _int_lift(vectors)
+    return _int_span_coordinates(field, [(w, scale) for w in lifted])
+
+
+def _int_span_coordinates(field, vectors):
+    """``span_coordinates`` of vectors given as pairs (w, s), the sparse int
+    vector w standing for w / s (s a positive int, over F_p one prime to p;
+    w is reduced mod p here).
 
     The vectors are the columns of the eliminated matrix: its pivot columns
-    are the basis, and column k of the reduced form writes vector k in it."""
-    red, pivots = _rref_rows(field, [list(c) for c in zip(*vectors)])
-    return pivots, [[row[k] for row in red[:len(pivots)]]
-                    for k in range(len(vectors))]
+    are the basis, and column k of the reduced form writes w_k in the w at
+    the basis; on the vectors themselves the coefficient x / lead of row r
+    becomes x s_b / (lead s_k), s_b the scale of the basis vector of row r,
+    converted once."""
+    p = field.characteristic
+    by_coord = {}
+    for k, (w, _) in enumerate(vectors):
+        for i, x in w.items():
+            if p:
+                x %= p
+            if x:
+                by_coord.setdefault(i, {})[k] = x
+    red, pivots = _int_rref(list(by_coord.values()), p)
+    zero = field.zero
+    coords = []
+    for k, (_, s_k) in enumerate(vectors):
+        c = [zero] * len(pivots)
+        for r, (row, b) in enumerate(zip(red, pivots)):
+            x = row.get(k)
+            if x:
+                num, den = x * vectors[b][1], row[b] * s_k
+                c[r] = num * pow(den, p - 2, p) % p if p else Fraction(num, den)
+        coords.append(c)
+    return pivots, coords
 
 
 class Subspace:

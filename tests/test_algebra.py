@@ -41,9 +41,9 @@ from matsuo.algebra import (
 )
 from matsuo import claims
 from matsuo.claims import count_linearized_quadruples
-from matsuo.constructions import (beta_model, h3_algebra, matsuo_algebra, p3_unit,
-                                  triple_system_from_cli, zeta_model,
-                                  zero_sum_sym_algebra)
+from matsuo.constructions import (beta_model, h3_algebra, line_idempotents,
+                                  matsuo_algebra, p3_unit, triple_system_from_cli,
+                                  zeta_model, zero_sum_sym_algebra)
 
 Q = Rationals()
 F3 = PrimeField(3)
@@ -1407,6 +1407,118 @@ def test_miyamoto_matches_the_eigenbasis_reference(f):
             assert miyamoto(A, e, rules) == tau
             assert miyamoto(A, e, extra) == tau
     assert seen == {"P2dual", "P3", "A4", "D4"}
+
+
+def _eigen_decomposition_reference(A, e, candidates):
+    """Oracle: the eigenspaces from a Fraction (or residue) copy of ad(e)
+    for each candidate, its diagonal shifted by the field's own ``sub``."""
+    if not A.is_idempotent(e):
+        raise AlgebraError("eigen decomposition requires an idempotent")
+    f = A.field
+    ad_e = A.ad(e)
+    values, spaces = [], []
+    for lam in candidates:
+        m = Matrix(f, ad_e.rows)
+        for i, row in enumerate(m.rows):
+            row[i] = f.sub(row[i], lam)
+        spc = kernel(m)
+        if spc.dim > 0:
+            values.append(lam)
+            spaces.append(spc)
+    return algebra.EigenDecomposition(values, spaces,
+                                      sum(s.dim for s in spaces) == A.dim)
+
+
+def _miyamoto_lagrange_reference(A, e, rules):
+    """Oracle: 1 - 2P with P the Lagrange product of dense field matrices
+    (ad(e) - mu) / (alpha - mu), checked as ``miyamoto`` checks it."""
+    axis = check_axis(A, e, rules)
+    if not axis.ok:
+        raise AlgebraError("miyamoto map needs an axis: %s" % axis.reason)
+    f = A.field
+    ident = Matrix.identity(f, A.dim)
+    ad_e = A.ad(e)
+    proj = ident
+    for mu in rules.eigenvalues:
+        if mu != rules.alpha:
+            factor = f.inv(f.sub(rules.alpha, mu))
+            proj = proj * (ad_e - ident.scale(mu)).scale(factor)
+    tau = ident - proj.scale(f.from_int(2))
+    if not (tau * tau == ident):
+        raise AlgebraError("miyamoto map does not square to the identity")
+    if not is_multiplicative(A, A, tau):
+        raise AlgebraError("miyamoto map is not an algebra automorphism")
+    return tau
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the message of the AlgebraError it raises."""
+    try:
+        return fn(*args)
+    except AlgebraError as err:
+        return "AlgebraError: %s" % err
+
+
+def _integer_adjoint_cases(f, alpha):
+    """(A, e) pairs: two points and two lines' idempotent pairs of P3, and
+    the first and last point of D4, A4, sym:6 and W2A3, at alpha over f."""
+    plane = build_p3()
+    A = matsuo_algebra(plane, alpha, f)
+    for i in (0, 4):
+        yield A, unit_vector(f, 9, i)
+    for line in sorted(plane.lines)[:2]:
+        for e in line_idempotents(f, line):
+            yield A, e
+    for flag, name in (("roots", "D4"), ("roots", "A4"), ("group", "sym:6"),
+                       ("group", "W2A3")):
+        A = matsuo_algebra(triple_system_from_cli(**{flag: name}), alpha, f)
+        for i in (0, A.dim - 1):
+            yield A, unit_vector(f, A.dim, i)
+
+
+@pytest.mark.parametrize("f", [Q, F5, PrimeField(11), PrimeField(13)],
+                         ids=["Q", "F5", "F11", "F13"])
+def test_integer_adjoint_matches_the_dense_references(f):
+    seen = {"values": 0, "errors": 0}
+    for d in (2, 3, 4):
+        alpha = f.inv(f.from_int(d))
+        rules = phi_alpha(f, alpha)
+        # a candidate that is no eigenvalue of a point leaves an empty kernel
+        candidates = list(rules.eigenvalues) + [f.from_int(-1)]
+        for A, e in _integer_adjoint_cases(f, alpha):
+            for fn, ref, arg in ((eigen_decomposition, _eigen_decomposition_reference,
+                                  candidates),
+                                 (miyamoto, _miyamoto_lagrange_reference, rules)):
+                got = _outcome(fn, A, e, arg)
+                assert got == _outcome(ref, A, e, arg)
+                seen["errors" if isinstance(got, str) else "values"] += 1
+    assert seen["values"] > 0 and seen["errors"] > 0
+
+
+def test_integer_adjoint_matches_the_references_on_tampered_tables():
+    # Phi(1/2) and rules that allow every product: between them the points
+    # reach each refusal, the last one on a diagonalizable point whose
+    # involution moves a product out of place
+    messages = set()
+    for _, T in _tampered_tables():
+        f = T.field
+        rules = phi_alpha(f, f.inv(f.from_int(2)))
+        values = rules.eigenvalues
+        free = FusionRules(values, {(a, b): values for a in values for b in values},
+                           rules.alpha)
+        for i in range(T.dim):
+            e = unit_vector(f, T.dim, i)
+            assert (_outcome(eigen_decomposition, T, e, list(values))
+                    == _outcome(_eigen_decomposition_reference, T, e, list(values)))
+            for r in (rules, free):
+                got = _outcome(miyamoto, T, e, r)
+                assert got == _outcome(_miyamoto_lagrange_reference, T, e, r)
+                if isinstance(got, str):
+                    messages.add(got.split(": ", 2)[-1])
+    assert messages == {"eigen decomposition requires an idempotent",
+                        "eigenspaces do not span the algebra",
+                        "fusion rule violated",
+                        "miyamoto map is not an algebra automorphism"}
 
 
 def _dense_miyamoto_verdicts(taus):

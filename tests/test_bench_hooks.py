@@ -54,3 +54,28 @@ def test_workload_jobs_reach_their_expected_verdicts(monkeypatch, tmp_path):
     ]
     for job in jobs:
         assert job.run() == job.expected, job.name
+
+
+def test_traced_jobs_still_reach_the_linalg_and_axis_spans(monkeypatch, tmp_path):
+    """`perfbench/interactions.json` predicts that the elimination, the
+    kernel and the eigen decomposition run on build-axes and the Miyamoto
+    map on verify-claims; the tracer sees that on one job of each."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    workloads = importlib.import_module("workloads")
+    rng = random.Random(7)
+    cases = [
+        (workloads.axes_job({"roots": "D4"}, "Q", "1/3", 12, str(tmp_path), rng),
+         ("linalg.rref", "linalg.kernel", "algebra.eigen")),
+        (workloads.verify_job(("miyamoto", "--field", "F5")), ("algebra.miyamoto",)),
+    ]
+    for job, spans in cases:
+        t = tracer.Tracer()
+        try:
+            t.install()
+            assert job.run() == job.expected, job.name
+        finally:
+            t.uninstall()
+        metrics = t.metrics()
+        for span in spans:
+            assert metrics.get(span + ".calls", 0) > 0, (job.name, span)

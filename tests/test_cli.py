@@ -200,6 +200,18 @@ def test_verify_refuses_an_order_the_coset_action_does_not_prove(capsys,
         "pass": False}]
 
 
+def test_verify_refuses_an_order_from_a_coset_table_that_fails_its_check(
+        capsys, monkeypatch):
+    monkeypatch.setattr(groups.CosetTable, "verify", lambda table: False)
+    rc, out, err = run_cli(capsys, "verify", "rank4-su32", "--mask-runtime")
+    assert (rc, err) == (1, "")
+    assert json.loads(out)["checks"] == [{
+        "description": "group order proved by the coset action",
+        "expected": "proved",
+        "computed": "unproved: the coset table over H fails its verification",
+        "pass": False}]
+
+
 @pytest.mark.parametrize("presentation, budget, over_h_fits", [
     (groups.su32_quotient_presentation, 100, False),  # G over H needs 377 cosets
     (_collapsing_presentation, 10, True),  # K needs 24
@@ -802,6 +814,20 @@ def test_argument_errors_are_one_line(capsys, argv, message):
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert message in captured.err
+
+
+def test_one_parser_serves_a_usage_error_and_the_next_command(capsys):
+    from matsuo import cli
+    parser = cli._build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--bogus"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err == "error: unrecognized arguments: --bogus\n"
+    rc, out, err = run_cli(capsys, "verify", "p3-unit", "--mask-runtime")
+    assert (rc, err) == (0, "")
+    assert out == (GOLDEN / "p3-unit.json").read_text()
+    assert cli._build_parser() is parser
 
 
 def test_help_still_prints_usage(capsys):

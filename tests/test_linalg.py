@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -108,11 +109,27 @@ def _outcome(fn, *args):
         return ValueError
 
 
+def _int_rref_reference(rows, p):
+    """``_int_rref`` by ``_rref_rows_reference``: the sparse int rows made
+    field rows, eliminated, and each reduced row lifted back to ints (over Q
+    by the lcm of its denominators, over F_p its residues with lead 1)."""
+    field = PrimeField(p) if p else Q
+    ncols = 1 + max((k for w in rows for k in w), default=-1)
+    dense = [[field.from_int(w.get(k, 0)) for k in range(ncols)] for w in rows]
+    red, pivots = _rref_rows_reference(field, dense)
+    out = []
+    for row in red[:len(pivots)]:
+        scale = 1 if p else lcm(*(x.denominator for x in row))
+        out.append({k: int(x * scale) for k, x in enumerate(row) if x})
+    return out, pivots
+
+
 def _on_reference(fn, *args):
     """``_outcome(fn, *args)`` with the reference elimination in place of
-    ``_rref_rows``."""
+    ``_rref_rows`` and of the sparse ``_int_rref`` under it."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "_rref_rows", _rref_rows_reference)
+        mp.setattr(linalg, "_int_rref", _int_rref_reference)
         return _outcome(fn, *args)
 
 
@@ -462,6 +479,44 @@ def test_rref_rows_matches_the_reference_on_edge_cases(field):
         assert got == expected, rows
         assert got[0] is given_rows
         _assert_field_entries(field, got[0])
+
+
+def _sparse_edge_matrices(field):
+    """Shapes that the sparse elimination treats apart: an arrowhead matrix,
+    whose first pivot fills every row; an 8 x 8 matrix augmented by the
+    identity, as ``inverse`` eliminates it; and rows that are zero, repeated,
+    or zero only after reduction."""
+    p = field.characteristic
+    arrow = [[1] * 7] + [[1] + [(i + 2) * (j == i) for j in range(6)] for i in range(6)]
+    # L U for unit triangular L and U: determinant 1 in every field
+    lower = [[i + j + 1 if j < i else int(i == j) for j in range(8)] for i in range(8)]
+    upper = [[i * j + 1 if j > i else int(i == j) for j in range(8)] for i in range(8)]
+    square = [[sum(lower[i][t] * upper[t][j] for t in range(8)) for j in range(8)]
+              for i in range(8)]
+    augmented = [row + [int(i == j) for j in range(8)] for i, row in enumerate(square)]
+    repeated = [[0, 0, 0, 0], [2, 4, 0, 6], [0, 0, 0, 0], [2, 4, 0, 6],
+                [1, 2, 0, 3], [0, 1, 1, 0], [2, 5, 1, 6], [0, 0, 0, 0]]
+    shapes = [arrow, augmented, repeated]
+    return [[[x % p for x in r] for r in rows] if p else rows for rows in shapes]
+
+
+@FIELDS
+def test_sparse_elimination_matches_the_reference_on_fill_in_and_repeats(field):
+    for rows in _sparse_edge_matrices(field):
+        expected = _rref_rows_reference(field, [list(r) for r in rows])
+        got = _rref_rows(field, [list(r) for r in rows])
+        assert got == expected, rows
+        _assert_field_entries(field, got[0])
+        m = Matrix(field, rows)
+        assert kernel(m) == _on_reference(kernel, m)
+        assert span_coordinates(field, rows) == _on_reference(span_coordinates,
+                                                              field, rows)
+    square = Matrix(field, [r[:8] for r in _sparse_edge_matrices(field)[1]])
+    inverse = square.inverse()
+    assert inverse == _on_reference(square.inverse)
+    assert square * inverse == Matrix.identity(field, 8)
+    # the repeated rows span two dimensions in every odd characteristic
+    assert kernel(Matrix(field, _sparse_edge_matrices(field)[2])).dim == 2
 
 
 @FIELDS
