@@ -458,17 +458,25 @@ class EigenDecomposition:
 
 class _IntAdjoint:
     """unit * ad(e) on the integer view: ``cols[t]`` is unit * (e b_t) as a
-    sparse int vector, unit = L D for e lifted by L (``_int_lift``) and the
-    view's scale D; over F_p the columns are residues and unit is 1."""
+    sparse int vector, unit = L D for e lifted by L (``_int_lift``, the lift
+    kept as ``lifted``) and the view's scale D; over F_p the columns are
+    residues and unit is 1."""
 
-    __slots__ = ("cols", "unit", "modulus")
+    __slots__ = ("cols", "unit", "modulus", "lifted")
 
     def __init__(self, A, e):
         view = A.int_view()
-        lifted, scale = A._lift(e)
+        self.lifted, scale = A._lift(e)
         self.modulus = view.modulus
-        self.cols = _int_columns(view.rows, lifted, view.modulus)
+        self.cols = _int_columns(view.rows, self.lifted, view.modulus)
         self.unit = scale * view.scale
+
+    def idempotent(self):
+        """Whether e e = e: unit ad(e) applied to L e is L unit (e e), which
+        equals unit L e exactly when e e = e (over F_p both reduced)."""
+        p, unit = self.modulus, self.unit
+        return (_reduced(_int_apply(self.cols, self.lifted), p)
+                == _reduced({k: unit * x for k, x in self.lifted.items()}, p))
 
     def shifted(self, w, nu):
         """b (unit ad(e)) w - a unit w for nu = a/b (over F_p a residue, b = 1),
@@ -480,6 +488,19 @@ class _IntAdjoint:
             out[j] = get(j, 0) - c * x
         return _reduced(out, self.modulus)
 
+    def shifted_rows(self, nu):
+        """The dense int rows of b (unit ad(e)) - a unit I for nu = a/b, a
+        nonzero multiple of ad(e) - nu, over F_p reduced mod p."""
+        p, n = self.modulus, len(self.cols)
+        b, a = nu.denominator, nu.numerator * self.unit
+        rows = [[0] * n for _ in range(n)]
+        for t, col in enumerate(self.cols):
+            for k, x in col.items():
+                rows[k][t] = b * x
+        for k in range(n):
+            rows[k][k] -= a
+        return [[x % p for x in row] for row in rows] if p else rows
+
 
 def eigen_decomposition(A, e, candidates):
     """Eigenspaces of ad(e) over a candidate eigenvalue set; diagonalizable iff
@@ -487,30 +508,19 @@ def eigen_decomposition(A, e, candidates):
 
     ad(e) is formed once, as the integer columns of unit * ad(e)
     (``_IntAdjoint``), which the decomposition keeps for ``check_axis`` and
-    ``miyamoto``.  For a candidate lam = a/b the eigenspace is the kernel of
-    the integer matrix b (unit ad(e)) - a unit I, a nonzero multiple of
-    ad(e) - lam; ``kernel`` converts to field scalars once, at the Subspace
-    it returns."""
-    if not A.is_idempotent(e):
-        raise AlgebraError("eigen decomposition requires an idempotent")
+    ``miyamoto``.  Idempotency is decided on those columns
+    (``_IntAdjoint.idempotent``), with no separate product e e.  For a
+    candidate lam = a/b the eigenspace is the kernel of the integer matrix
+    b (unit ad(e)) - a unit I (``_IntAdjoint.shifted_rows``), a nonzero
+    multiple of ad(e) - lam; ``kernel`` converts to field scalars once, at
+    the Subspace it returns."""
     ad = _IntAdjoint(A, e)
-    p, unit = ad.modulus, ad.unit
+    if not ad.idempotent():
+        raise AlgebraError("eigen decomposition requires an idempotent")
     n = A.dim
-    rows = [{} for _ in range(n)]
-    for t, col in enumerate(ad.cols):
-        for k, x in col.items():
-            rows[k][t] = x
     values, spaces = [], []
     for lam in candidates:
-        b, a = lam.denominator, lam.numerator * unit
-        shifted = []
-        for k, row in enumerate(rows):
-            dense = [0] * n
-            for t, x in row.items():
-                dense[t] = b * x
-            dense[k] -= a
-            shifted.append([x % p for x in dense] if p else dense)
-        spc = kernel(Matrix(A.field, shifted, n))
+        spc = kernel(Matrix(A.field, ad.shifted_rows(lam), n))
         if spc.dim > 0:
             values.append(lam)
             spaces.append(spc)

@@ -11,8 +11,9 @@ from fractions import Fraction
 from itertools import permutations
 
 from .fields import check_digits
-from .linalg import (Matrix, Subspace, _int_jordan, _int_lift, _int_span_coordinates,
-                     _lifted_jordan, span_coordinates, unit_vector)
+from .linalg import (Matrix, Subspace, _int_jordan, _int_lift, _int_rref,
+                     _int_span_coordinates, _lifted_jordan, kernel, span_coordinates,
+                     unit_vector)
 from .fischer import (
     MAX_NAMED_POINTS,
     build_p2_dual,
@@ -33,14 +34,15 @@ from .groups import (
 from .algebra import (
     AlgebraError,
     AlgebraTable,
-    eigen_decomposition,
     is_ideal,
     is_solvable,
     is_trivial_element,
     is_absolute_zero_divisor,
     quotient,
     subspace_product,
+    _IntAdjoint,
     _quotient_table,
+    _reduced,
 )
 
 
@@ -135,9 +137,15 @@ def _int_flatten(rows):
 
 
 def jr_dimension(field, rs):
-    """Rank of the span of the outer products a^t a over the positive roots."""
-    vecs = [[field.from_int(a * b) for a in r for b in r] for r in rs.positive]
-    return Subspace.from_vectors(field, rs.ambient * rs.ambient, vecs).dim
+    """Rank of the span of the outer products a^t a over the positive roots.
+
+    The outer products are symmetric, so their entries on and above the
+    diagonal determine them and span a space of the same rank; those entries
+    a_i a_j are ranked as ints by ``_int_rref``, over F_p reduced mod p."""
+    p, n = field.characteristic, rs.ambient
+    rows = [_reduced({i * n + j: a * r[j] for i, a in enumerate(r)
+                      for j in range(i, n)}, p) for r in rs.positive]
+    return len(_int_rref(rows, p)[1])
 
 
 @dataclass
@@ -310,29 +318,28 @@ class PeirceDecomposition:
 def p3_peirce(field, parallel_class):
     """The six-piece decomposition of the order-3 plane algebra attached to a
     parallel class of lines: spans of the three line idempotents, plus the
-    pairwise intersections of their half-eigenspaces."""
+    pairwise intersections of their half-eigenspaces.
+
+    Each line idempotent's ad(e) is formed once on the integer view
+    (``_IntAdjoint``), and the piece E_1/2(e_i) ^ E_1/2(e_j) is one
+    ``kernel`` of the stacked integer matrices b (unit ad e) - a unit I of
+    e_i and of e_j, for 1/2 = a/b.  The sum is direct exactly when the nine
+    spanning rows (the three idempotents and the pieces' bases) are
+    independent, decided by one elimination."""
     lines = tuple(tuple(sorted(l)) for l in parallel_class)
     if sorted(p for l in lines for p in l) != list(range(9)):
         raise AlgebraError("lines do not form a parallel class")
     f = field
-    A = matsuo_algebra(build_p3(), f.div(f.one, f.from_int(2)), f)
-    es = [line_idempotents(f, l)[0] for l in lines]
     half = f.div(f.one, f.from_int(2))
-    half_spaces = []
-    for e in es:
-        dec = eigen_decomposition(A, e, candidates=[f.one, f.zero, half])
-        half_spaces.append(dec.space_of(half))
-    diagonal = [Subspace.from_vectors(f, 9, [e]) for e in es]
-    off = {}
-    for i in range(3):
-        for j in range(i + 1, 3):
-            off[(i, j)] = half_spaces[i].intersect(half_spaces[j])
-    total = Subspace.zero(f, 9)
-    dims = 0
-    for s in diagonal + list(off.values()):
-        total = total.add(s)
-        dims += s.dim
-    return PeirceDecomposition(off, total.dim == 9 and dims == 9)
+    A = matsuo_algebra(build_p3(), half, f)
+    es = [line_idempotents(f, l)[0] for l in lines]
+    blocks = [_IntAdjoint(A, e).shifted_rows(half) for e in es]
+    off = {(i, j): kernel(Matrix(f, blocks[i] + blocks[j], 9))
+           for i in range(3) for j in range(i + 1, 3)}
+    spanning = es + [row for s in off.values() for row in s.rows]
+    direct = (len(spanning) == 9
+              and len(_int_rref(_int_lift(spanning)[0], f.characteristic)[1]) == 9)
+    return PeirceDecomposition(off, direct)
 
 
 # ---------------------------------------------------------------------------

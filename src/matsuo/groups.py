@@ -444,23 +444,32 @@ class CosetTable:
         return "complete" if self.complete else "incomplete"
 
     def verify(self):
-        """Check that each generator acts as a permutation, every relator acts
-        trivially from every coset, and subgroup words fix coset 0.
+        """Check that each generator acts as an involutive permutation, every
+        relator acts trivially from every coset, and subgroup words fix
+        coset 0.
 
-        Once every column is known to be a permutation, relator maps are
-        composed by ``_perm_mul``."""
+        A column is checked by one gather, ``_perm_mul(col, col)``: it is
+        the identity exactly when the column is an involutive permutation of
+        the cosets.  A negative entry col[i] = -k cannot pass, though Python
+        reads it as the index n - k: the gather needs col[n - k] = i and
+        then gives col[i] = -k at n - k.  An entry past the end raises
+        IndexError.  A relator u^m with u one letter and m even then holds
+        already, so only the others are composed, by ``_perm_mul``."""
         if not self.complete:
             raise GroupError("cannot verify an incomplete table")
         idx = tuple(range(self.n_cosets))
         columns = list(zip(*self.table))
-        # a -1 entry is a valid index, so no map is composed before this check
-        for colmap in columns:
-            if tuple(sorted(colmap)) != idx:
+        try:
+            if any(_perm_mul(col, col) != idx for col in columns):
                 return False
+        except IndexError:
+            return False
         for w in self.presentation.relator_words():
             if not w:
                 continue
             cols, m = _shortest_period([l >> 1 for l in w])
+            if len(cols) == 1 and m % 2 == 0:
+                continue
             # the relator is u^m: compose u's map once, then raise it to m
             period = columns[cols[0]]
             for col in cols[1:]:

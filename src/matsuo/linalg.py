@@ -110,16 +110,6 @@ class Matrix:
         return "Matrix(%s, %dx%d)" % (self.field.name, self.nrows, self.ncols)
 
 
-def jordan_product(m1, m2, divisor=2):
-    """(m1 m2 + m2 m1) / divisor for two square matrices of one size: each
-    operand lifted once by ``_int_lift``, then ``_lifted_jordan``.  The
-    default divisor gives the Jordan product, divisor 1 twice it."""
-    n = m1.nrows
-    if not (m1.ncols == m2.nrows == m2.ncols == n):
-        raise ValueError("dimension mismatch in Jordan product")
-    return _lifted_jordan(m1.field, _int_lift(m1.rows), _int_lift(m2.rows), divisor)
-
-
 def _lifted_jordan(field, lifted1, lifted2, divisor=2):
     """(m1 m2 + m2 m1) / divisor for two square matrices of one size given
     as their ``_int_lift`` pairs (sparse int rows a, scale D1) and (b, D2),

@@ -1506,6 +1506,14 @@ def test_integer_adjoint_matches_the_references_on_tampered_tables():
         values = rules.eigenvalues
         free = FusionRules(values, {(a, b): values for a in values for b in values},
                            rules.alpha)
+        # neither a dense vector of 1s and 1/2s nor 2 b_0 is idempotent in
+        # any of them
+        dense = [f.inv(f.from_int(1 + k % 2)) for k in range(T.dim)]
+        twice = [f.add(x, x) for x in unit_vector(f, T.dim, 0)]
+        for e in (dense, twice):
+            assert (_outcome(eigen_decomposition, T, e, list(values))
+                    == _outcome(_eigen_decomposition_reference, T, e, list(values))
+                    == "AlgebraError: eigen decomposition requires an idempotent")
         for i in range(T.dim):
             e = unit_vector(f, T.dim, i)
             assert (_outcome(eigen_decomposition, T, e, list(values))

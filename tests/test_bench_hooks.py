@@ -58,16 +58,23 @@ def test_workload_jobs_reach_their_expected_verdicts(monkeypatch, tmp_path):
 
 def test_traced_jobs_still_reach_the_linalg_and_axis_spans(monkeypatch, tmp_path):
     """`perfbench/interactions.json` predicts that the elimination, the
-    kernel and the eigen decomposition run on build-axes and the Miyamoto
-    map on verify-claims; the tracer sees that on one job of each."""
+    kernel, the eigen decomposition, table products, subspaces and the axis
+    check run on build-axes, and the Miyamoto map, the eigen decomposition,
+    matrix products and the multiplicativity check on verify-claims; the
+    tracer sees each on one job.  ``basis_axis_checks`` keeps
+    ``AlgebraTable.is_idempotent`` for ``algebra.mul`` on the axes job."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracer = importlib.import_module("tracer")
     workloads = importlib.import_module("workloads")
     rng = random.Random(7)
     cases = [
         (workloads.axes_job({"roots": "D4"}, "Q", "1/3", 12, str(tmp_path), rng),
-         ("linalg.rref", "linalg.kernel", "algebra.eigen")),
+         ("linalg.rref", "linalg.kernel", "algebra.eigen", "algebra.mul",
+          "linalg.subspace", "algebra.check_axis")),
         (workloads.verify_job(("miyamoto", "--field", "F5")), ("algebra.miyamoto",)),
+        (workloads.verify_job(("p3-eigendims",)), ("algebra.eigen",)),
+        (workloads.verify_job(("p3-h3-iso",)),
+         ("linalg.matmul", "algebra.is_multiplicative")),
     ]
     for job, spans in cases:
         t = tracer.Tracer()

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from matsuo.fields import PrimeField, Rationals
-from matsuo.linalg import Matrix, Subspace, jordan_product, unit_vector
+from matsuo.linalg import Matrix, Subspace, unit_vector
 from matsuo.fischer import (
     build_p3,
     gamma_of_group,
@@ -34,6 +34,7 @@ from matsuo.algebra import (
 )
 from matsuo import algebra, claims
 from matsuo import constructions as cons
+from test_linalg import jordan_product
 
 Q = Rationals()
 F3 = PrimeField(3)
@@ -184,6 +185,16 @@ def test_jr_dimensions_remaining_irreducible_systems():
     for name, n in (("B2", 2), ("G2", 2), ("E7", 7), ("E8", 8)):
         rs = root_system_from_name(name)
         assert cons.jr_dimension(Q, rs) == n * (n + 1) // 2
+
+
+@pytest.mark.parametrize("f", [Q, F5, F3], ids=["Q", "F5", "F3"])
+def test_jr_dimension_matches_the_span_of_the_flattened_outer_products(f):
+    # the systems of the root-projections claim, then E7 and E8
+    for name in ("A2", "B2", "G2", "A3", "A4", "A5", "D4", "D5", "E6", "E7", "E8"):
+        rs = root_system_from_name(name)
+        vecs = [[f.from_int(a * b) for a in r for b in r] for r in rs.positive]
+        assert (cons.jr_dimension(f, rs)
+                == Subspace.from_vectors(f, rs.ambient ** 2, vecs).dim), name
 
 
 def test_large_matsuo_tables_build():
@@ -347,6 +358,57 @@ def test_p3_orbits_are_the_parallel_classes_and_one_point_orbit(field):
 def test_p3_peirce_rejects_non_parallel_lines():
     with pytest.raises(AlgebraError):
         cons.p3_peirce(Q, ((0, 1, 2), (0, 3, 6), (6, 7, 8)))
+
+
+def _p3_peirce_reference(field, parallel_class):
+    """Oracle: each line idempotent's full eigen decomposition, one
+    ``Subspace.intersect`` per pair of half-eigenspaces, and the direct sum
+    decided by adding the six pieces one at a time."""
+    lines = tuple(tuple(sorted(l)) for l in parallel_class)
+    if sorted(p for l in lines for p in l) != list(range(9)):
+        raise AlgebraError("lines do not form a parallel class")
+    f = field
+    A = cons.matsuo_algebra(build_p3(), f.div(f.one, f.from_int(2)), f)
+    es = [cons.line_idempotents(f, l)[0] for l in lines]
+    half = f.div(f.one, f.from_int(2))
+    half_spaces = [eigen_decomposition(A, e, candidates=[f.one, f.zero, half])
+                   .space_of(half) for e in es]
+    off = {(i, j): half_spaces[i].intersect(half_spaces[j])
+           for i in range(3) for j in range(i + 1, 3)}
+    total = Subspace.zero(f, 9)
+    dims = 0
+    for s in [Subspace.from_vectors(f, 9, [e]) for e in es] + list(off.values()):
+        total = total.add(s)
+        dims += s.dim
+    return cons.PeirceDecomposition(off, total.dim == 9 and dims == 9)
+
+
+def _peirce_outcome(fn, field, parallel_class):
+    try:
+        pd = fn(field, parallel_class)
+    except AlgebraError as err:
+        return "AlgebraError: %s" % err
+    return ({k: (s.rows, s.pivots, [type(x) for r in s.rows for x in r])
+             for k, s in pd.off_diagonal.items()}, pd.direct_sum_ok)
+
+
+@pytest.mark.parametrize("f", [Q, F5, F7, F11], ids=["Q", "F5", "F7", "F11"])
+def test_p3_peirce_matches_the_intersection_reference(f):
+    for cls in P3_PARALLEL_CLASSES:
+        got = _peirce_outcome(cons.p3_peirce, f, cls)
+        assert got == _peirce_outcome(_p3_peirce_reference, f, cls)
+        assert got[1] is True
+        assert list(got[0]) == [(0, 1), (0, 2), (1, 2)]
+
+
+def test_p3_peirce_refusals_match_the_reference():
+    not_a_class = ((0, 1, 2), (0, 3, 6), (6, 7, 8))
+    for f, cls, message in (
+            (Q, not_a_class, "lines do not form a parallel class"),
+            (F3, P3_PARALLEL_CLASSES[0], "line idempotents need characteristic != 3")):
+        assert (_peirce_outcome(cons.p3_peirce, f, cls)
+                == _peirce_outcome(_p3_peirce_reference, f, cls)
+                == "AlgebraError: " + message)
 
 
 def test_p3_peirce_explicit_piece():

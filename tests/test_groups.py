@@ -1014,7 +1014,14 @@ def test_verify_matches_letter_by_letter_reference(su32_table):
         # two images in one column exchanged: still a permutation
         swapped.table[1][0], swapped.table[2][0] = swapped.table[2][0], swapped.table[1][0]
         wrong_sub = _tampered(tab, subgroup_words=[(2,)])
-        for bad in (one, swapped, wrong_sub):
+        # column 0 the 3-cycle (0 1 2), fixing every other coset: a
+        # permutation, but not an involution
+        three_cycle = _tampered(tab)
+        for i, row in enumerate(three_cycle.table):
+            row[0] = (i + 1) % 3 if i < 3 else i
+        past_end = _tampered(tab)
+        past_end.table[r][1] = tab.n_cosets
+        for bad in (one, swapped, wrong_sub, three_cycle, past_end):
             assert bad.verify() is _verify_reference(bad) is False
 
 
@@ -1045,6 +1052,9 @@ def test_verify_gather_edge_cases_match_reference():
             assert bad.verify() is _verify_reference(bad)
         assert hole.verify() is False
     assert _tampered(trivial, subgroup_words=[(0,)]).verify() is True
+    # an involutive column passes the gather, but the odd power a^3 is a
+    odd_power = CosetTable(cube.presentation, [], [[1], [0]], 1, True, 2)
+    assert odd_power.verify() is _verify_reference(odd_power) is False
 
 
 def test_single_involution():

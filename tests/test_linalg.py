@@ -17,8 +17,9 @@ from matsuo.fischer import root_system_from_name
 from matsuo.linalg import (
     Matrix,
     Subspace,
+    _int_lift,
+    _lifted_jordan,
     _rref_rows,
-    jordan_product,
     kernel,
     rref,
     span_coordinates,
@@ -91,6 +92,18 @@ def _matmul_reference(a, b):
             row.append(acc)
         out.append(row)
     return Matrix(f, out, b.ncols)
+
+
+def jordan_product(m1, m2, divisor=2):
+    """(m1 m2 + m2 m1) / divisor for two square matrices of one size: each
+    operand lifted once by ``_int_lift``, then the fused kernel
+    ``_lifted_jordan``.  The default divisor gives the Jordan product,
+    divisor 1 twice it.  The tests' product of two matrices, here and in
+    test_constructions.py."""
+    n = m1.nrows
+    if not (m1.ncols == m2.nrows == m2.ncols == n):
+        raise ValueError("dimension mismatch in Jordan product")
+    return _lifted_jordan(m1.field, _int_lift(m1.rows), _int_lift(m2.rows), divisor)
 
 
 def _jordan_product_reference(m1, m2, divisor=2):
