@@ -16,9 +16,10 @@ An idempotent's ad(e) is formed once on that view, as integer columns
 (``_IntAdjoint``), and its eigenspaces, fusion test and Miyamoto map all
 read it.
 
-The Jordan verdict is exact: the linearized identity on basis quadruples,
-then, over F_3 only, the identity itself on the diagonal pairs (b_i, b_y),
-which test the x_i^3 terms that the linearization holds only times 3.
+The Jordan verdict is exact: the linearized identity on basis quadruples
+and, over F_3 only, the identity itself on the diagonal pairs (b_i, b_y),
+which test the x_i^3 terms that the linearization holds only times 3; both
+read one orbit walk of the quadruples.
 """
 
 import dataclasses
@@ -206,76 +207,70 @@ def jordan_check(A):
     exactly when every coefficient of that form vanishes at every b_y.  The
     coefficient of x_i x_j x_k (i, j, k distinct) is twice
     ``linearized_gap(i, j, y, k)`` and that of x_i^2 x_k is
-    ``linearized_gap(i, i, y, k)``: ``_quadruple_scan`` tests these and its
-    first failure is the witness.  The coefficient of x_i^3 is the gap at the
-    diagonal pair (b_i, b_y), which ``linearized_gap(i, i, y, i)`` holds
-    times 3.  Outside characteristic 3 a passing scan has therefore tested
-    it, and the verdict is Jordan.  Over F_3 ``_diagonal_step`` evaluates it
-    next, and a failure there is reported as (i, i, y, i); there "for all x"
-    agrees with "as an identity": reducing x_i^3 to x_i leaves distinct
-    monomials, so a cubic form that vanishes on F_3^n is zero.
+    ``linearized_gap(i, i, y, k)``: it is evaluated at each quadruple of one
+    ``_orbit_quadruples`` walk, and the first failure is the witness.  The
+    coefficient of x_i^3 is the gap at the diagonal pair (b_i, b_y), which
+    ``linearized_gap(i, i, y, i)`` holds times 3.  Outside characteristic 3
+    a walk with no failure has therefore tested it, and the verdict is
+    Jordan.  Over F_3 the same walk also evaluates ``_diagonal_gap`` at its
+    quadruples (r, r, y, r) until one fails; that failure is reported only
+    when no linearized gap fails.  There "for all x" agrees with "as an
+    identity": reducing x_i^3 to x_i leaves distinct monomials, so a cubic
+    form that vanishes on F_3^n is zero.
 
-    Both steps run up to verified automorphisms, one quadruple and one
-    diagonal pair per orbit of the group G that the basis permutations
-    ``_table_automorphisms`` proves generate (for a Matsuo algebra a
-    generating set of Miyamoto involutions y -> y^x): such a permutation
-    carries the gap at a quadruple or pair to the gap at its image.  The
-    diagonal step takes i = r, the least point of each G-orbit, and y the
-    least point of each orbit of the stabiliser G_r: an element of G_r
-    taking y below itself carries a failure at (b_r, b_y) to an earlier one
-    at (b_r, b_g(y)), so the first failing y is one of these.  Only the group
-    matters, so proving a generating set instead of every candidate changes
-    no witness.
+    The walk runs up to verified automorphisms, one quadruple per orbit of
+    the group G that the basis permutations ``_table_automorphisms`` proves
+    generate (for a Matsuo algebra a generating set of Miyamoto involutions
+    y -> y^x): such a permutation carries the gap at a quadruple or a
+    diagonal pair to the gap at its image.  The walk's quadruples with
+    r = s = c are the pairs (r, y) with r least in its G-orbit and y least in
+    its orbit under the stabiliser G_r, in increasing y: s = r is each r's
+    first s, as every candidate point is at least r; G_r fixes r, so its
+    Schreier generators for G_{r,r} are its own and G_{r,r} = G_r; c = r is
+    the first c, as a c below r has rep(c) < r; and every one of those
+    generators fixes r, so H_r = G_r.  An element of G_r taking y below
+    itself carries a failure at (b_r, b_y) to an earlier one at
+    (b_r, b_g(y)), so the first failing diagonal y is one of these.  Only the
+    group matters, so proving a generating set instead of every candidate
+    changes no witness.
     """
-    gens = _table_automorphisms(A)
-    witness = _quadruple_scan(A, gens)
-    if witness is None and A.field.characteristic == 3:
-        witness = _diagonal_step(A, gens)
-    return JordanCheck(False, witness) if witness else JordanCheck(True)
+    check_diagonal = A.field.characteristic == 3
+    diagonal = None
+    for r, s, y, c in _orbit_quadruples(A.dim, _table_automorphisms(A)):
+        if linearized_gap(A, r, s, y, c):
+            return JordanCheck(False, (r, s, y, c))
+        if (check_diagonal and diagonal is None and r == s == c
+                and _diagonal_gap(A, r, y)):
+            diagonal = (r, r, y, r)
+    return JordanCheck(False, diagonal) if diagonal else JordanCheck(True)
 
 
-def _diagonal_step(A, gens):
-    """The F_3 step of ``jordan_check`` alone: the first diagonal pair
-    (b_r, b_y), r least in its orbit under G = <gens> and y least in its
-    orbit under the stabiliser G_r, at which ``_diagonal_gap`` is nonzero, as
-    the quadruple (r, r, y, r), or None.  It decides the verdict only after
-    every linearized gap has been found zero."""
-    for r in sorted(set(_orbit_minima(A.dim, gens))):
-        rep_r = _orbit_minima(A.dim, _stabiliser_generators(A.dim, r, gens))
-        for y in sorted(set(rep_r)):
-            if _diagonal_gap(A, r, y):
-                return (r, r, y, r)
-    return None
-
-
-def _quadruple_scan(A, gens):
-    """The first basis quadruple (i, j, y, k) in i <= j <= k, all-y order at
-    which ``linearized_gap`` is nonzero, or None, evaluated only up to
-    G = <gens>, a tuple of basis permutations that are automorphisms of the
-    table.
+def _orbit_quadruples(dim, gens):
+    """The basis quadruples (i, j, y, k), in i <= j <= k, all-y order, at which
+    a scan up to G = <gens>, a tuple of basis permutations that are
+    automorphisms of the table, evaluates the linearized Jordan identity.
 
     R is the set of least points of the G-orbits, rep(p) the least point of
     p's G-orbit, rep_r(p) that of its orbit under the stabiliser G_r, and
     rep_rs(p) that of its orbit under the two-point stabiliser G_{r,s}, each
-    stabiliser given by Schreier generators of the one before it.  The scan
-    visits (i, j, k) = (r, s, c) with r in R, s = rep_r(s), rep(s) >= r,
+    stabiliser given by Schreier generators of the one before it.  The walk
+    yields (i, j, k) = (r, s, c) with r in R, s = rep_r(s), rep(s) >= r,
     c = rep_rs(c), rep(c) >= r and rep_r(c) >= s, and then y in increasing
     order, only where y is least in its orbit under H_c, the group generated
     by those generators of G_{r,s} that fix c; with gens = () every H_c is
-    trivial and that is every quadruple.  It still meets the full scan's
-    first failure: the identity is symmetric in its three slots and an
+    trivial and that is every quadruple.  Its first failure is the full
+    scan's first failure: the identity is symmetric in its three slots and an
     automorphism maps the gap at a quadruple to the gap at its image, so
     were that failure not visited, an element of G taking one of its slots
     below i, or of G_i taking j or k below j, would give an earlier one.
     Nor does c = rep_rs(c) drop it: were it at (r, s, y, c) with g in
     G_{r,s} and g(c) < c, then g, fixing r and s, would give a failure at
-    (r, s, g(y), g(c)), and g(c) has c's rep and rep_r, so the scan visits
+    (r, s, g(y), g(c)), and g(c) has c's rep and rep_r, so the walk visits
     it earlier.  Nor does the y filter: H_c fixes r, s and c (any subgroup
     of G_{r,s,c} would do), so were the failure at (r, s, y, c) with h in
     H_c and h(y) < y, h would give one at (r, s, h(y), c), earlier in the
     same triple.  H_c is a filter of the generators already built, not a
     further stabiliser."""
-    dim = A.dim
     points = range(dim)
     rep = _orbit_minima(dim, gens)
     for r in sorted(set(rep)):
@@ -288,9 +283,8 @@ def _quadruple_scan(A, gens):
                 if rep_rs[c] == c and rep[c] >= r and rep_r[c] >= s:
                     rep_c = _orbit_minima(dim, [g for g in gens_rs if g[c] == c])
                     for y in points:
-                        if rep_c[y] == y and linearized_gap(A, r, s, y, c):
-                            return (r, s, y, c)
-    return None
+                        if rep_c[y] == y:
+                            yield r, s, y, c
 
 
 def _table_automorphisms(A):
@@ -370,6 +364,29 @@ def _orbit_minima(n, gens):
                         rep[g[p]] = r
                         orbit.append(g[p])
     return rep
+
+
+def _moved(g, x):
+    """The image under the basis permutation g of x, a point, or a set of
+    points or of such sets given as a sorted tuple, in the same form."""
+    if isinstance(x, int):
+        return g[x]
+    return tuple(sorted(_moved(g, y) for y in x))
+
+
+def _per_orbit(items, gens, decide):
+    """[decide(x) for x in items], with decide called only at the first
+    member of each orbit of the group the basis permutations gens generate
+    and its result shared by the rest of the orbit.  items are points or
+    sorted tuples (as ``_moved`` takes them), and gens must map them among
+    themselves; with no gens every item is its own orbit."""
+    index = {x: n for n, x in enumerate(items)}
+    rep = _orbit_minima(len(items), [[index[_moved(g, x)] for x in items]
+                                     for g in gens])
+    out = []
+    for x, r in zip(items, rep):
+        out.append(decide(x) if r == len(out) else out[r])
+    return out
 
 
 def _transversal(n, r, gens):
@@ -595,12 +612,10 @@ def basis_axis_checks(A, rules):
     orbit (a witness, if any, is b_r's).  The orbits are those of every
     candidate that passes the proof, though only a generating set of them is
     proved.  A table with no kept automorphism has one orbit a point."""
-    rep = _orbit_minima(A.dim, _table_automorphisms(A))
-    checks = {}
-    for r in sorted(set(rep)):
+    def decide(r):
         e = unit_vector(A.field, A.dim, r)
-        checks[r] = check_axis(A, e, rules) if A.is_idempotent(e) else None
-    return [checks[r] for r in rep]
+        return check_axis(A, e, rules) if A.is_idempotent(e) else None
+    return _per_orbit(range(A.dim), _table_automorphisms(A), decide)
 
 
 def basis_miyamoto_permutations(A, rules):

@@ -20,7 +20,6 @@ from .groups import (
     ClosureBudgetError,
     GroupRealization,
     Presentation,
-    _closure,
     _perm_inv,
     _perm_mul,
     build_wk_affine_a,
@@ -37,8 +36,9 @@ from .algebra import (
     is_multiplicative,
     jordan_check,
     phi_alpha,
-    _diagonal_step,
-    _orbit_minima,
+    _diagonal_gap,
+    _orbit_quadruples,
+    _per_orbit,
     _reduced,
     _table_automorphisms,
 )
@@ -143,13 +143,13 @@ def _claim_p3_unit(fields, n):
 def _claim_p3_line_idempotents(fields, n):
     """Each check is decided once per orbit of G, the group that
     ``_table_automorphisms`` proves generated by automorphisms of the table,
-    and weighted by the orbit's size.  That is exact: e_L is symmetric in the
-    points of L, so a basis permutation sigma in G carries e_L and f_L to
-    e_sigma(L) and f_sigma(L), and as sigma(x)sigma(y) = sigma(xy) it keeps
-    idempotency and orthogonality.  sigma maps lines to lines, the third point
-    of the line through x and y being the one index of supp(b_x b_y) outside
-    {x, y}, and so parallel lines to parallel ones: each orbit lies among the
-    lines, or the pairs, that the checks count."""
+    and shared by the orbit (``_per_orbit``).  That is exact: e_L is
+    symmetric in the points of L, so a basis permutation sigma in G carries
+    e_L and f_L to e_sigma(L) and f_sigma(L), and as sigma(x)sigma(y) =
+    sigma(xy) it keeps idempotency and orthogonality.  sigma maps lines to
+    lines, the third point of the line through x and y being the one index of
+    supp(b_x b_y) outside {x, y}, and so parallel lines to parallel ones:
+    each orbit lies among the lines, or the pairs, that the checks count."""
     anchors = [
         "each line yields an idempotent pair",
         "idempotents of parallel lines are orthogonal",
@@ -161,24 +161,25 @@ def _claim_p3_line_idempotents(fields, n):
     for f in fields:
         A = cons.matsuo_algebra(plane, _half(f), f)
         gens = _table_automorphisms(A)
-        idem = 0
-        for orbit in _set_orbits(plane.lines, gens):
-            e, fl = cons.line_idempotents(f, orbit[0])
-            if A.is_idempotent(e) and A.is_idempotent(fl):
-                idem += len(orbit)
-        _chk(checks, "idempotent pairs over the 12 lines (%s)" % f.name, 12, idem)
-        orth = 0
-        for orbit in _set_orbits(pairs, gens):
-            e1, e2 = (cons.line_idempotents(f, line)[0] for line in orbit[0])
-            if all(c == f.zero for c in A.mul(e1, e2)):
-                orth += len(orbit)
-        _chk(checks, "orthogonal parallel pairs (%s)" % f.name, len(pairs), orth)
+
+        def idempotent_pair(line):
+            e, fl = cons.line_idempotents(f, line)
+            return A.is_idempotent(e) and A.is_idempotent(fl)
+
+        def orthogonal(pair):
+            e1, e2 = (cons.line_idempotents(f, line)[0] for line in pair)
+            return all(c == f.zero for c in A.mul(e1, e2))
+
+        _chk(checks, "idempotent pairs over the 12 lines (%s)" % f.name, 12,
+             sum(_per_orbit(plane.lines, gens, idempotent_pair)))
+        _chk(checks, "orthogonal parallel pairs (%s)" % f.name, len(pairs),
+             sum(_per_orbit(pairs, gens, orthogonal)))
     return anchors, checks
 
 
 def _claim_p3_eigendims(fields, n):
     """Each line idempotent and each point is decided once per orbit of the
-    proved automorphisms and weighted by the orbit's size, as in
+    proved automorphisms and shared by the orbit, as in
     ``_claim_p3_line_idempotents``: sigma carries e_L to e_sigma(L) and b_i
     to b_sigma(i), and conjugates ad(e) to ad(sigma e), which keeps
     diagonalizability and the eigenspace dimensions."""
@@ -196,37 +197,12 @@ def _claim_p3_eigendims(fields, n):
             dec = eigen_decomposition(A, e, candidates=[f.one, f.zero, _half(f)])
             return dec.diagonalizable and dec.dims() == (1, 4, 4)
 
-        good = sum(len(orbit) * dims_144(cons.line_idempotents(f, orbit[0])[0])
-                   for orbit in _set_orbits(plane.lines, gens))
+        good = sum(_per_orbit(plane.lines, gens,
+                              lambda line: dims_144(cons.line_idempotents(f, line)[0])))
         _chk(checks, "line idempotents with dims (1,4,4) (%s)" % f.name, 12, good)
-        rep = _orbit_minima(9, gens)
-        pts = sum(rep.count(r) * dims_144(unit_vector(f, 9, r))
-                  for r in sorted(set(rep)))
+        pts = sum(_per_orbit(range(9), gens, lambda r: dims_144(unit_vector(f, 9, r))))
         _chk(checks, "points with dims (1,4,4) (%s)" % f.name, 9, pts)
     return anchors, checks
-
-
-def _moved(g, x):
-    """The image under the basis permutation g of x, a point, or a set of
-    points or of such sets given as a sorted tuple, in the same form."""
-    if isinstance(x, int):
-        return g[x]
-    return tuple(sorted(_moved(g, y) for y in x))
-
-
-def _set_orbits(sets, gens):
-    """The orbits of the group the basis permutations gens generate on the
-    given sets (sorted tuples, as ``_moved`` takes them), each a list led by
-    its first member in ``sets``, in that order.  With no gens every set is
-    its own orbit."""
-    orbits, seen = [], set()
-    for x in sets:
-        if x not in seen:
-            orbit = _closure([x], lambda z: [_moved(g, z) for g in gens],
-                             "orbit closure")
-            seen.update(orbit)
-            orbits.append(orbit)
-    return orbits
 
 
 def _claim_p3_peirce(fields, n):
@@ -238,10 +214,11 @@ def _claim_p3_peirce(fields, n):
     ]
     checks = []
     for f in fields:
+        A = cons.matsuo_algebra(build_p3(), _half(f), f)
         ok_classes = 0
         desc_ok = 0
         for cls in P3_PARALLEL_CLASSES:
-            pd = cons.p3_peirce(f, cls)
+            pd = cons.p3_peirce(A, cls)
             if pd.direct_sum_ok and all(s.dim == 2 for s in pd.off_diagonal.values()):
                 ok_classes += 1
             hit = 0
@@ -327,9 +304,10 @@ def _claim_p3_char3_chain(fields, n):
     _chk(checks, "linearized Jordan identity on all basis quadruples",
          "%d/0" % (9 ** 4), "%d/%d" % (total, failed))
     # the count has evaluated every linearized gap, so of jordan_check only
-    # the F_3 diagonal step is left to run
-    _chk(checks, "jordan verdict", True,
-         failed == 0 and _diagonal_step(A, _table_automorphisms(A)) is None)
+    # the F_3 diagonal gaps at the walk's quadruples (r, r, y, r) are left
+    walk = _orbit_quadruples(A.dim, _table_automorphisms(A))
+    _chk(checks, "jordan verdict", True, failed == 0 and not any(
+        _diagonal_gap(A, r, y) for r, s, y, c in walk if r == s == c))
     _chk(checks, "chain dimensions", (1, 6, 8), ch.dims)
     _chk(checks, "all three are ideals", True, ch.ideals_ok)
     _chk(checks, "R^2 = T, T^2 = Z, Z^2 = 0", True, ch.squares_ok)

@@ -315,10 +315,11 @@ class PeirceDecomposition:
     direct_sum_ok: bool
 
 
-def p3_peirce(field, parallel_class):
-    """The six-piece decomposition of the order-3 plane algebra attached to a
-    parallel class of lines: spans of the three line idempotents, plus the
-    pairwise intersections of their half-eigenspaces.
+def p3_peirce(A, parallel_class):
+    """The six-piece decomposition of A, the order-3 plane algebra at 1/2
+    (``matsuo_algebra(build_p3(), 1/2, field)``), attached to a parallel
+    class of lines: spans of the three line idempotents, plus the pairwise
+    intersections of their half-eigenspaces.
 
     Each line idempotent's ad(e) is formed once on the integer view
     (``_IntAdjoint``), and the piece E_1/2(e_i) ^ E_1/2(e_j) is one
@@ -329,9 +330,8 @@ def p3_peirce(field, parallel_class):
     lines = tuple(tuple(sorted(l)) for l in parallel_class)
     if sorted(p for l in lines for p in l) != list(range(9)):
         raise AlgebraError("lines do not form a parallel class")
-    f = field
+    f = A.field
     half = f.div(f.one, f.from_int(2))
-    A = matsuo_algebra(build_p3(), half, f)
     es = [line_idempotents(f, l)[0] for l in lines]
     blocks = [_IntAdjoint(A, e).shifted_rows(half) for e in es]
     off = {(i, j): kernel(Matrix(f, blocks[i] + blocks[j], 9))
@@ -538,34 +538,21 @@ _ETA_SLOTS = [(1, 2), (0, 2), (0, 1)]   # [23], [13], [12]
 _ETA_SIGNS = [1, -1, 1]
 
 
-def _h3_label_index(model):
-    labels = h3_labels(model)
-    return {l: t for t, l in enumerate(labels)}
-
-
 def eta_matrix(field):
     """The 9x9 matrix of the isomorphism from the order-3 plane algebra onto
     the hermitian matrices of the zeta model: line idempotents go to diagonal
     units, and the zero-sum piece of each line of the rows class goes into the
     matching off-diagonal slot."""
     f = field
-    idx = _h3_label_index(zeta_model(field))
+    zm = zeta_model(field)
     three_q = f.div(f.from_int(3), f.from_int(4))
     quarter = f.div(f.one, f.from_int(4))
 
-    mixed_cols = []
-    image_cols = []
-    for t, line in enumerate(_ETA_LINES):
-        e, _ = line_idempotents(f, line)
-        mixed_cols.append(e)
-        img = [f.zero] * 9
-        img[t] = f.one  # e_{t+1,t+1}
-        image_cols.append(img)
+    mixed_cols = [line_idempotents(f, line)[0] for line in _ETA_LINES]
+    image_cols = [unit_vector(f, 9, t) for t in range(3)]  # e_{t+1,t+1}
     for t, line in enumerate(_ETA_LINES):
         i, j = _ETA_SLOTS[t]
         sgn = _ETA_SIGNS[t]
-        u_idx = idx["1[%d%d]" % (i + 1, j + 1)]
-        g_idx = idx["z[%d%d]" % (i + 1, j + 1)]
         a, b, c = line
         for lam, mu in ((1, 0), (0, 1)):
             v = [f.zero] * 9
@@ -573,10 +560,9 @@ def eta_matrix(field):
             v[b] = f.from_int(mu)
             v[c] = f.from_int(-(lam + mu))
             mixed_cols.append(v)
-            img = [f.zero] * 9
-            img[u_idx] = f.mul(three_q, f.from_int(lam + mu))
-            img[g_idx] = f.mul(quarter, f.from_int(sgn * (lam - mu)))
-            image_cols.append(img)
+            x = (f.mul(three_q, f.from_int(lam + mu)),
+                 f.mul(quarter, f.from_int(sgn * (lam - mu))))
+            image_cols.append(_h3_coordinates(zm, x, i, j))
 
     mixed = Matrix(f, [list(r) for r in zip(*mixed_cols)])
     images = Matrix(f, [list(r) for r in zip(*image_cols)])
@@ -588,22 +574,13 @@ def model_translation(field):
     extension: the square root of -3 equals twice a primitive cube root of
     unity plus one.  Maps zeta-model coordinates to beta-model coordinates."""
     f = field
-    zm = zeta_model(field)
     bm = beta_model(field)
-    src = _h3_label_index(zm)
-    dst = _h3_label_index(bm)
-    m = Matrix.zeros(f, 9, 9)
-    for i in range(3):
-        m.rows[dst["e%d%d" % (i + 1, i + 1)]][src["e%d%d" % (i + 1, i + 1)]] = f.one
+    zeta = (f.one, f.from_int(2))   # zeta = 1 + 2 beta
+    cols = [unit_vector(f, 9, i) for i in range(3)]
     for i, j in _H3_OFF:
-        one_s = src["1[%d%d]" % (i + 1, j + 1)]
-        z_s = src["z[%d%d]" % (i + 1, j + 1)]
-        one_d = dst["1[%d%d]" % (i + 1, j + 1)]
-        b_d = dst["b[%d%d]" % (i + 1, j + 1)]
-        m.rows[one_d][one_s] = f.one
-        m.rows[one_d][z_s] = f.one          # zeta = 1 + 2 beta
-        m.rows[b_d][z_s] = f.from_int(2)
-    return m
+        cols.append(_h3_coordinates(bm, bm.one(), i, j))
+        cols.append(_h3_coordinates(bm, zeta, i, j))
+    return Matrix(f, [list(r) for r in zip(*cols)])
 
 
 def eta_beta_printed_coefficient(field, lam, mu):

@@ -36,7 +36,7 @@ from matsuo.algebra import (
     quotient,
     subspace_product,
     u_operator,
-    _quadruple_scan,
+    _orbit_quadruples,
     _table_automorphisms,
 )
 from matsuo import claims
@@ -461,11 +461,19 @@ def test_integer_gap_matches_dense_oracle_over_prime_fields():
 def test_jordan_check_frozen_verdicts():
     F3_half = F3.div(F3.one, F3.from_int(2))
     w2a3 = matsuo_algebra(gamma_of_group(build_wk_affine_a(2, 3)), HALF, Q)
+    # the pair of _f3_diagonal_failure first: its diagonal gap at (0, 0) fails
+    # before the walk meets the first linearized failure, which must win
+    pair = AlgebraTable(F3, ["a", "b"], {(0, 0): [0, 1], (1, 1): [1, 0]})
+    pair_w2a3 = direct_sum(pair, matsuo_algebra(
+        gamma_of_group(build_wk_affine_a(2, 3)), F3_half, F3))
+    assert algebra._diagonal_gap(pair_w2a3, 0, 0)
+    assert _jordan_scan_reference(pair_w2a3) == (2, 3, 5, 4)
     for A, expected in (
         (_root_matsuo("A3", HALF, Q), (True, ())),
         (matsuo_algebra(build_p3(), F3_half, F3), (True, ())),
         (w2a3, (False, (0, 1, 3, 2))),
         (_f3_diagonal_failure(), (False, (9, 9, 9, 9))),
+        (pair_w2a3, (False, (2, 3, 5, 4))),
     ):
         res = jordan_check(A)
         assert (res.is_jordan, res.witness) == expected
@@ -483,6 +491,20 @@ def _jordan_scan_reference(A):
                     if linearized_gap(A, i, j, y, k):
                         return (i, j, y, k)
     return None
+
+
+def _first_failure(A, gens):
+    """The first quadruple of ``_orbit_quadruples(A.dim, gens)`` with a
+    nonzero ``linearized_gap``, or None."""
+    return next((q for q in _orbit_quadruples(A.dim, gens) if linearized_gap(A, *q)),
+                None)
+
+
+def _first_diagonal_failure(A, gens):
+    """The first quadruple (r, r, y, r) of ``_orbit_quadruples(A.dim, gens)``
+    with a nonzero ``_diagonal_gap`` at (b_r, b_y), or None."""
+    return next(((r, r, y, r) for r, s, y, c in _orbit_quadruples(A.dim, gens)
+                 if r == s == c and algebra._diagonal_gap(A, r, y)), None)
 
 
 def _table_automorphisms_reference(A):
@@ -564,8 +586,8 @@ def _scan_fixtures():
 def test_quadruple_scan_agrees_with_the_plain_scan(build):
     A = build()
     expected = _jordan_scan_reference(A)
-    assert _quadruple_scan(A, _table_automorphisms(A)) == expected
-    assert _quadruple_scan(A, ()) == expected
+    assert _first_failure(A, _table_automorphisms(A)) == expected
+    assert _first_failure(A, ()) == expected
     if expected is not None:
         assert not linearized_identity_holds(A, *expected)
     res = jordan_check(A)
@@ -589,7 +611,7 @@ def test_jordan_check_is_exact_over_f3():
     for A in _two_dim_tables(F3, range(3)):
         res = jordan_check(A)
         assert res.is_jordan == brute_force_jordan(A, (0, 1, 2))
-        if _quadruple_scan(A, ()) is None and not res.is_jordan:
+        if _first_failure(A, ()) is None and not res.is_jordan:
             r, r2, _, r3 = res.witness
             assert r == r2 == r3
             diagonal += 1
@@ -610,7 +632,7 @@ def test_jordan_check_matches_brute_force_on_seeded_tables(field, dim):
                          _random_pairs(rng, field, values, dim))
         res = jordan_check(A)
         assert res.is_jordan == brute_force_jordan(A, range(field.p))
-        seen.add((res.is_jordan, _quadruple_scan(A, ()) is None))
+        seen.add((res.is_jordan, _first_failure(A, ()) is None))
     if field.p == 3:
         assert seen == {(True, True), (False, True), (False, False)}
     else:
@@ -639,19 +661,20 @@ def test_scan_fixtures_reach_both_verdicts_and_orbit_counts():
 
 
 def _visited_quadruples(A, gens, monkeypatch):
-    """Every quadruple (i, j, y, k) the reduced scan evaluates on A."""
-    visited = []
+    """Every quadruple (i, j, y, k) the reduced walk yields on A; the walk
+    itself evaluates no gap."""
+    def no_gap(*args):
+        raise AssertionError("the walk evaluated a gap")
+
     with monkeypatch.context() as m:
-        m.setattr(algebra, "linearized_gap",
-                  lambda A, i, j, y, k: visited.append((i, j, y, k)) or {})
-        assert _quadruple_scan(A, gens) is None
-    return visited
+        m.setattr(algebra, "linearized_gap", no_gap)
+        m.setattr(algebra, "_diagonal_gap", no_gap)
+        return list(_orbit_quadruples(A.dim, gens))
 
 
 def test_quadruple_scan_meets_every_orbit(monkeypatch):
     # the images of the visited quadruples under the whole group, with the
     # three symmetric slots sorted, are all quadruples i <= j <= k, any y
-    # (the gap is forced to zero, so the scan runs to the end)
     for A in (_root_matsuo("A4", HALF, Q), p3_algebra(F3),
               direct_sum(_root_matsuo("A3", HALF, Q), _one_dim(Q)),
               _tampered(_root_matsuo("A3", HALF, Q), 0, 0, 0, Q.from_int(2)),
@@ -956,7 +979,7 @@ def test_jordan_check_witness_matches_the_plain_scan_on_relabelled_tables(seed):
     A = _relabelled_table(_f3_diagonal_failure(), seed)
     assert _table_automorphisms(A)
     assert _jordan_scan_reference(A) is None
-    assert _quadruple_scan(A, _table_automorphisms(A)) is None
+    assert _first_failure(A, _table_automorphisms(A)) is None
     expected = _diagonal_reference(A)
     assert expected is not None
     res = jordan_check(A)
@@ -1748,12 +1771,12 @@ def test_product_kernel_matches_per_pair_mul():
 
 
 def test_count_then_diagonal_step_matches_jordan_check():
-    # once count_linearized_quadruples finds no failure, the diagonal step
-    # alone gives jordan_check's verdict and witness
+    # once count_linearized_quadruples finds no failure, the walk's diagonal
+    # quadruples alone give jordan_check's verdict and witness
     for A in (p3_algebra(F3), _f3_diagonal_failure()):
         total, failed = count_linearized_quadruples(A)
         assert (total, failed) == (A.dim ** 4, 0)
-        witness = algebra._diagonal_step(A, _table_automorphisms(A))
+        witness = _first_diagonal_failure(A, _table_automorphisms(A))
         res = jordan_check(A)
         assert (res.is_jordan, res.witness) == (witness is None, witness or ())
     assert witness == (9, 9, 9, 9)

@@ -30,6 +30,7 @@ from matsuo.algebra import (
     iso_check,
     jordan_check,
     _orbit_minima,
+    _per_orbit,
     _table_automorphisms,
 )
 from matsuo import algebra, claims
@@ -337,27 +338,44 @@ def test_p3_claims_once_per_orbit_match_the_per_line_loops(field):
             == _p3_eigendims_reference(field))
 
 
+def _orbits(items, gens):
+    """The orbits of <gens> on items, each a list led by its first member in
+    items, read off ``_per_orbit``, which must decide once per orbit, at that
+    first member."""
+    decided = []
+    leaders = _per_orbit(items, gens, lambda x: decided.append(x) or x)
+    orbits = {}
+    for x, leader in zip(items, leaders):
+        orbits.setdefault(leader, []).append(x)
+    assert decided == list(orbits)
+    return list(orbits.values())
+
+
 @pytest.mark.parametrize("field", [Q, F5], ids=lambda f: f.name)
 def test_p3_orbits_are_the_parallel_classes_and_one_point_orbit(field):
     lines = build_p3().lines
     gens = _table_automorphisms(_p3_over(field))
-    orbits = claims._set_orbits(lines, gens)
+    orbits = _orbits(lines, gens)
     assert ({frozenset(orbit) for orbit in orbits}
             == {frozenset(cls) for cls in P3_PARALLEL_CLASSES})
     assert len(set(_orbit_minima(9, gens))) == 1
     # the 12 pairs of parallel lines: one orbit of 3 per class
     pairs = [tuple(sorted((cls[i], cls[j])))
              for cls in P3_PARALLEL_CLASSES for i, j in ((0, 1), (0, 2), (1, 2))]
-    pair_orbits = claims._set_orbits(pairs, gens)
+    pair_orbits = _orbits(pairs, gens)
     assert sorted(map(len, pair_orbits)) == [3] * 4
     assert sorted(p for orbit in pair_orbits for p in orbit) == sorted(pairs)
     # with no automorphism every line is its own orbit
-    assert claims._set_orbits(lines, ()) == [[line] for line in lines]
+    assert _orbits(lines, ()) == [[line] for line in lines]
 
 
 def test_p3_peirce_rejects_non_parallel_lines():
     with pytest.raises(AlgebraError):
-        cons.p3_peirce(Q, ((0, 1, 2), (0, 3, 6), (6, 7, 8)))
+        cons.p3_peirce(_p3_over(Q), ((0, 1, 2), (0, 3, 6), (6, 7, 8)))
+
+
+def _p3_peirce(field, parallel_class):
+    return cons.p3_peirce(_p3_over(field), parallel_class)
 
 
 def _p3_peirce_reference(field, parallel_class):
@@ -395,7 +413,7 @@ def _peirce_outcome(fn, field, parallel_class):
 @pytest.mark.parametrize("f", [Q, F5, F7, F11], ids=["Q", "F5", "F7", "F11"])
 def test_p3_peirce_matches_the_intersection_reference(f):
     for cls in P3_PARALLEL_CLASSES:
-        got = _peirce_outcome(cons.p3_peirce, f, cls)
+        got = _peirce_outcome(_p3_peirce, f, cls)
         assert got == _peirce_outcome(_p3_peirce_reference, f, cls)
         assert got[1] is True
         assert list(got[0]) == [(0, 1), (0, 2), (1, 2)]
@@ -406,13 +424,13 @@ def test_p3_peirce_refusals_match_the_reference():
     for f, cls, message in (
             (Q, not_a_class, "lines do not form a parallel class"),
             (F3, P3_PARALLEL_CLASSES[0], "line idempotents need characteristic != 3")):
-        assert (_peirce_outcome(cons.p3_peirce, f, cls)
+        assert (_peirce_outcome(_p3_peirce, f, cls)
                 == _peirce_outcome(_p3_peirce_reference, f, cls)
                 == "AlgebraError: " + message)
 
 
 def test_p3_peirce_explicit_piece():
-    pd = cons.p3_peirce(Q, P3_PARALLEL_CLASSES[0])
+    pd = cons.p3_peirce(_p3_over(Q), P3_PARALLEL_CLASSES[0])
     # the (1,2) piece is supported on the third line {7,8,9} with zero sum
     spc = pd.off_diagonal[(0, 1)]
     vecs = []
