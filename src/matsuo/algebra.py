@@ -4,22 +4,23 @@ verification, Miyamoto maps, U-operators, ideals and quotients.
 
 Vectors are coordinate lists over the algebra's field.  The multiplication
 table is stored sparsely, each product b_i b_j once for both orders, as the
-dict of its nonzero coordinates; every product of algebra elements (``mul``,
-``ad``, ``u_operator``, ``subspace_product``, ``is_ideal``, the Jordan scan,
-the fusion test of ``check_axis``) runs on one integer view of it
-(``AlgebraTable.int_view``) through linalg's kernels ``_int_lift``,
-``_int_apply`` and ``_from_int_rows``: over Q every structure constant is
-scaled by the lcm of the table's denominators, over F_p the constants are
-their residues and reduction waits until the end.  ``_int_products`` forms
-every u v for u in one list and v in another, each operand lifted once.
-An idempotent's ad(e) is formed once on that view, as integer columns
-(``_IntAdjoint``), and its eigenspaces, fusion test and Miyamoto map all
-read it.
+dict of its nonzero coordinates; every product of algebra elements runs on
+one integer view of it (``AlgebraTable.int_view``) through linalg's kernels
+``_int_lift``, ``_int_apply`` and ``_from_int_rows``: over Q every structure
+constant is scaled by the lcm of the table's denominators, over F_p the
+constants are their residues and reduction waits until the end.  One helper,
+``_columns``, forms the columns u b_t of an element u over a given support,
+and ``mul``, ``subspace_product``, ``is_ideal``, ``is_multiplicative`` and the
+fusion test sum them.  An element's ad is formed once on that view, as
+integer columns (``_IntAdjoint``), which ``ad`` and ``u_operator`` convert;
+an idempotent's eigenspaces, fusion test and Miyamoto map all read it.
 
 The Jordan verdict is exact: the linearized identity on basis quadruples
 and, over F_3 only, the identity itself on the diagonal pairs (b_i, b_y),
-which test the x_i^3 terms that the linearization holds only times 3; both
-read one orbit walk of the quadruples.
+which test the x_i^3 terms that the linearization holds only times 3.  One
+kernel, ``_linearized_sum``, evaluates both, the diagonal gap as the sum at
+(i, i, y, i) divided by 3, and ``jordan_check`` reads it along one orbit walk
+of the quadruples.
 """
 
 import dataclasses
@@ -78,22 +79,22 @@ class AlgebraTable:
         return out
 
     def mul(self, x, y):
-        """Bilinear extension of the table to coordinate vectors, by
-        ``_int_products`` on the integer view."""
+        """Bilinear extension of the table to coordinate vectors, on the
+        integer view: the columns x b_t over the support of y (``_columns``)
+        summed by y."""
         view = self.int_view()
         lifted_x, scale_x = self._lift(x)
         lifted_y, scale_y = self._lift(y)
-        return _from_int_vectors(self.field, _int_products(view, [lifted_x], [lifted_y]),
-                                 self.dim, scale_x * scale_y * view.scale)[0]
+        xy = _int_apply(_columns(view, lifted_x, lifted_y), lifted_y)
+        return _from_int_vectors(self.field, [xy], self.dim,
+                                 scale_x * scale_y * view.scale)[0]
 
     def ad(self, x):
-        """Matrix of left multiplication by x (columns are x * b_j): the rows
-        x b_t on the integer view, converted once and transposed."""
-        view = self.int_view()
-        lifted, scale = self._lift(x)
-        cols = [_int_apply(row, lifted) for row in view.rows]
-        return _from_int_rows(self.field, cols, self.dim,
-                              scale * view.scale).transpose()
+        """Matrix of left multiplication by x (columns are x * b_j): the
+        integer columns of ``_IntAdjoint``, converted once and transposed."""
+        ad = _IntAdjoint(self, x)
+        return _from_int_rows(self.field, list(ad.cols.values()), self.dim,
+                              ad.unit).transpose()
 
     def _lift(self, v):
         if len(v) != self.dim:
@@ -108,18 +109,13 @@ class AlgebraTable:
         return "AlgebraTable(%s, dim=%d)" % (self.field.name, self.dim)
 
 
-def _int_products(view, us, vs):
-    """Every product u v with u in us and v in vs, sparse int vectors on the
-    integer view, u-major and not reduced, scaled as u, v and the view are.
-    For each u the columns u b_t over the support of vs are formed once, and
-    each v sums them."""
+def _columns(view, u, support):
+    """{t: u b_t} for t in support, the sparse int vector u times the basis
+    elements on the integer view, scaled as u and the view are and not
+    reduced.  Every product of algebra elements reads these columns: u v is
+    ``_int_apply(_columns(view, u, v), v)``."""
     rows = view.rows
-    support = set().union(*vs)
-    out = []
-    for u in us:
-        cols = {t: _int_apply(rows[t], u) for t in support}
-        out += [_int_apply(cols, v) for v in vs]
-    return out
+    return {t: _int_apply(rows[t], u) for t in support}
 
 
 @dataclass(frozen=True)
@@ -207,14 +203,16 @@ def jordan_check(A):
     exactly when every coefficient of that form vanishes at every b_y.  The
     coefficient of x_i x_j x_k (i, j, k distinct) is twice
     ``linearized_gap(i, j, y, k)`` and that of x_i^2 x_k is
-    ``linearized_gap(i, i, y, k)``: it is evaluated at each quadruple of one
+    ``linearized_gap(i, i, y, k)``: it is evaluated, as ``_linearized_sum``
+    on the integer view read once, at each quadruple of one
     ``_orbit_quadruples`` walk, and the first failure is the witness.  The
     coefficient of x_i^3 is the gap at the diagonal pair (b_i, b_y), which
     ``linearized_gap(i, i, y, i)`` holds times 3.  Outside characteristic 3
     a walk with no failure has therefore tested it, and the verdict is
-    Jordan.  Over F_3 the same walk also evaluates ``_diagonal_gap`` at its
-    quadruples (r, r, y, r) until one fails; that failure is reported only
-    when no linearized gap fails.  There "for all x" agrees with "as an
+    Jordan.  Over F_3 the same walk also evaluates ``_diagonal_gap``, that
+    sum divided by 3 before it is reduced, at its quadruples (r, r, y, r)
+    until one fails; that failure is reported only when no linearized gap
+    fails.  There "for all x" agrees with "as an
     identity": reducing x_i^3 to x_i leaves distinct monomials, so a cubic
     form that vanishes on F_3^n is zero.
 
@@ -234,12 +232,13 @@ def jordan_check(A):
     group matters, so proving a generating set instead of every candidate
     changes no witness.
     """
-    check_diagonal = A.field.characteristic == 3
+    view = A.int_view()
+    rows, p = view.rows, view.modulus
     diagonal = None
     for r, s, y, c in _orbit_quadruples(A.dim, _table_automorphisms(A)):
-        if linearized_gap(A, r, s, y, c):
+        if _reduced(_linearized_sum(rows, r, s, y, c), p):
             return JordanCheck(False, (r, s, y, c))
-        if (check_diagonal and diagonal is None and r == s == c
+        if (p == 3 and diagonal is None and r == s == c
                 and _diagonal_gap(A, r, y)):
             diagonal = (r, r, y, r)
     return JordanCheck(False, diagonal) if diagonal else JordanCheck(True)
@@ -414,15 +413,14 @@ def _stabiliser_generators(n, r, gens):
 
 def _diagonal_gap(A, i, y):
     """x(y(xx)) - (xy)(xx) at x = b_i and the basis element b_y, as a sparse
-    vector that is empty exactly when the identity holds there.  Like
-    ``linearized_gap`` it runs in plain ints on ``A.int_view()``, every term
-    a product of three structure constants, so it is scaled as that is."""
+    vector that is empty exactly when the identity holds there, scaled as
+    ``linearized_gap`` is.  The three cyclic shifts of (b_i, b_i, b_i) are
+    one term, ((xx)y)x - (xx)(yx), which by commutativity is this gap, so
+    ``_linearized_sum`` at (i, i, y, i) is the gap times 3 in exact ints and
+    is divided by 3 before it is reduced."""
     view = A.int_view()
-    rows = view.rows
-    xx = rows[i][i]
-    gap = _int_apply(rows[i], _int_apply(rows[y], xx))
-    cols = {t: _int_apply(rows[t], rows[i][y]) for t in xx}
-    return _reduced(_int_apply(cols, xx, -1, out=gap), view.modulus)
+    thrice = _linearized_sum(view.rows, i, i, y, i)
+    return _reduced({r: w // 3 for r, w in thrice.items()}, view.modulus)
 
 
 def linearized_gap(A, i, j, y, k):
@@ -431,12 +429,17 @@ def linearized_gap(A, i, j, y, k):
     (b_i, b_j, b_k), as a sparse vector that is empty exactly when the
     identity holds there.
 
-    The sum runs in plain ints on ``A.int_view()``.  Every term is a product
-    of three structure constants, so over Q the result is the gap times D**3
-    for the view's scale D; over F_p it is the gap's residues, reduced once
-    per coordinate at the end."""
+    The sum, ``_linearized_sum``, runs in plain ints on ``A.int_view()``.
+    Every term is a product of three structure constants, so over Q the
+    result is the gap times D**3 for the view's scale D; over F_p it is the
+    gap's residues, reduced once per coordinate at the end."""
     view = A.int_view()
-    rows = view.rows
+    return _reduced(_linearized_sum(view.rows, i, j, y, k), view.modulus)
+
+
+def _linearized_sum(rows, i, j, y, k):
+    """``linearized_gap`` on the integer rows of a view, neither reduced nor
+    stripped of zeros."""
     row_y = rows[y]
     gap = {}
     get = gap.get
@@ -452,7 +455,7 @@ def linearized_gap(A, i, j, y, k):
                 uv = u * v
                 for r, w in row_s[t].items():
                     gap[r] = get(r, 0) - uv * w
-    return _reduced(gap, view.modulus)
+    return gap
 
 
 # ---------------------------------------------------------------------------
@@ -469,15 +472,12 @@ class EigenDecomposition:
     def dims(self):
         return tuple(s.dim for s in self.spaces)
 
-    def space_of(self, value):
-        return self.spaces[self.eigenvalues.index(value)]
-
 
 class _IntAdjoint:
     """unit * ad(e) on the integer view: ``cols[t]`` is unit * (e b_t) as a
-    sparse int vector, unit = L D for e lifted by L (``_int_lift``, the lift
-    kept as ``lifted``) and the view's scale D; over F_p the columns are
-    residues and unit is 1."""
+    sparse int vector (``_columns`` over every t), unit = L D for e lifted by
+    L (``_int_lift``, the lift kept as ``lifted``) and the view's scale D;
+    over F_p the columns are read mod p and unit is 1."""
 
     __slots__ = ("cols", "unit", "modulus", "lifted")
 
@@ -485,15 +485,13 @@ class _IntAdjoint:
         view = A.int_view()
         self.lifted, scale = A._lift(e)
         self.modulus = view.modulus
-        self.cols = _int_columns(view.rows, self.lifted, view.modulus)
+        self.cols = _columns(view, self.lifted, range(A.dim))
         self.unit = scale * view.scale
 
     def idempotent(self):
-        """Whether e e = e: unit ad(e) applied to L e is L unit (e e), which
-        equals unit L e exactly when e e = e (over F_p both reduced)."""
-        p, unit = self.modulus, self.unit
-        return (_reduced(_int_apply(self.cols, self.lifted), p)
-                == _reduced({k: unit * x for k, x in self.lifted.items()}, p))
+        """Whether e e = e: (unit ad(e) - unit) L e is L unit (e e - e),
+        which is zero exactly when ad(e) - 1 kills e."""
+        return not self.shifted(self.lifted, 1)
 
     def shifted(self, w, nu):
         """b (unit ad(e)) w - a unit w for nu = a/b (over F_p a residue, b = 1),
@@ -505,13 +503,23 @@ class _IntAdjoint:
             out[j] = get(j, 0) - c * x
         return _reduced(out, self.modulus)
 
+    def shifted_product(self, w, values):
+        """The product of b (unit ad(e)) - a unit over nu = a/b in values
+        applied to w (``shifted`` once per factor), stopping when it reaches
+        zero."""
+        for nu in values:
+            if not w:
+                break
+            w = self.shifted(w, nu)
+        return w
+
     def shifted_rows(self, nu):
         """The dense int rows of b (unit ad(e)) - a unit I for nu = a/b, a
         nonzero multiple of ad(e) - nu, over F_p reduced mod p."""
         p, n = self.modulus, len(self.cols)
         b, a = nu.denominator, nu.numerator * self.unit
         rows = [[0] * n for _ in range(n)]
-        for t, col in enumerate(self.cols):
+        for t, col in self.cols.items():
             for k, x in col.items():
                 rows[k][t] = b * x
         for k in range(n):
@@ -652,36 +660,21 @@ def _fusion_violation(A, rules, dec):
     that ``rules.allowed(phi, psi)`` prescribes, or () when there is none.
     The test is the annihilating product that ``check_axis`` describes, on
     the decomposition's integer ad(e)."""
-    ad = dec.adjoint
-    rows, p = A.int_view().rows, ad.modulus
-
-    def in_sum(w, values):
-        for nu in values:
-            if not w:
-                break
-            w = ad.shifted(w, nu)
-        return not w
-
+    ad, view = dec.adjoint, A.int_view()
     present = dec.eigenvalues
     lifted = [_int_lift(spc.rows)[0] for spc in dec.spaces]
     for pi, phi in enumerate(present):
-        mults = [_int_columns(rows, su, p) for su in lifted[pi]]
+        mults = [_columns(view, su, range(A.dim)) for su in lifted[pi]]
         for qi in range(pi, len(present)):
             psi = present[qi]
             values = [nu for nu in rules.allowed(phi, psi) if nu in present]
             for a, mult in enumerate(mults):
                 for b in range(a if qi == pi else 0, len(lifted[qi])):
-                    w = _reduced(_int_apply(mult, lifted[qi][b]), p)
-                    if not in_sum(w, values):
+                    w = _reduced(_int_apply(mult, lifted[qi][b]), ad.modulus)
+                    if ad.shifted_product(w, values):
                         return (phi, psi, dec.spaces[pi].rows[a],
                                 dec.spaces[qi].rows[b])
     return ()
-
-
-def _int_columns(rows, u, p):
-    """Columns of multiplication by the sparse int vector u on an integer
-    view: column t is u b_t, scaled as u and the view are."""
-    return [_reduced(_int_apply(row, u), p) for row in rows]
 
 
 def _reduced(w, p):
@@ -718,10 +711,7 @@ def miyamoto(A, e, rules):
     s, c = (1, 2 * f.inv(d) % p) if p else (d.numerator, 2 * d.denominator)
     cols = []
     for t in range(n):
-        w = {t: 1}
-        for mu in others:
-            w = ad.shifted(w, mu)
-        col = {k: -c * x for k, x in w.items()}
+        col = {k: -c * x for k, x in ad.shifted_product({t: 1}, others).items()}
         col[t] = col.get(t, 0) + s
         cols.append(_reduced(col, p))
     tau = _from_int_rows(f, cols, n, s).transpose()
@@ -739,17 +729,16 @@ def miyamoto(A, e, rules):
 
 def u_operator(A, a):
     """U_a(b) = 2a(ab) - (aa)b as a matrix, 2 ad(a)^2 - ad(a^2), on the
-    integer view: a lifted once (by L), its columns a b_t formed once, a^2
-    summed from them, and column t, 2 a(a b_t) - a^2 b_t, formed at the
-    scale (L D)^2 and converted once."""
-    view = A.int_view()
-    lifted, scale = A._lift(a)
-    cols = _int_columns(view.rows, lifted, view.modulus)  # a b_t, times L D
-    square = _int_apply(cols, lifted)                      # a a, times L^2 D
+    integer view: the columns a b_t of ``_IntAdjoint`` (times unit = L D), a^2
+    summed from them (times L unit), and column t, 2 a(a b_t) - a^2 b_t,
+    formed at the scale unit^2 and converted once."""
+    ad = _IntAdjoint(A, a)
+    minus_square = _columns(A.int_view(), _int_apply(ad.cols, ad.lifted, -1),
+                            range(A.dim))  # -(a a) b_t, times unit^2
     return _from_int_rows(
-        A.field, [_int_apply(cols, col, 2, out=_int_apply(row, square, -1))
-                  for col, row in zip(cols, view.rows)],
-        A.dim, (scale * view.scale) ** 2).transpose()
+        A.field, [_int_apply(ad.cols, col, 2, out=minus_square[t])
+                  for t, col in ad.cols.items()],
+        A.dim, ad.unit ** 2).transpose()
 
 
 def is_absolute_zero_divisor(A, a):
@@ -762,25 +751,31 @@ def is_trivial_element(A, a):
 
 def subspace_product(A, s, t):
     """Span of all products of a basis of s with a basis of t, each basis
-    lifted once and multiplied by ``_int_products``.  The products come out
-    times one nonzero scale, which leaves their span as it is."""
+    lifted once.  For each u of s the columns u b_t (``_columns``) are formed
+    once, over the union of the supports of t's basis, and each v of t sums
+    them.  The products come out times one nonzero scale, which leaves their
+    span as it is."""
     view = A.int_view()
-    products = _int_products(view, _int_lift(s.rows)[0], _int_lift(t.rows)[0])
+    vs = _int_lift(t.rows)[0]
+    support = set().union(*vs)
+    products = []
+    for u in _int_lift(s.rows)[0]:
+        cols = _columns(view, u, support)
+        products += [_int_apply(cols, v) for v in vs]
     return Subspace.span_of_int_vectors(A.field, A.dim, products)
 
 
 def is_ideal(A, s):
     """Whether every basis vector times every row of s lies in s, on the
     integer view: the rows of s lifted once, to R_r = L row_r, and each
-    product w = v b_i, for v such a lifted row, formed by ``_int_products``.
+    product w = v b_i, for v such a lifted row, read off ``_columns``.
     As the rows are in reduced echelon form, w lies in s exactly when it is
     the combination of them that its pivot entries name:
     L w = sum_r w[pivot_r] R_r, tested in ints (over F_p mod p)."""
     view = A.int_view()
     rows, scale = _int_lift(s.rows)
-    basis = [{i: 1} for i in range(A.dim)]
     for v in rows:
-        for w in _int_products(view, [v], basis):
+        for w in _columns(view, v, range(A.dim)).values():
             pick = {r: w[pc] for r, pc in enumerate(s.pivots) if pc in w}
             gap = {k: scale * x for k, x in w.items()}
             if _reduced(_int_apply(rows, pick, -1, out=gap), view.modulus):
@@ -847,8 +842,8 @@ def is_multiplicative(A, B, m):
     for i in range(A.dim):
         for j in range(i, A.dim):
             lhs = _int_apply(cols, view_a.rows[i][j], left)
-            prod = {t: _int_apply(view_b.rows[t], cols[i]) for t in cols[j]}
-            if _reduced(lhs, p) != _reduced(_int_apply(prod, cols[j], right), p):
+            rhs = _int_apply(_columns(view_b, cols[i], cols[j]), cols[j], right)
+            if _reduced(lhs, p) != _reduced(rhs, p):
                 return False
     return True
 

@@ -80,12 +80,11 @@ def _cmd_verify(args):
         sys.stderr.write("error: give a claim id or --all"
                          " (see matsuo verify --list)\n")
         return 2
-    try:
-        report = claims.run_claim(args.claim, n=args.n, field_name=args.field)
-    except KeyError:
+    if args.claim not in claims.CLAIMS:
         sys.stderr.write("error: unknown claim %r (see matsuo verify --list)\n"
                          % args.claim)
         return 2
+    report = claims.run_claim(args.claim, n=args.n, field_name=args.field)
     sys.stdout.write(report.to_json(mask_runtime=args.mask_runtime))
     return 0 if report.passed else 1
 

@@ -554,6 +554,18 @@ def test_verify_unknown_claim(capsys):
     assert "unknown claim" in err
 
 
+def test_internal_key_error_is_not_reported_as_an_unknown_claim(capsys, monkeypatch):
+    # a KeyError inside a known claim's runner is a fault of the run, not a
+    # claim id that does not exist
+    def broken(fields, n):
+        raise KeyError("x")
+    monkeypatch.setitem(claims.CLAIMS, "p3-unit",
+                        dataclasses.replace(claims.CLAIMS["p3-unit"], run=broken))
+    with pytest.raises(KeyError):
+        main(["verify", "p3-unit"])
+    assert "unknown claim" not in capsys.readouterr().err
+
+
 def test_verify_requires_claim_or_all(capsys):
     rc, out, err = run_cli(capsys, "verify")
     assert (rc, out) == (2, "")

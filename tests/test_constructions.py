@@ -389,8 +389,8 @@ def _p3_peirce_reference(field, parallel_class):
     A = cons.matsuo_algebra(build_p3(), f.div(f.one, f.from_int(2)), f)
     es = [cons.line_idempotents(f, l)[0] for l in lines]
     half = f.div(f.one, f.from_int(2))
-    half_spaces = [eigen_decomposition(A, e, candidates=[f.one, f.zero, half])
-                   .space_of(half) for e in es]
+    decs = [eigen_decomposition(A, e, candidates=[f.one, f.zero, half]) for e in es]
+    half_spaces = [dec.spaces[dec.eigenvalues.index(half)] for dec in decs]
     off = {(i, j): half_spaces[i].intersect(half_spaces[j])
            for i in range(3) for j in range(i + 1, 3)}
     total = Subspace.zero(f, 9)
